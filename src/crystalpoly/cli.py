@@ -11,7 +11,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from .braid import BraidContext, apply_at, rank2_cartan, run_property_suite
 from .cartan import CartanData, IndexSequence, Weight, load_cartan
@@ -261,6 +260,8 @@ def cmd_braid(args) -> int:
         if jobs == 1:
             reports = [_fuzz_chunk(payloads[0])]
         else:
+            from concurrent.futures import ProcessPoolExecutor
+
             with ProcessPoolExecutor(max_workers=jobs) as pool:
                 reports = list(pool.map(_fuzz_chunk, payloads))
         violations = [v for r in reports for v in r["violations"]]
@@ -287,8 +288,11 @@ def cmd_braid(args) -> int:
     window = tuple(int(t) for t in args.window.replace(",", " ").split())
     if not window:
         raise ConfigError("--window is required for --map-set")
-    with open(args.map_set) as fh:
-        data = json.load(fh)
+    try:
+        with open(args.map_set) as fh:
+            data = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read --map-set file: {exc}") from exc
     elements = data["elements"] if isinstance(data, dict) else data
     mapped = []
     for obj in elements:

@@ -260,10 +260,11 @@ class FormSet:
     trace: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
-        self.forms = tuple(sorted(set(self.forms), key=LinearForm.sort_key))
+        self._members = frozenset(self.forms)
+        self.forms = tuple(sorted(self._members, key=LinearForm.sort_key))
 
     def __contains__(self, form: LinearForm) -> bool:
-        return form in set(self.forms)
+        return form in self._members
 
     def member(self, x) -> bool:
         """True when every form is nonnegative at x (support within window)."""
@@ -287,30 +288,60 @@ class FormSet:
 
     def enumerate_points(self, budget: int) -> set[ZVector]:
         """Nonnegative window-supported lattice points with coordinate sum <= budget
-        satisfying every form."""
+        satisfying every form.
+
+        Depth-first search over the positions 1..window, assigning x_1, x_2, ...
+        in turn; positions outside the window are 0.  Each form is filed under the
+        largest position of its support inside the window and is solved for
+        that coordinate as soon as every earlier one is set: with the rest of
+        the form evaluated exactly (integers, or Fractions when a coefficient
+        is not integral) it leaves an interval of admissible values, so a value
+        is skipped exactly when it would make a fully assigned form negative.
+        Forms in a single coordinate (the zero pins and the weight bounds
+        `lambda_i - x_k >= 0`) become fixed bounds on that coordinate, and a
+        form with no support in the window is just its constant.
+        """
         mode = BINF if self.lam is None else self.lam
+        window = self.window
         rows = self._int_rows()
         if rows is None:
             rows = [(f.const, f.coeffs) for f in self.forms]
-        found: set[ZVector] = set()
-        assignment: dict[int, int] = {}
+        low = [0] * (window + 1)
+        high = [budget] * (window + 1)
+        buckets: list[list] = [[] for _ in range(window + 1)]
+        for const, coeffs in rows:
+            inside = [(p, c) for p, c in coeffs if 0 < p <= window]
+            if not inside:
+                if const < 0:
+                    return set()
+            elif len(inside) == 1:
+                k, a = inside[0]
+                if a > 0:
+                    low[k] = max(low[k], -(const // a))
+                else:
+                    high[k] = min(high[k], const // -a)
+            else:
+                k, a = inside[-1]
+                buckets[k].append((const, a, inside[:-1]))
 
-        def rec(pos: int, remaining: int):
-            if pos > self.window:
-                if all(
-                    const + sum(c * assignment.get(p, 0) for p, c in coeffs) >= 0
-                    for const, coeffs in rows
-                ):
-                    found.add(ZVector.from_dict(assignment, mode))
+        found: set[ZVector] = set()
+        x = [0] * (window + 1)
+
+        def rec(k: int, remaining: int):
+            if k > window:
+                found.add(ZVector(tuple((p, v) for p, v in enumerate(x) if v), mode))
                 return
-            for val in range(remaining + 1):
-                if val:
-                    assignment[pos] = val
-                elif pos in assignment:
-                    del assignment[pos]
-                rec(pos + 1, remaining - val)
-            if pos in assignment:
-                del assignment[pos]
+            lo, hi = low[k], min(high[k], remaining)
+            for const, a, rest in buckets[k]:
+                value = const + sum(c * x[p] for p, c in rest)
+                if a > 0:
+                    lo = max(lo, -(value // a))
+                else:
+                    hi = min(hi, value // -a)
+            for val in range(lo, hi + 1):
+                x[k] = val
+                rec(k + 1, remaining - val)
+            x[k] = 0
 
         rec(1, budget)
         return found

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from crystalpoly.cli import main
 
 
@@ -119,6 +121,21 @@ def test_verify_mismatch_exit(capsys):
     assert code == 4
 
 
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (("a4", "--lambda", "1,1,1,1", "--depth", "10"), "equal: 567 elements (depth 10)"),
+        (("a4", "--lambda", "1,1,1,1", "--depth", "12"), "equal: 769 elements (depth 12)"),
+        # the default support bound 15 gives window 20; the BFS reaches x21 at depth 8
+        (("a5", "--lambda", "1,1,1,1,1", "--depth", "8", "--support-bound", "24"),
+         "equal: 1279 elements (depth 8)"),
+    ],
+)
+def test_verify_deep_oracle_cases(capsys, argv, line):
+    code, out, _ = run(capsys, "verify", "--builtin", *argv)
+    assert code == 0 and out.strip() == line
+
+
 def test_braid_fuzz(capsys):
     code, out, _ = run(
         capsys, "braid", "--fuzz", "--c1", "1", "--c2", "2", "--n", "400",
@@ -178,6 +195,23 @@ def test_braid_map_set_coordinate_encoding(tmp_path, capsys):
     )
     other = {json.dumps(n, sort_keys=True) for n in json.loads(out)["nodes"]}
     assert mapped == other
+
+
+def test_braid_map_set_missing_file(tmp_path, capsys):
+    code, _, err = run(
+        capsys, "braid", "--builtin", "a3", "--window", "4,5,6",
+        "--map-set", str(tmp_path / "absent.json"),
+    )
+    assert code == 2 and err.startswith("config error:")
+
+
+def test_braid_map_set_not_json(tmp_path, capsys):
+    src = tmp_path / "im.json"
+    src.write_text("[[1, 0], [2,")
+    code, _, err = run(
+        capsys, "braid", "--builtin", "a3", "--window", "4,5,6", "--map-set", str(src),
+    )
+    assert code == 2 and err.startswith("config error:")
 
 
 def test_braid_needs_mode(capsys):

@@ -1,3 +1,4 @@
+import itertools
 import json
 from fractions import Fraction
 
@@ -15,6 +16,8 @@ from crystalpoly import (
     rank2_system,
     weight,
 )
+
+from brute_enum import brute_force_points
 
 A2 = get_builtin("a2")
 A3 = get_builtin("a3")
@@ -232,3 +235,66 @@ def test_generated_forms_are_invariant_under_descent():
     for form in fs.forms:
         for k in range(1, fs.support_bound + 1):
             assert ds.s(form, k) in members
+
+
+# -- pruned enumeration against the brute-force oracle --------------------
+
+COEFFS = st.one_of(
+    st.integers(-3, 3),
+    st.fractions(min_value=-3, max_value=3, max_denominator=3),
+).filter(bool)
+
+
+@st.composite
+def small_form_sets(draw):
+    window = draw(st.integers(0, 6))
+    positions = st.integers(1, window + 2)  # some rows reach past the window
+    forms = [
+        F(draw(st.integers(-2, 4)), draw(st.dictionaries(positions, COEFFS, max_size=4)))
+        for _ in range(draw(st.integers(0, 5)))
+    ]
+    k = draw(positions)
+    if draw(st.booleans()):  # pin pair fixing x_k = 0
+        forms += [F(0, {k: 1}), F(0, {k: -1})]
+    if draw(st.booleans()):  # one-variable upper bound c - a*x_k >= 0
+        forms.append(F(draw(st.integers(0, 4)), {k: -draw(COEFFS.map(abs))}))
+    if draw(st.booleans()):  # one-variable lower bound a*x_k - c >= 0
+        forms.append(F(-draw(st.integers(0, 3)), {draw(positions): draw(COEFFS.map(abs))}))
+    if draw(st.integers(0, 9)) == 0:  # negative constant: no point survives
+        forms.append(F(-1))
+    return FormSet(forms=tuple(forms), window=window)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_form_sets(), st.integers(0, 5))
+def test_pruned_enumeration_matches_brute_force(fs, budget):
+    assert fs.enumerate_points(budget) == brute_force_points(fs, budget)
+
+
+# The systems `crystalpoly verify` builds on the benchmark grid: (method,
+# builtin, weight or None for free mode, budget).
+VERIFY_GRID = (
+    [("rank2", t, lam, 8) for t in ("a2", "b2", "c2", "g2")
+     for lam in itertools.product(range(3), repeat=2)]
+    + [("rank2", "a1tilde", (1, 1), 5)]
+    + [("generate", "a3", lam, 6) for lam in itertools.product(range(2), repeat=3)]
+    + [("iota0", "a3", (0, 1, 0), 6), ("iota0", "a3", None, 6)]
+    + [("generate", "a4", lam, 6) for lam in ((1, 0, 0, 0), (1, 1, 1, 1))]
+)
+
+
+@pytest.mark.parametrize(
+    "method, name, lam, budget", VERIFY_GRID,
+    ids=lambda v: "".join(map(str, v)) if isinstance(v, tuple) else str(v),
+)
+def test_verify_grid_enumeration_matches_brute_force(method, name, lam, budget):
+    builtin = get_builtin(name)
+    mode = None if lam is None else weight(*lam)
+    if method == "rank2":
+        c = builtin.cartan
+        window = 6 if name == "a1tilde" else None
+        fs = rank2_system(-c.a(1, 2), -c.a(2, 1), mode, window=window)
+    else:
+        seq = IOTA0 if method == "iota0" else builtin.iota
+        fs = DescentSystem(builtin.cartan, seq, mode).generate(max(budget, builtin.longest_len))
+    assert fs.enumerate_points(budget) == brute_force_points(fs, budget)
