@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .cartan import cartan_from_matrix
+from .cartan import rank2_cartan
 from .crystals import Letter, TensorWord
 
 ALLOWED_PAIRS = {(0, 0), (1, 1), (1, 2), (2, 1), (1, 3), (3, 1)}
@@ -57,11 +57,6 @@ class BraidContext:
     @classmethod
     def from_cartan(cls, cartan, i: int, j: int) -> "BraidContext":
         return cls(i, j, -cartan.a(i, j), -cartan.a(j, i))
-
-
-def rank2_cartan(c1: int, c2: int):
-    """Two-index Cartan datum with pairings -c1 and -c2 off the diagonal."""
-    return cartan_from_matrix([[2, -c1], [-c2, 2]])
 
 
 def map_values(c1: int, c2: int, vals: tuple[int, ...]) -> tuple[int, ...]:
@@ -110,21 +105,21 @@ def map_values_nested(c1: int, c2: int, vals: tuple[int, ...]) -> tuple[int, ...
     return (X, Y, Z, U, V, W)
 
 
-def _matching_values(ctx: BraidContext, word: TensorWord) -> tuple[int, ...]:
+def _map_word(ctx: BraidContext, word: TensorWord, family) -> TensorWord:
+    """Rebuild `word` in the mirrored shape from `family`'s output values."""
     if word.unit is not None:
         raise ValueError("braid maps act on pure letter words")
     pattern = tuple(l.index for l in word.letters)
     if pattern != ctx.input_pattern():
         raise ValueError(f"word pattern {pattern} does not match {ctx.input_pattern()}")
-    return tuple(l.value for l in word.letters)
+    out = family(ctx.c1, ctx.c2, tuple(l.value for l in word.letters))
+    letters = [Letter(idx, val) for idx, val in zip(ctx.output_pattern(), out)]
+    return TensorWord(word.cartan, letters)
 
 
 def phi(ctx: BraidContext, word: TensorWord) -> TensorWord:
     """Map a word shaped (i, j, i, ..) to the mirrored shape (j, i, j, ..)."""
-    vals = _matching_values(ctx, word)
-    out = map_values(ctx.c1, ctx.c2, vals)
-    letters = [Letter(idx, val) for idx, val in zip(ctx.output_pattern(), out)]
-    return TensorWord(word.cartan, letters)
+    return _map_word(ctx, word, map_values)
 
 
 def phi_inverse(ctx: BraidContext, word: TensorWord) -> TensorWord:
@@ -136,10 +131,7 @@ def phi3_alt(ctx: BraidContext, word: TensorWord) -> TensorWord:
     """Degree-3 map through the nested-clamp family; agrees with phi."""
     if ctx.degree != 3:
         raise ValueError("the alternative family exists only in degree 3")
-    vals = _matching_values(ctx, word)
-    out = map_values_nested(ctx.c1, ctx.c2, vals)
-    letters = [Letter(idx, val) for idx, val in zip(ctx.output_pattern(), out)]
-    return TensorWord(word.cartan, letters)
+    return _map_word(ctx, word, map_values_nested)
 
 
 def apply_at(ctx: BraidContext, word: TensorWord, positions) -> TensorWord:

@@ -61,6 +61,8 @@ class CartanData:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "CartanData":
+        if not isinstance(obj, dict):
+            raise CartanError("Cartan JSON must be an object")
         matrix = obj["matrix"]
         labels = obj.get("labels")
         datum = cartan_from_matrix(matrix, labels=labels)
@@ -71,9 +73,24 @@ class CartanData:
 
 def cartan_from_matrix(matrix, labels=None) -> CartanData:
     """Validate an integer matrix and wrap it as CartanData."""
-    rows = tuple(tuple(int(v) for v in row) for row in matrix)
-    lab = tuple(str(x) for x in labels) if labels is not None else None
+    try:
+        rows = tuple(tuple(int(v) for v in row) for row in matrix)
+        lab = tuple(str(x) for x in labels) if labels is not None else None
+    except TypeError as exc:
+        raise CartanError("matrix must be a list of integer rows and labels a list") from exc
     return CartanData(rank=len(rows), matrix=rows, labels=lab)
+
+
+def rank2_cartan(c1: int, c2: int) -> CartanData:
+    """Two-index Cartan datum with pairings -c1 and -c2 off the diagonal."""
+    return cartan_from_matrix([[2, -c1], [-c2, 2]])
+
+
+def an_cartan(n: int) -> CartanData:
+    """The simply laced chain A_n: pairing -1 between neighbouring indices."""
+    return cartan_from_matrix(
+        [[2 if a == b else (-1 if abs(a - b) == 1 else 0) for b in range(n)] for a in range(n)]
+    )
 
 
 def load_cartan(path) -> CartanData:
@@ -175,9 +192,6 @@ class IndexSequence:
     def positions_of(self, i: int, stop: int) -> list[int]:
         """All positions k <= stop with i_k = i."""
         return [k for k in range(1, stop + 1) if self.index_at(k) == i]
-
-    def prefix(self, length: int) -> tuple[int, ...]:
-        return tuple(self.index_at(k) for k in range(1, length + 1))
 
     @classmethod
     def from_string(cls, text: str, rank: int) -> "IndexSequence":

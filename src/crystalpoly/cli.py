@@ -12,8 +12,8 @@ import json
 import os
 import sys
 
-from .braid import BraidContext, apply_at, rank2_cartan, run_property_suite
-from .cartan import CartanData, IndexSequence, Weight, load_cartan
+from .braid import BraidContext, apply_at, run_property_suite
+from .cartan import CartanData, IndexSequence, Weight, an_cartan, load_cartan, rank2_cartan
 from .closed_forms import an_system, get_builtin, rank2_system
 from .crystals import TensorWord, check_crystal_axioms
 from .forms import DescentSystem
@@ -39,6 +39,13 @@ def _parse_weight(text: str, rank: int) -> Weight:
     return Weight(coeffs)
 
 
+def _load_cartan_file(path) -> CartanData:
+    try:
+        return load_cartan(path)
+    except (OSError, ValueError, KeyError) as exc:
+        raise ConfigError(f"cannot load Cartan file: {exc}")
+
+
 def _resolve_cartan(args) -> tuple[CartanData, IndexSequence | None, object]:
     """Cartan datum, default sequence, and the builtin record when named."""
     if args.builtin and args.cartan_file:
@@ -52,34 +59,27 @@ def _resolve_cartan(args) -> tuple[CartanData, IndexSequence | None, object]:
             if extra:
                 path = os.path.join(extra, args.builtin + ".json")
                 if os.path.exists(path):
-                    return load_cartan(path), None, None
+                    return _load_cartan_file(path), None, None
             raise ConfigError(f"unknown builtin {args.builtin!r}")
     if args.cartan_file:
-        try:
-            return load_cartan(args.cartan_file), None, None
-        except (OSError, ValueError, KeyError) as exc:
-            raise ConfigError(f"cannot load Cartan file: {exc}")
+        return _load_cartan_file(args.cartan_file), None, None
     raise ConfigError("a Cartan datum is required (--builtin or --cartan-file)")
 
 
-def _resolve_sequence(args, cartan, default_seq) -> IndexSequence:
+def _resolve_inputs(args):
+    """Cartan datum, index sequence, weight (None in free mode), builtin record."""
+    cartan, seq, builtin = _resolve_cartan(args)
     if args.iota:
-        return IndexSequence.from_string(args.iota, cartan.rank)
-    if default_seq is not None:
-        return default_seq
-    raise ConfigError("--iota is required for file-based Cartan data")
-
-
-def _resolve_mode(args, cartan) -> Weight | None:
-    binf = getattr(args, "binf", False)
-    lam_text = getattr(args, "lam", None)
-    if binf and lam_text:
+        seq = IndexSequence.from_string(args.iota, cartan.rank)
+    elif seq is None:
+        raise ConfigError("--iota is required for file-based Cartan data")
+    if args.binf and args.lam:
         raise ConfigError("--binf and --lambda are mutually exclusive")
-    if binf:
-        return None
-    if lam_text is None:
+    if args.binf:
+        return cartan, seq, None, builtin
+    if args.lam is None:
         raise ConfigError("a highest weight (--lambda) or --binf is required")
-    return _parse_weight(lam_text, cartan.rank)
+    return cartan, seq, _parse_weight(args.lam, cartan.rank), builtin
 
 
 def _write(text: str, args):
@@ -91,9 +91,7 @@ def _write(text: str, args):
 
 
 def cmd_graph(args) -> int:
-    cartan, default_seq, _ = _resolve_cartan(args)
-    seq = _resolve_sequence(args, cartan, default_seq)
-    lam = _resolve_mode(args, cartan)
+    cartan, seq, lam, _ = _resolve_inputs(args)
     if args.depth < 0:
         raise ConfigError("--depth must be >= 0")
     crystal = SequenceCrystal(cartan, seq, lam)
@@ -123,42 +121,27 @@ def cmd_graph(args) -> int:
     return 0
 
 
-def _rank2_profile(cartan) -> tuple[int, int]:
-    if cartan.rank != 2:
-        raise ConfigError("this method needs a rank-2 Cartan datum")
-    return -cartan.a(1, 2), -cartan.a(2, 1)
+def _build_system(args, cartan, seq, lam, default_bound):
+    """The `--method` system: descent generation, the rank-2 or the A_n closed form."""
+    if args.method == "generate":
+        bound = default_bound if args.support_bound is None else args.support_bound
+        if bound is None:
+            raise ConfigError("--support-bound is required here")
+        return DescentSystem(cartan, seq, lam).generate(bound, max_rounds=args.max_rounds)
+    if lam is None:
+        raise ConfigError(f"the {args.method} method needs --lambda")
+    if args.method == "rank2":
+        if cartan.rank != 2:
+            raise ConfigError("this method needs a rank-2 Cartan datum")
+        return rank2_system(-cartan.a(1, 2), -cartan.a(2, 1), lam, window=args.window)
+    if cartan.matrix != an_cartan(cartan.rank).matrix:
+        raise ConfigError("the an method needs a simply laced chain datum")
+    return an_system(cartan.rank, lam)
 
 
 def cmd_inequalities(args) -> int:
-    cartan, default_seq, builtin = _resolve_cartan(args)
-    seq = _resolve_sequence(args, cartan, default_seq)
-    lam = _resolve_mode(args, cartan)
-    if args.method == "generate":
-        bound = args.support_bound
-        if bound is None:
-            bound = builtin.longest_len if builtin and builtin.longest_len else None
-        if bound is None:
-            raise ConfigError("--support-bound is required here")
-        system = DescentSystem(cartan, seq, lam).generate(bound, max_rounds=args.max_rounds)
-    elif args.method == "rank2":
-        if lam is None:
-            raise ConfigError("the rank2 method needs --lambda")
-        c1, c2 = _rank2_profile(cartan)
-        system = rank2_system(c1, c2, lam, window=args.window)
-    else:
-        if lam is None:
-            raise ConfigError("the an method needs --lambda")
-        c1 = [-cartan.a(i, i + 1) for i in range(1, cartan.rank)]
-        c2 = [-cartan.a(i + 1, i) for i in range(1, cartan.rank)]
-        if any(v != 1 for v in c1 + c2) or any(
-            cartan.a(i, j) != 0
-            for i in cartan.indices
-            for j in cartan.indices
-            if abs(i - j) > 1
-        ):
-            raise ConfigError("the an method needs a simply laced chain datum")
-        system = an_system(cartan.rank, lam)
-
+    cartan, seq, lam, builtin = _resolve_inputs(args)
+    system = _build_system(args, cartan, seq, lam, builtin.longest_len if builtin else None)
     report = []
     if not system.saturated:
         report.append("WARNING: system did not saturate; the listing below is partial")
@@ -193,32 +176,17 @@ def cmd_inequalities(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    cartan, default_seq, builtin = _resolve_cartan(args)
-    seq = _resolve_sequence(args, cartan, default_seq)
-    lam = _resolve_mode(args, cartan)
+    cartan, seq, lam, builtin = _resolve_inputs(args)
     if args.depth < 0:
         raise ConfigError("--depth must be >= 0")
-    if args.method == "generate":
-        bound = args.support_bound
-        if bound is None:
-            bound = max(
-                args.depth,
-                1,
-                builtin.longest_len if builtin and builtin.longest_len else 0,
-            )
-        if bound < max(args.depth, 1):
-            raise ConfigError("--support-bound must be at least max(depth, 1)")
-        system = DescentSystem(cartan, seq, lam).generate(bound, max_rounds=args.max_rounds)
-        if not system.saturated:
-            print("generation did not saturate; verification would be unsound")
-            return 3
-    elif args.method == "rank2":
-        if lam is None:
-            raise ConfigError("the rank2 method needs --lambda")
-        c1, c2 = _rank2_profile(cartan)
-        system = rank2_system(c1, c2, lam, window=args.window)
-    else:
-        raise ConfigError("--method must be generate or rank2 for verify")
+    floor = max(args.depth, 1)
+    if args.method == "generate" and args.support_bound is not None and args.support_bound < floor:
+        raise ConfigError("--support-bound must be at least max(depth, 1)")
+    longest = builtin.longest_len if builtin else None
+    system = _build_system(args, cartan, seq, lam, max(floor, longest or 0))
+    if not system.saturated:  # only generation stops early; closed forms are complete
+        print("generation did not saturate; verification would be unsound")
+        return 3
     crystal = SequenceCrystal(cartan, seq, lam)
     graph = crystal.bfs(args.depth)
     bfs_nodes = graph.node_set()
@@ -282,6 +250,8 @@ def cmd_braid(args) -> int:
         default_seq = None
     else:
         cartan, default_seq, _ = _resolve_cartan(args)
+        if not (1 <= args.i <= cartan.rank and 1 <= args.j <= cartan.rank):
+            raise ConfigError(f"--i and --j must lie in 1..{cartan.rank}")
         ctx = BraidContext.from_cartan(cartan, args.i, args.j)
     if args.iota:
         default_seq = IndexSequence.from_string(args.iota, cartan.rank)
@@ -293,24 +263,30 @@ def cmd_braid(args) -> int:
             data = json.load(fh)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read --map-set file: {exc}") from exc
-    elements = data["elements"] if isinstance(data, dict) else data
+    try:
+        elements = [
+            ZVector.from_json_obj(obj) if isinstance(obj, dict) and "coords" in obj
+            else TensorWord.from_json_obj(cartan, obj)
+            for obj in (data["elements"] if isinstance(data, dict) else data)
+        ]
+    except (KeyError, IndexError, TypeError) as exc:
+        raise ConfigError(f"malformed --map-set contents: {exc!r}") from exc
     mapped = []
-    for obj in elements:
-        if isinstance(obj, dict) and "coords" in obj:
+    for elem in elements:
+        if isinstance(elem, ZVector):
             # coordinate-encoded element: rebuild letters along the sequence
             if default_seq is None:
                 raise ConfigError("coordinate elements need --iota (or a builtin)")
-            vec = ZVector.from_json_obj(obj)
-            lam = None if vec.mode == BINF else vec.mode
+            lam = None if elem.mode == BINF else elem.mode
             crystal = SequenceCrystal(cartan, default_seq, lam)
-            image = apply_at(ctx, crystal.to_tensor_word(vec, max(window[-1], vec.max_pos)), window)
+            word = crystal.to_tensor_word(elem, max(window[-1], elem.max_pos))
+            image = apply_at(ctx, word, window)
             # decode back to coordinates; the letters carry their own indices
             n = len(image.letters)
             coords = {n - off: -l.value for off, l in enumerate(image.letters) if l.value}
-            mapped.append(ZVector.from_dict(coords, vec.mode).to_json_obj())
+            mapped.append(ZVector.from_dict(coords, elem.mode).to_json_obj())
         else:
-            word = TensorWord.from_json_obj(cartan, obj)
-            mapped.append(apply_at(ctx, word, window).to_json_obj())
+            mapped.append(apply_at(ctx, elem, window).to_json_obj())
     mapped.sort(key=json.dumps)
     _write(json.dumps(mapped, indent=2), args)
     return 0

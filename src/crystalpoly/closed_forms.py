@@ -13,7 +13,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .cartan import CartanData, IndexSequence, Weight, cartan_from_matrix
+from .cartan import CartanData, CartanError, IndexSequence, Weight, an_cartan, rank2_cartan
 from .forms import FormSet, LinearForm
 from .zvectors import SequenceCrystal
 
@@ -94,14 +94,10 @@ def rank2_system(c1: int, c2: int, lam: Weight, window: int | None = None) -> Fo
         window=win,
         lam=lam,
         seq=IndexSequence((1, 2), 2),
-        cartan=rank2_cartan_datum(c1, c2),
+        cartan=rank2_cartan(c1, c2),
         saturated=True,
         notes=("closed-form rank-2 system",),
     )
-
-
-def rank2_cartan_datum(c1: int, c2: int) -> CartanData:
-    return cartan_from_matrix([[2, -c1], [-c2, 2]])
 
 
 def an_flat(j: int, i: int, n: int) -> int:
@@ -139,13 +135,12 @@ def an_system(n: int, lam: Weight) -> FormSet:
             if i - j >= 1:
                 coeffs[an_flat(j, i - j, n)] = 1
             forms.append(LinearForm.make(lam.pairing(i), coeffs))
-    matrix = [[2 if a == b else (-1 if abs(a - b) == 1 else 0) for b in range(n)] for a in range(n)]
     return FormSet(
         forms=tuple(forms),
         window=n * n,
         lam=lam,
         seq=IndexSequence(tuple(range(1, n + 1)), n),
-        cartan=cartan_from_matrix(matrix),
+        cartan=an_cartan(n),
         saturated=True,
         notes=("closed-form triangle system",),
     )
@@ -219,8 +214,8 @@ _RANK2 = {
 }
 
 
-def builtin_names() -> list[str]:
-    return sorted(_RANK2) + ["a<n> (simply laced chain, any n >= 1)"]
+# chain builtins stop here, so a name like a99999999 cannot ask for a huge matrix
+MAX_CHAIN_RANK = 64
 
 
 def get_builtin(name: str) -> Builtin:
@@ -228,28 +223,24 @@ def get_builtin(name: str) -> Builtin:
     key = name.lower()
     if key in _RANK2:
         c1, c2 = _RANK2[key]
-        cartan = rank2_cartan_datum(c1, c2)
-        iota = IndexSequence((1, 2), 2)
-        length = {0: 2, 1: 3, 2: 4, 3: 6}.get(c1 * c2)
+        length = l_max(c1, c2)
         word = None
         if length is not None:
             word = tuple(1 if m % 2 == 0 else 2 for m in range(length))
-        return Builtin(key, cartan, iota, length, word)
+        return Builtin(key, rank2_cartan(c1, c2), IndexSequence((1, 2), 2), length, word)
     match = re.fullmatch(r"a(\d+)", key)
     if match:
         n = int(match.group(1))
         if n < 1:
             raise KeyError(name)
-        matrix = [
-            [2 if a == b else (-1 if abs(a - b) == 1 else 0) for b in range(n)]
-            for a in range(n)
-        ]
+        if n > MAX_CHAIN_RANK:
+            raise CartanError(f"chain builtins go up to a{MAX_CHAIN_RANK}, got {name!r}")
         word = []
         for block in range(1, n + 1):
             word.extend(range(block, 0, -1))
         return Builtin(
             key,
-            cartan_from_matrix(matrix),
+            an_cartan(n),
             IndexSequence(tuple(range(1, n + 1)), n),
             n * (n + 1) // 2,
             tuple(word),

@@ -233,10 +233,6 @@ class CrystalGraph:
     def node_set(self) -> set:
         return set(self.nodes)
 
-    def children(self, node) -> list[tuple[int, object]]:
-        src = self.index_of(node)
-        return [(i, self.nodes[dst]) for (s, i, dst) in self.edges if s == src]
-
     def to_json_dict(self) -> dict:
         return {
             "nodes": [n.to_json_obj() for n in self.nodes],

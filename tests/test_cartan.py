@@ -1,7 +1,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from crystalpoly import CartanError, IndexSequence, cartan_from_matrix, weight
+from crystalpoly import CartanData, CartanError, IndexSequence, cartan_from_matrix, weight
+from crystalpoly.cartan import an_cartan, rank2_cartan
 
 
 A3_WORD = IndexSequence((1, 2, 3, 2, 1, 2), 3)  # ..212321 read right to left
@@ -117,3 +118,17 @@ def test_first_occurrence_is_minimal(seq):
         assert seq.index_at(k) == i
         assert seq.prev_occurrence(k) == 0
         assert all(seq.index_at(l) != i for l in range(1, k))
+
+
+def test_shared_builders():
+    assert rank2_cartan(1, 3).matrix == ((2, -1), (-3, 2))
+    assert an_cartan(3).matrix == ((2, -1, 0), (-1, 2, -1), (0, -1, 2))
+    assert an_cartan(1).matrix == ((2,),)
+
+
+@pytest.mark.parametrize(
+    "obj", [[1], {"matrix": 5}, {"matrix": [[None]]}, {"matrix": [[2]], "labels": 5}]
+)
+def test_malformed_json_is_cartan_error(obj):
+    with pytest.raises(CartanError):
+        CartanData.from_json_dict(obj)

@@ -253,3 +253,111 @@ def test_builtin_dir_env(tmp_path, capsys, monkeypatch):
     )
     assert code == 0
     assert len(json.loads(out)["nodes"]) == 3
+
+
+def test_inequalities_an_method(capsys):
+    code, out, _ = run(
+        capsys, "inequalities", "--builtin", "a3", "--lambda", "1,0,1", "--method", "an",
+    )
+    assert code == 0
+    assert out.startswith("forms: 18  window: 9  saturated: True\nreport: ample\n")
+    assert "1 - x1 >= 0" in out
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("inequalities", "--builtin", "a3", "--lambda", "1,0,1", "--method", "rank2"),
+         "this method needs a rank-2 Cartan datum"),
+        (("inequalities", "--builtin", "a2", "--binf", "--method", "rank2"),
+         "the rank2 method needs --lambda"),
+        (("inequalities", "--builtin", "a2", "--binf", "--method", "an"),
+         "the an method needs --lambda"),
+        (("inequalities", "--builtin", "b2", "--lambda", "1,0", "--method", "an"),
+         "the an method needs a simply laced chain datum"),
+        (("verify", "--builtin", "a3", "--lambda", "1,0,0", "--depth", "3",
+          "--method", "rank2"),
+         "this method needs a rank-2 Cartan datum"),
+        (("verify", "--builtin", "a2", "--binf", "--depth", "3", "--method", "rank2"),
+         "the rank2 method needs --lambda"),
+        (("verify", "--builtin", "a2", "--lambda", "1,0", "--depth", "3",
+          "--support-bound", "2"),
+         "--support-bound must be at least max(depth, 1)"),
+    ],
+)
+def test_method_dispatch_errors(capsys, argv, message):
+    code, _, err = run(capsys, *argv)
+    assert code == 2 and err.strip() == f"config error: {message}"
+
+
+def test_generate_from_file_needs_support_bound(tmp_path, capsys):
+    src = tmp_path / "a2.json"
+    src.write_text(json.dumps({"rank": 2, "matrix": [[2, -1], [-1, 2]]}))
+    code, _, err = run(
+        capsys, "inequalities", "--cartan-file", str(src), "--iota", "1 2", "--lambda", "1,0",
+    )
+    assert code == 2 and err.strip() == "config error: --support-bound is required here"
+
+
+def test_verify_rank2_ignores_support_bound(capsys):
+    code, out, _ = run(
+        capsys, "verify", "--builtin", "a2", "--lambda", "1,0", "--depth", "3",
+        "--method", "rank2", "--support-bound", "1",
+    )
+    assert code == 0 and out.strip() == "equal: 3 elements (depth 3)"
+
+
+@pytest.mark.parametrize("content", [[1], {"matrix": 5}], ids=["top-level-list", "scalar-matrix"])
+def test_malformed_cartan_file(tmp_path, capsys, content):
+    src = tmp_path / "bad.json"
+    src.write_text(json.dumps(content))
+    code, _, err = run(
+        capsys, "graph", "--cartan-file", str(src), "--iota", "1", "--binf", "--depth", "1",
+    )
+    assert code == 2 and err.startswith("config error: cannot load Cartan file:")
+
+
+def test_malformed_builtin_dir_file(tmp_path, capsys, monkeypatch):
+    (tmp_path / "norows.json").write_text(json.dumps({"rank": 2}))
+    monkeypatch.setenv("CRYSTALPOLY_BUILTIN_DIR", str(tmp_path))
+    code, _, err = run(
+        capsys, "graph", "--builtin", "norows", "--iota", "1 2", "--binf", "--depth", "1",
+    )
+    assert code == 2 and err.startswith("config error: cannot load Cartan file:")
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        {"x": 1},
+        {"elements": [[[1]]]},
+        [{"coords": {"1": 1}, "mode": {"lam": [1, 1]}}],
+    ],
+    ids=["no-elements", "short-letter", "bad-mode"],
+)
+def test_braid_map_set_malformed(tmp_path, capsys, content):
+    src = tmp_path / "im.json"
+    src.write_text(json.dumps(content))
+    code, _, err = run(
+        capsys, "braid", "--builtin", "a2", "--window", "1,2,3", "--map-set", str(src),
+    )
+    assert code == 2 and err.startswith("config error: malformed --map-set contents:")
+
+
+def test_braid_index_out_of_range(capsys):
+    code, _, err = run(
+        capsys, "braid", "--builtin", "a2", "--i", "1", "--j", "3", "--map-set", "f",
+        "--window", "1,2,3",
+    )
+    assert code == 2 and err.strip() == "config error: --i and --j must lie in 1..2"
+
+
+def test_builtin_chain_rank_cap(capsys):
+    # one past the cap: cheap to build, so a missing cap fails here instead of allocating
+    from crystalpoly.closed_forms import MAX_CHAIN_RANK, get_builtin
+
+    assert get_builtin(f"a{MAX_CHAIN_RANK}").cartan.rank == MAX_CHAIN_RANK
+    name = f"a{MAX_CHAIN_RANK + 1}"
+    code, _, err = run(capsys, "graph", "--builtin", name, "--binf", "--depth", "1")
+    assert code == 2
+    assert err.strip() == f"config error: chain builtins go up to a{MAX_CHAIN_RANK}, got {name!r}"
