@@ -74,10 +74,13 @@ class CartanData:
 def cartan_from_matrix(matrix, labels=None) -> CartanData:
     """Validate an integer matrix and wrap it as CartanData."""
     try:
-        rows = tuple(tuple(int(v) for v in row) for row in matrix)
+        given = tuple(tuple(row) for row in matrix)
+        rows = tuple(tuple(int(v) for v in row) for row in given)
         lab = tuple(str(x) for x in labels) if labels is not None else None
     except TypeError as exc:
         raise CartanError("matrix must be a list of integer rows and labels a list") from exc
+    if rows != given:
+        raise CartanError("matrix entries must be integers")
     return CartanData(rank=len(rows), matrix=rows, labels=lab)
 
 

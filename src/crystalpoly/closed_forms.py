@@ -230,11 +230,13 @@ def get_builtin(name: str) -> Builtin:
         return Builtin(key, rank2_cartan(c1, c2), IndexSequence((1, 2), 2), length, word)
     match = re.fullmatch(r"a(\d+)", key)
     if match:
-        n = int(match.group(1))
+        digits = match.group(1).lstrip("0") or "0"
+        # length first: int() refuses strings past a few thousand digits
+        if len(digits) > len(str(MAX_CHAIN_RANK)) or int(digits) > MAX_CHAIN_RANK:
+            raise CartanError(f"chain builtins go up to a{MAX_CHAIN_RANK}, got {name!r}")
+        n = int(digits)
         if n < 1:
             raise KeyError(name)
-        if n > MAX_CHAIN_RANK:
-            raise CartanError(f"chain builtins go up to a{MAX_CHAIN_RANK}, got {name!r}")
         word = []
         for block in range(1, n + 1):
             word.extend(range(block, 0, -1))

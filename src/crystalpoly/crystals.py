@@ -154,25 +154,17 @@ class TensorWord:
         return tuple(out)
 
     def _action_target(self, i: int, lowering: bool) -> int:
-        """Factor the operator acts on, by scanning prefix phi against eps."""
-        n = len(self)
-        # prefix_phi[m] = phi_i of the first m factors
-        prefix_phi = [NEG_INF] * (n + 1)
-        phi = NEG_INF
-        for m in range(n):
+        """Factor the operator acts on: the last one whose eps beats the prefix phi."""
+        target = 0
+        phi = NEG_INF  # phi_i of the factors before m
+        for m in range(len(self)):
             le, lp, lw = self._factor_data(m, i)
+            # at m = 0 this can only set the default target 0
+            if phi <= le if lowering else phi < le:
+                target = m
             cand = phi + lw
             phi = lp if lp >= cand else cand
-            prefix_phi[m + 1] = phi
-        for m in range(n - 1, 0, -1):
-            eps_m = self._factor_data(m, i)[0]
-            if lowering:
-                if prefix_phi[m] <= eps_m:
-                    return m
-            else:
-                if prefix_phi[m] < eps_m:
-                    return m
-        return 0
+        return target
 
     def _apply(self, i: int, target: int, delta: int):
         if target == len(self.letters):
@@ -308,10 +300,8 @@ def check_strict_morphism(map_fn, sample, indices) -> list[dict]:
                 violations.append({"kind": "eps", "index": i, "element": b})
             if bp != ip:
                 violations.append({"kind": "phi", "index": i, "element": b})
-            for name, op in (("e", lambda w, i=i: w.e(i)), ("f", lambda w, i=i: w.f(i))):
-                lhs = map_fn(op(b))
-                rhs = op(image)
-                if lhs != rhs:
+            for name in ("e", "f"):
+                if map_fn(getattr(b, name)(i)) != getattr(image, name)(i):
                     violations.append({"kind": f"{name}-commute", "index": i, "element": b})
     return violations
 

@@ -185,11 +185,11 @@ class DescentSystem:
         return form
 
     def window_for(self, support_bound: int) -> int:
-        """Furthest position any operator at 1..support_bound can reach."""
-        return max(
-            support_bound,
-            max(self.seq.next_occurrence(k) for k in range(1, support_bound + 1)),
-        )
+        """Furthest position any operator at 1..support_bound or weight seed can reach."""
+        reach = [self.seq.next_occurrence(k) for k in range(1, support_bound + 1)]
+        if self.lam is not None:
+            reach += [self.seq.first_occurrence(i) for i in self.cartan.indices]
+        return max(support_bound, *reach)
 
     def generate(self, support_bound: int, max_rounds: int = 60) -> "FormSet":
         """Close the seed forms under the rewriting operators at 1..support_bound."""

@@ -144,6 +144,25 @@ def test_property_suite_clean_and_detects_seed():
     assert report["ok"] and report["seed"] == 99 and report["n"] == 500
 
 
+@pytest.mark.parametrize(
+    "c1, c2, expected",
+    [(1, 1, {"wt", "involution"}), (1, 3, {"alt-form"})],
+    ids=["degree-1", "degree-3"],
+)
+def test_property_suite_detects_broken_map(monkeypatch, c1, c2, expected):
+    # shifting every image value breaks the weight and the involution; in
+    # degree 3 the unpatched nested family also stops agreeing with phi
+    monkeypatch.setattr(
+        "crystalpoly.braid.map_values",
+        lambda c1, c2, vals: tuple(v + 1 for v in map_values(c1, c2, vals)),
+    )
+    report = run_property_suite(c1, c2, 40, seed=3)
+    kinds = {v["kind"] for v in report["violations"]}
+    assert not report["ok"] and report["n"] == 40
+    assert len(report["violations"]) == 25
+    assert expected <= kinds
+
+
 def test_apply_at_swap_window():
     cartan = rank2_cartan(0, 0)
     ctx = BraidContext(1, 2, 0, 0)

@@ -127,7 +127,14 @@ def test_shared_builders():
 
 
 @pytest.mark.parametrize(
-    "obj", [[1], {"matrix": 5}, {"matrix": [[None]]}, {"matrix": [[2]], "labels": 5}]
+    "obj",
+    [
+        [1],
+        {"matrix": 5},
+        {"matrix": [[None]]},
+        {"matrix": [[2]], "labels": 5},
+        {"matrix": [[2, -1.7], [-1, 2]]},  # int() would truncate this to A2
+    ],
 )
 def test_malformed_json_is_cartan_error(obj):
     with pytest.raises(CartanError):

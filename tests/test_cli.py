@@ -307,7 +307,11 @@ def test_verify_rank2_ignores_support_bound(capsys):
     assert code == 0 and out.strip() == "equal: 3 elements (depth 3)"
 
 
-@pytest.mark.parametrize("content", [[1], {"matrix": 5}], ids=["top-level-list", "scalar-matrix"])
+@pytest.mark.parametrize(
+    "content",
+    [[1], {"matrix": 5}, {"matrix": [[2, -1.7], [-1, 2]]}],
+    ids=["top-level-list", "scalar-matrix", "non-integral"],
+)
 def test_malformed_cartan_file(tmp_path, capsys, content):
     src = tmp_path / "bad.json"
     src.write_text(json.dumps(content))
@@ -361,3 +365,22 @@ def test_builtin_chain_rank_cap(capsys):
     code, _, err = run(capsys, "graph", "--builtin", name, "--binf", "--depth", "1")
     assert code == 2
     assert err.strip() == f"config error: chain builtins go up to a{MAX_CHAIN_RANK}, got {name!r}"
+
+
+def test_builtin_chain_huge_digits(capsys):
+    # past Python's int() digit limit: the length check must come before conversion
+    from crystalpoly.closed_forms import MAX_CHAIN_RANK
+
+    name = "a" + "9" * 5000
+    code, _, err = run(capsys, "graph", "--builtin", name, "--binf", "--depth", "1")
+    assert code == 2
+    assert err.strip() == f"config error: chain builtins go up to a{MAX_CHAIN_RANK}, got {name!r}"
+
+
+def test_weight_seeds_inside_window(capsys):
+    # x3 is the first occurrence of index 2, beyond every operator the bound 1 reaches
+    base = ("--builtin", "a2", "--iota", "1 1 2", "--lambda", "1,1", "--support-bound", "1")
+    code, out, _ = run(capsys, "inequalities", *base)
+    assert code == 0 and out.startswith("forms: 6  window: 3  saturated: True")
+    code, out, _ = run(capsys, "verify", *base, "--depth", "1")
+    assert code == 0 and out.strip() == "equal: 3 elements (depth 1)"

@@ -1,0 +1,25 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize(
+    "script, line",
+    [
+        ("a3_transport_demo.py", "transport is a bijection onto the other image: True"),
+        ("rank2_tables.py", " 1  3 |     6 | [0, 1, 1, 2, 1, 1, 0, -1]"),
+    ],
+)
+def test_script_runs(script, line):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / script)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert line in proc.stdout.splitlines()
