@@ -122,10 +122,6 @@ class Weight:
     def dominant(self) -> bool:
         return all(c >= 0 for c in self.coeffs)
 
-    @classmethod
-    def zero(cls, rank: int) -> "Weight":
-        return cls((0,) * rank)
-
 
 def weight(*coeffs: int) -> Weight:
     return Weight(tuple(int(c) for c in coeffs))
@@ -163,11 +159,7 @@ class IndexSequence:
 
     def next_occurrence(self, k: int) -> int:
         """Smallest position l > k with i_l = i_k."""
-        target = self.index_at(k)
-        for l in range(k + 1, k + len(self.period) + 1):
-            if self.index_at(l) == target:
-                return l
-        raise AssertionError("periodicity guarantees a next occurrence")
+        return self.next_position_of(self.index_at(k), k)
 
     def prev_occurrence(self, k: int) -> int:
         """Largest position l < k with i_l = i_k, or 0 when there is none."""
@@ -180,10 +172,9 @@ class IndexSequence:
 
     def first_occurrence(self, i: int) -> int:
         """The unique position k with i_k = i and no earlier occurrence."""
-        for k in range(1, len(self.period) + 1):
-            if self.period[k - 1] == i:
-                return k
-        raise CartanError(f"index {i} does not occur")
+        if i not in self.period:
+            raise CartanError(f"index {i} does not occur")
+        return self.period.index(i) + 1
 
     def next_position_of(self, i: int, after: int) -> int:
         """First position strictly beyond `after` carrying index i."""

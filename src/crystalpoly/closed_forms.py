@@ -94,9 +94,7 @@ def rank2_system(c1: int, c2: int, lam: Weight, window: int | None = None) -> Fo
         window=win,
         lam=lam,
         seq=IndexSequence((1, 2), 2),
-        cartan=rank2_cartan(c1, c2),
         saturated=True,
-        notes=("closed-form rank-2 system",),
     )
 
 
@@ -140,9 +138,7 @@ def an_system(n: int, lam: Weight) -> FormSet:
         window=n * n,
         lam=lam,
         seq=IndexSequence(tuple(range(1, n + 1)), n),
-        cartan=an_cartan(n),
         saturated=True,
-        notes=("closed-form triangle system",),
     )
 
 

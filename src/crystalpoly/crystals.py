@@ -214,13 +214,9 @@ class CrystalGraph:
         self.edges = tuple(edges)  # (src_idx, i, dst_idx)
         self.depths = tuple(depths)
         self.root = root
-        self._index = {node: k for k, node in enumerate(self.nodes)}
 
     def __len__(self):
         return len(self.nodes)
-
-    def index_of(self, node) -> int:
-        return self._index[node]
 
     def node_set(self) -> set:
         return set(self.nodes)

@@ -1,11 +1,12 @@
 """Exact affine forms and the piecewise-linear generation of inequality systems.
 
 A LinearForm is c + sum phi_k x_k with exact rational coefficients on a
-sparse, finitely supported set of positions.  DescentSystem bundles a
-Cartan datum, an index sequence and an optional highest weight, and
-applies the sign-split update that rewrites a form against the local
-bracket form at a position; iterating those updates from the coordinate
-seeds (plus the weight seeds in highest-weight mode) closes the system.
+sparse, finitely supported set of positions.  DescentSystem extends the
+SequenceCrystal of a Cartan datum, an index sequence and an optional
+highest weight with the sign-split update that rewrites a form against
+the local bracket form at a position; iterating those updates from the
+coordinate seeds (plus the weight seeds in highest-weight mode) closes
+the system.
 
 Generation is truncated: operators act at positions 1..K and every
 produced form provably lives inside the window 1..W where W is the
@@ -17,9 +18,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
-from .cartan import CartanData, IndexSequence, Weight
-from .zvectors import BINF, ZVector
+from .cartan import IndexSequence, Weight
+from .zvectors import BINF, SequenceCrystal, ZVector
 
 
 @dataclass(frozen=True)
@@ -126,28 +128,18 @@ class GenerationError(RuntimeError):
     pass
 
 
-class DescentSystem:
+class DescentSystem(SequenceCrystal):
     """Bracket forms and the sign-split rewriting operator at each position."""
 
-    def __init__(self, cartan: CartanData, seq: IndexSequence, lam: Weight | None = None):
-        if seq.rank != cartan.rank:
-            raise ValueError("sequence rank must match the Cartan datum")
-        if lam is not None and lam.rank != cartan.rank:
-            raise ValueError("weight rank must match the Cartan datum")
-        self.cartan = cartan
-        self.seq = seq
-        self.lam = lam
+    def _pairings(self, i: int, lo: int, hi: int) -> dict[int, int]:
+        """<h_i, alpha_{i_j}> at each position lo <= j < hi."""
+        return {j: self.cartan.a(i, self.seq.index_at(j)) for j in range(lo, hi)}
 
     def beta_plus(self, k: int) -> LinearForm:
         """x_k + pairing-weighted middle + x at the next occurrence of i_k."""
         ik = self.seq.index_at(k)
         kp = self.seq.next_occurrence(k)
-        coeffs = {k: 1, kp: 1}
-        for j in range(k + 1, kp):
-            c = self.cartan.a(ik, self.seq.index_at(j))
-            if c:
-                coeffs[j] = coeffs.get(j, 0) + c
-        return LinearForm.make(0, coeffs)
+        return LinearForm.make(0, {k: 1, **self._pairings(ik, k + 1, kp), kp: 1})
 
     def beta_minus(self, k: int) -> LinearForm:
         """Downward companion of beta_plus.
@@ -162,12 +154,7 @@ class DescentSystem:
         if self.lam is None:
             return LinearForm.zero()
         ik = self.seq.index_at(k)
-        coeffs = {k: 1}
-        for j in range(1, k):
-            c = self.cartan.a(ik, self.seq.index_at(j))
-            if c:
-                coeffs[j] = coeffs.get(j, 0) + c
-        return LinearForm.make(-self.lam.pairing(ik), coeffs)
+        return LinearForm.make(-self.lam.pairing(ik), {**self._pairings(ik, 1, k), k: 1})
 
     def weight_seed(self, i: int) -> LinearForm:
         """Seed form bounding the first coordinate of index i by the weight."""
@@ -229,17 +216,14 @@ class DescentSystem:
                             f"support overflow at position {new.support_max} > window {window}"
                         )
                     admit(new, (kind, seed, word + (k,)))
-        notes = () if saturated else (f"round limit {max_rounds} reached before fixpoint",)
         return FormSet(
-            forms=tuple(sorted(trace, key=LinearForm.sort_key)),
+            forms=tuple(trace),
             window=window,
             lam=self.lam,
             seq=self.seq,
-            cartan=self.cartan,
             saturated=saturated,
             rounds=rounds,
             support_bound=support_bound,
-            notes=notes,
             trace=trace,
         )
 
@@ -252,11 +236,9 @@ class FormSet:
     window: int
     lam: Weight | None = None
     seq: IndexSequence | None = None
-    cartan: CartanData | None = None
     saturated: bool = True
     rounds: int = 0
     support_bound: int = 0
-    notes: tuple[str, ...] = ()
     trace: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
@@ -278,12 +260,18 @@ class FormSet:
         return all(f.evaluate(x) >= 0 for f in self.forms)
 
     def _int_rows(self):
-        """(const, ((pos, coeff), ...)) rows as machine ints when possible."""
+        """(const, ((pos, coeff), ...)) rows in machine ints.
+
+        A form with a denominator above 1 is multiplied by the lcm of its
+        denominators, which is positive, so the sign of every value stays.
+        """
         rows = []
         for f in self.forms:
-            if f.const.denominator != 1 or any(v.denominator != 1 for _, v in f.coeffs):
-                return None
-            rows.append((int(f.const), tuple((p, int(v)) for p, v in f.coeffs)))
+            scale = lcm(f.const.denominator, *(v.denominator for _, v in f.coeffs))
+            rows.append((
+                f.const.numerator * (scale // f.const.denominator),
+                tuple((p, v.numerator * (scale // v.denominator)) for p, v in f.coeffs),
+            ))
         return rows
 
     def enumerate_points(self, budget: int) -> set[ZVector]:
@@ -294,9 +282,9 @@ class FormSet:
         in turn; positions outside the window are 0.  Each form is filed under the
         largest position of its support inside the window and is solved for
         that coordinate as soon as every earlier one is set: with the rest of
-        the form evaluated exactly (integers, or Fractions when a coefficient
-        is not integral) it leaves an interval of admissible values, so a value
-        is skipped exactly when it would make a fully assigned form negative.
+        the form evaluated exactly in integers (`_int_rows`) it leaves an
+        interval of admissible values, so a value is skipped exactly when it
+        would make a fully assigned form negative.
         Forms in a single coordinate (the zero pins and the weight bounds
         `lambda_i - x_k >= 0`) become fixed bounds on that coordinate, and a
         form with no support in the window is just its constant.
@@ -304,8 +292,6 @@ class FormSet:
         mode = BINF if self.lam is None else self.lam
         window = self.window
         rows = self._int_rows()
-        if rows is None:
-            rows = [(f.const, f.coeffs) for f in self.forms]
         low = [0] * (window + 1)
         high = [budget] * (window + 1)
         buckets: list[list] = [[] for _ in range(window + 1)]

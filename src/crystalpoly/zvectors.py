@@ -51,9 +51,7 @@ class ZVector:
     def bumped(self, k: int, delta: int) -> "ZVector":
         d = self.as_dict()
         d[k] = d.get(k, 0) + delta
-        if d[k] == 0:
-            del d[k]
-        return ZVector(tuple(sorted(d.items())), self.mode)
+        return ZVector.from_dict(d, self.mode)
 
     def label(self) -> str:
         if not self.coords:
@@ -72,8 +70,7 @@ class ZVector:
         mode = obj.get("mode", BINF)
         if mode != BINF:
             mode = Weight(tuple(int(c) for c in mode["lambda"]))
-        coords = tuple(sorted((int(k), int(v)) for k, v in obj["coords"].items() if int(v)))
-        return cls(coords, mode)
+        return cls.from_dict({int(k): int(v) for k, v in obj["coords"].items()}, mode)
 
     @classmethod
     def from_dict(cls, d: dict[int, int], mode=BINF) -> "ZVector":
@@ -118,51 +115,61 @@ class SequenceCrystal:
                 total += self.cartan.a(ik, self.seq.index_at(pos)) * val
         return total
 
+    def _scan(self, x: ZVector, i: int) -> tuple[MSet, int]:
+        """m_set(x, i) and sigma_0 from one pass over the positions top .. 1.
+
+        sigma(x, k) is x_k plus the running pairing-weighted sum over the
+        positions above k; over all positions that sum is sigma_0 + lambda_i,
+        lambda_i read as 0 in free mode, so <h_i, wt x> = -sigma_0 in both.
+        Beyond the support every sigma is 0, so the max is >= 0; max_pos=None
+        flags the infinite attaining set of a max of 0.
+        """
+        self._check(x)
+        period = self.seq.period
+        row = self.cartan.matrix[i - 1]
+        values = x.as_dict()
+        top = x.max_pos
+        tail = 0
+        best = 0
+        lo = hi = None
+        for k in range(top, 0, -1):
+            ik = period[(k - 1) % len(period)]
+            v = values.get(k, 0)
+            if ik == i:
+                s = v + tail
+                if s > best:
+                    best, lo, hi = s, k, k
+                elif s == best:
+                    lo = k
+            tail += row[ik - 1] * v
+        if lo is None:  # no position up to top attains the max 0
+            lo = self.seq.next_position_of(i, top)
+        sigma_0 = tail - (self.lam.pairing(i) if self.lam is not None else 0)
+        return MSet(best, lo, hi), sigma_0
+
     def sigma_0(self, x: ZVector, i: int) -> int:
         """Affine companion of sigma carrying the highest-weight data."""
         if self.lam is None:
             raise ValueError("sigma_0 is only defined in highest-weight mode")
-        total = -self.lam.pairing(i)
-        for pos, val in x.coords:
-            total += self.cartan.a(i, self.seq.index_at(pos)) * val
-        return total
+        return self._scan(x, i)[1]
 
     def m_set(self, x: ZVector, i: int) -> MSet:
-        """Max of sigma over positions of index i, with arg-min and arg-max.
-
-        Beyond the support every sigma vanishes, so the max is >= 0 and is
-        attained; the attaining set is infinite exactly when the max is 0,
-        flagged by max_pos=None.
-        """
-        self._check(x)
-        top = x.max_pos
-        best = 0
-        best_positions: list[int] = []
-        for k in self.seq.positions_of(i, top):
-            s = self.sigma(x, k)
-            if s > best:
-                best = s
-                best_positions = [k]
-            elif s == best:
-                best_positions.append(k)
-        if best > 0:
-            return MSet(best, best_positions[0], best_positions[-1])
-        min_pos = best_positions[0] if best_positions else self.seq.next_position_of(i, top)
-        return MSet(0, min_pos, None)
+        """Max of sigma over positions of index i, with arg-min and arg-max."""
+        return self._scan(x, i)[0]
 
     def f(self, x: ZVector, i: int) -> ZVector | None:
         """Lowering: add 1 at the first position attaining the sigma max."""
-        ms = self.m_set(x, i)
-        if self.lam is not None and not ms.sigma > self.sigma_0(x, i):
+        ms, sigma_0 = self._scan(x, i)
+        if self.lam is not None and not ms.sigma > sigma_0:
             return None
         return x.bumped(ms.min_pos, +1)
 
     def e(self, x: ZVector, i: int) -> ZVector | None:
         """Raising: subtract 1 at the last position attaining the sigma max."""
-        ms = self.m_set(x, i)
+        ms, sigma_0 = self._scan(x, i)
         if ms.sigma <= 0:
             return None
-        if self.lam is not None and not ms.sigma >= self.sigma_0(x, i):
+        if self.lam is not None and not ms.sigma >= sigma_0:
             return None
         return x.bumped(ms.max_pos, -1)
 
@@ -177,19 +184,17 @@ class SequenceCrystal:
         return tuple(out)
 
     def epsilon(self, x: ZVector, i: int) -> int:
-        s = self.m_set(x, i).sigma
-        if self.lam is None:
-            return s
-        return max(s, self.sigma_0(x, i))
+        ms, sigma_0 = self._scan(x, i)
+        return ms.sigma if self.lam is None else max(ms.sigma, sigma_0)
 
     def phi(self, x: ZVector, i: int) -> int:
-        return self.weight_pairings(x)[i - 1] + self.epsilon(x, i)
+        ms, sigma_0 = self._scan(x, i)
+        return (ms.sigma if self.lam is None else max(ms.sigma, sigma_0)) - sigma_0
 
     def wt_eps_phi(self, x: ZVector):
         wt = self.weight_pairings(x)
         eps = tuple(self.epsilon(x, i) for i in self.cartan.indices)
-        phi = tuple(wt[i - 1] + eps[i - 1] for i in self.cartan.indices)
-        return wt, eps, phi
+        return wt, eps, tuple(w + e for w, e in zip(wt, eps))
 
     def bfs(self, depth: int) -> CrystalGraph:
         """All lowering descendants of the zero vector, to the given depth."""

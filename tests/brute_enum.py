@@ -9,9 +9,7 @@ from crystalpoly import BINF, ZVector
 
 def brute_force_points(system, budget: int) -> set:
     mode = BINF if system.lam is None else system.lam
-    rows = system._int_rows()
-    if rows is None:
-        rows = [(f.const, f.coeffs) for f in system.forms]
+    rows = [(f.const, f.coeffs) for f in system.forms]
     found = set()
     assignment: dict[int, int] = {}
 
