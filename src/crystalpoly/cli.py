@@ -16,7 +16,7 @@ from .braid import BraidContext, apply_at, run_property_suite
 from .cartan import CartanData, IndexSequence, Weight, an_cartan, load_cartan, rank2_cartan
 from .closed_forms import an_system, get_builtin, rank2_system
 from .crystals import TensorWord, check_crystal_axioms
-from .forms import DescentSystem
+from .forms import MAX_FORMS, DescentSystem
 from .zvectors import BINF, SequenceCrystal, ZVector
 
 BUILTIN_DIR_ENV = "CRYSTALPOLY_BUILTIN_DIR"
@@ -143,7 +143,12 @@ def cmd_inequalities(args) -> int:
     cartan, seq, lam, builtin = _resolve_inputs(args)
     system = _build_system(args, cartan, seq, lam, builtin.longest_len if builtin else None)
     report = []
-    if not system.saturated:
+    if len(system.forms) > MAX_FORMS:
+        report.append(
+            f"WARNING: generation passed the cap of {MAX_FORMS} forms in round "
+            f"{system.rounds} with {len(system.forms)} forms; the listing below is partial"
+        )
+    elif not system.saturated:
         report.append("WARNING: system did not saturate; the listing below is partial")
     report.append(
         f"forms: {len(system.forms)}  window: {system.window}  saturated: {system.saturated}"
@@ -183,13 +188,18 @@ def cmd_verify(args) -> int:
     if args.method == "generate" and args.support_bound is not None and args.support_bound < floor:
         raise ConfigError("--support-bound must be at least max(depth, 1)")
     longest = builtin.longest_len if builtin else None
-    system = _build_system(args, cartan, seq, lam, max(floor, longest or 0))
+    bfs_nodes = SequenceCrystal(cartan, seq, lam).bfs(args.depth).node_set()
+    bound = max(floor, longest or 0)
+    if args.method == "generate" and args.support_bound is None:
+        # raise the default bound only as far as the smallest whose window covers the BFS
+        top = max(n.max_pos for n in bfs_nodes)
+        descent = DescentSystem(cartan, seq, lam)
+        while descent.window_for(bound) < top:
+            bound += 1
+    system = _build_system(args, cartan, seq, lam, bound)
     if not system.saturated:  # only generation stops early; closed forms are complete
         print("generation did not saturate; verification would be unsound")
         return 3
-    crystal = SequenceCrystal(cartan, seq, lam)
-    graph = crystal.bfs(args.depth)
-    bfs_nodes = graph.node_set()
     over = [n for n in bfs_nodes if n.max_pos > system.window]
     if over:
         print(f"BFS leaves the window: {over[0].label()} beyond {system.window}")

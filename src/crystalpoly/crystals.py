@@ -311,6 +311,8 @@ def check_crystal_axioms(cartan, elements, indices, *, eps, phi, weight, f, e) -
     playing the role of 0.
     """
     violations = []
+    # (j - 1, <h_j, alpha_i>) for every j: the weight shift of an i-arrow
+    shifts = {i: tuple((j - 1, cartan.a(j, i)) for j in indices) for i in indices}
 
     def bad(kind, b, i, detail=""):
         violations.append({"kind": kind, "element": b, "index": i, "detail": detail})
@@ -330,18 +332,14 @@ def check_crystal_axioms(cartan, elements, indices, *, eps, phi, weight, f, e) -
                 bad("neginf-kills", b, i)
             if fb is not None:
                 wf = weight(fb)
-                for j in indices:
-                    if wf[j - 1] != wb[j - 1] - cartan.a(j, i):
-                        bad("wt-shift-f", b, i)
-                        break
+                if any(wf[j] != wb[j] - a for j, a in shifts[i]):
+                    bad("wt-shift-f", b, i)
                 if e(fb, i) != b:
                     bad("ef-adjoint", b, i)
             if eb is not None:
                 we = weight(eb)
-                for j in indices:
-                    if we[j - 1] != wb[j - 1] + cartan.a(j, i):
-                        bad("wt-shift-e", b, i)
-                        break
+                if any(we[j] != wb[j] + a for j, a in shifts[i]):
+                    bad("wt-shift-e", b, i)
                 if f(eb, i) != b:
                     bad("fe-adjoint", b, i)
     return violations

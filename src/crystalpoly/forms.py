@@ -11,7 +11,9 @@ the system.
 Generation is truncated: operators act at positions 1..K and every
 produced form provably lives inside the window 1..W where W is the
 furthest next-occurrence reachable from 1..K.  Membership and lattice
-enumeration work over that window.
+enumeration work over that window.  It is also bounded: once more than
+MAX_FORMS forms are admitted, generation stops unsaturated, because
+wild Cartan data can double the form set every round.
 """
 
 from __future__ import annotations
@@ -22,6 +24,8 @@ from math import lcm
 
 from .cartan import IndexSequence, Weight
 from .zvectors import BINF, SequenceCrystal, ZVector
+
+MAX_FORMS = 5000  # admitted forms before generation gives up unsaturated
 
 
 @dataclass(frozen=True)
@@ -179,7 +183,11 @@ class DescentSystem(SequenceCrystal):
         return max(support_bound, *reach)
 
     def generate(self, support_bound: int, max_rounds: int = 60) -> "FormSet":
-        """Close the seed forms under the rewriting operators at 1..support_bound."""
+        """Close the seed forms under the rewriting operators at 1..support_bound.
+
+        Stops unsaturated after `max_rounds` rounds, or in the round whose
+        admitted forms pass MAX_FORMS.
+        """
         if support_bound < 1:
             raise ValueError("support bound must be >= 1")
         window = self.window_for(support_bound)
@@ -199,7 +207,7 @@ class DescentSystem(SequenceCrystal):
 
         rounds = 0
         saturated = True
-        while frontier:
+        while frontier and saturated:
             if rounds >= max_rounds:
                 saturated = False
                 break
@@ -216,6 +224,9 @@ class DescentSystem(SequenceCrystal):
                             f"support overflow at position {new.support_max} > window {window}"
                         )
                     admit(new, (kind, seed, word + (k,)))
+                if len(trace) > MAX_FORMS:
+                    saturated = False
+                    break
         return FormSet(
             forms=tuple(trace),
             window=window,

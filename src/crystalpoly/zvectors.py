@@ -11,6 +11,7 @@ inequality systems are checked against.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -49,9 +50,15 @@ class ZVector:
         return dict(self.coords)
 
     def bumped(self, k: int, delta: int) -> "ZVector":
-        d = self.as_dict()
-        d[k] = d.get(k, 0) + delta
-        return ZVector.from_dict(d, self.mode)
+        """x_k += delta, splicing the sorted coords; a coordinate that reaches 0 drops."""
+        coords = self.coords
+        n = bisect_left(coords, (k,))  # (k,) sorts before every (k, value)
+        if n < len(coords) and coords[n][0] == k:
+            val = coords[n][1] + delta
+            return ZVector(coords[:n] + (((k, val),) if val else ()) + coords[n + 1 :], self.mode)
+        if not delta:
+            return self
+        return ZVector(coords[:n] + ((k, delta),) + coords[n:], self.mode)
 
     def label(self) -> str:
         if not self.coords:
@@ -94,6 +101,11 @@ class SequenceCrystal:
         self.cartan = cartan
         self.seq = seq
         self.lam = lam
+        # one pairing column (<h_1, alpha_{i_k}>, .., <h_r, alpha_{i_k}>) per period slot
+        self._columns = tuple(
+            tuple(cartan.a(j, ik) for j in cartan.indices) for ik in seq.period
+        )
+        self._last_scan = None  # (vector, i, result) of the latest _scan
 
     @property
     def mode(self):
@@ -123,7 +135,14 @@ class SequenceCrystal:
         lambda_i read as 0 in free mode, so <h_i, wt x> = -sigma_0 in both.
         Beyond the support every sigma is 0, so the max is >= 0; max_pos=None
         flags the infinite attaining set of a max of 0.
+
+        The latest result is kept with its vector, so the operators and
+        statistics asked about the same (x, i) in a row share one pass; the
+        kept reference also stops the vector's identity from being reused.
         """
+        last = self._last_scan
+        if last is not None and last[0] is x and last[1] == i:
+            return last[2]
         self._check(x)
         period = self.seq.period
         row = self.cartan.matrix[i - 1]
@@ -145,7 +164,9 @@ class SequenceCrystal:
         if lo is None:  # no position up to top attains the max 0
             lo = self.seq.next_position_of(i, top)
         sigma_0 = tail - (self.lam.pairing(i) if self.lam is not None else 0)
-        return MSet(best, lo, hi), sigma_0
+        result = MSet(best, lo, hi), sigma_0
+        self._last_scan = (x, i, result)
+        return result
 
     def sigma_0(self, x: ZVector, i: int) -> int:
         """Affine companion of sigma carrying the highest-weight data."""
@@ -175,12 +196,11 @@ class SequenceCrystal:
 
     def weight_pairings(self, x: ZVector) -> tuple[int, ...]:
         """<h_j, wt(x)> for every j, with wt = lambda minus the step roots."""
-        out = []
-        for j in self.cartan.indices:
-            total = self.lam.pairing(j) if self.lam is not None else 0
-            for pos, val in x.coords:
-                total -= self.cartan.a(j, self.seq.index_at(pos)) * val
-            out.append(total)
+        out = list(self.lam.coeffs) if self.lam is not None else [0] * self.cartan.rank
+        columns = self._columns
+        for pos, val in x.coords:
+            for j, a in enumerate(columns[(pos - 1) % len(columns)]):
+                out[j] -= a * val
         return tuple(out)
 
     def epsilon(self, x: ZVector, i: int) -> int:

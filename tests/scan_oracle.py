@@ -3,9 +3,27 @@
 Every statistic is written straight from its definition: the max of
 `sigma` over the positions of index i up to the top of the support, each
 position summed on its own.  Quadratic in the support; keep inputs small.
+The bump and the weight are rebuilt here too (a dict round-trip and a
+sparse pairing sum), so the oracle shares neither with the code under test.
 """
 
-from crystalpoly import MSet
+from crystalpoly import MSet, ZVector
+
+
+def bumped(x, k, delta):
+    d = dict(x.coords)
+    d[k] = d.get(k, 0) + delta
+    return ZVector(tuple(sorted((p, v) for p, v in d.items() if v)), x.mode)
+
+
+def weight_pairings(crystal, x):
+    out = []
+    for j in crystal.cartan.indices:
+        total = crystal.lam.pairing(j) if crystal.lam is not None else 0
+        for pos, val in x.coords:
+            total -= crystal.cartan.a(j, crystal.seq.index_at(pos)) * val
+        out.append(total)
+    return tuple(out)
 
 
 def m_set(crystal, x, i):
@@ -36,7 +54,7 @@ def f(crystal, x, i):
     ms = m_set(crystal, x, i)
     if crystal.lam is not None and not ms.sigma > sigma_0(crystal, x, i):
         return None
-    return x.bumped(ms.min_pos, +1)
+    return bumped(x, ms.min_pos, +1)
 
 
 def e(crystal, x, i):
@@ -45,7 +63,7 @@ def e(crystal, x, i):
         return None
     if crystal.lam is not None and not ms.sigma >= sigma_0(crystal, x, i):
         return None
-    return x.bumped(ms.max_pos, -1)
+    return bumped(x, ms.max_pos, -1)
 
 
 def epsilon(crystal, x, i):
@@ -56,4 +74,4 @@ def epsilon(crystal, x, i):
 
 
 def phi(crystal, x, i):
-    return crystal.weight_pairings(x)[i - 1] + epsilon(crystal, x, i)
+    return weight_pairings(crystal, x)[i - 1] + epsilon(crystal, x, i)

@@ -1,8 +1,12 @@
 import json
+import re
+import time
 
 import pytest
 
+from crystalpoly import get_builtin, weight
 from crystalpoly.cli import main
+from crystalpoly.forms import MAX_FORMS, DescentSystem
 
 
 def run(capsys, *argv):
@@ -97,6 +101,26 @@ def test_inequalities_unsaturated_exit(capsys):
     assert "WARNING" in out
 
 
+def test_inequalities_form_cap(tmp_path, capsys):
+    # wild Cartan data: the form set about doubles every round
+    src = tmp_path / "wild.json"
+    src.write_text(json.dumps({"matrix": [[2, -1, -1], [-4, 2, -1], [-2, -2, 2]]}))
+    start = time.perf_counter()
+    code, out, _ = run(
+        capsys, "inequalities", "--cartan-file", str(src), "--iota", "3 1 2 1", "--binf",
+        "--support-bound", "8",
+    )
+    assert code == 3 and time.perf_counter() - start < 5
+    warning, counts = out.splitlines()[:2]
+    match = re.fullmatch(
+        rf"WARNING: generation passed the cap of {MAX_FORMS} forms in round (\d+) "
+        r"with (\d+) forms; the listing below is partial",
+        warning,
+    )
+    assert match and match[1] == "10" and int(match[2]) > MAX_FORMS
+    assert counts == f"forms: {match[2]}  window: 11  saturated: False"
+
+
 def test_verify_equal_cases(capsys):
     code, out, _ = run(
         capsys, "verify", "--builtin", "a2", "--lambda", "1,0", "--depth", "3"
@@ -126,14 +150,29 @@ def test_verify_mismatch_exit(capsys):
     [
         (("a4", "--lambda", "1,1,1,1", "--depth", "10"), "equal: 567 elements (depth 10)"),
         (("a4", "--lambda", "1,1,1,1", "--depth", "12"), "equal: 769 elements (depth 12)"),
-        # the default support bound 15 gives window 20; the BFS reaches x21 at depth 8
+        # an explicit bound well past the one the BFS needs
         (("a5", "--lambda", "1,1,1,1,1", "--depth", "8", "--support-bound", "24"),
          "equal: 1279 elements (depth 8)"),
+        # the default bound 15 gives window 20 and the BFS reaches x21: raised to 16
+        (("a5", "--lambda", "1,1,1,1,1", "--depth", "8"), "equal: 1279 elements (depth 8)"),
+        (("a5", "--lambda", "1,0,0,0,1", "--depth", "10"), "equal: 35 elements (depth 10)"),
     ],
 )
 def test_verify_deep_oracle_cases(capsys, argv, line):
     code, out, _ = run(capsys, "verify", "--builtin", *argv)
     assert code == 0 and out.strip() == line
+
+
+def test_verify_window_raise_is_minimal_and_default_only(capsys):
+    a5 = get_builtin("a5")
+    descent = DescentSystem(a5.cartan, a5.iota, weight(1, 0, 0, 0, 1))
+    assert a5.longest_len == 15
+    assert descent.window_for(15) == 20 and descent.window_for(16) == 21
+    # an explicit bound is kept, so the BFS node x21 still escapes its window
+    code, out, _ = run(capsys, "verify", "--builtin", "a5", "--lambda", "1,0,0,0,1",
+                       "--depth", "10", "--support-bound", "15")
+    assert code == 4
+    assert out.startswith("BFS leaves the window: ") and out.strip().endswith(" beyond 20")
 
 
 def test_braid_fuzz(capsys):

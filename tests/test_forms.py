@@ -140,6 +140,19 @@ def test_generation_reaches_the_positivity_witness():
     assert F(0, {1: 1, 2: -1, 3: 1, 4: -1}) in fs
 
 
+def test_generation_stops_past_the_form_cap(monkeypatch):
+    import crystalpoly.forms as forms
+
+    full = DescentSystem(A3.cartan, A3.iota).generate(6)
+    assert full.saturated and len(full.forms) > 20
+    monkeypatch.setattr(forms, "MAX_FORMS", 20)
+    capped = DescentSystem(A3.cartan, A3.iota).generate(6)
+    assert not capped.saturated
+    # checked after each rewritten form, which admits at most one form per position
+    assert 20 < len(capped.forms) <= 20 + 6
+    assert set(capped.forms) <= set(full.forms) and capped.rounds <= full.rounds
+
+
 def test_generation_a3_free_mode_matches_oracle():
     fs = DescentSystem(A3.cartan, A3.iota).generate(6)
     assert fs.saturated

@@ -1,4 +1,5 @@
-"""The one-pass sigma scan of SequenceCrystal against the per-position oracle."""
+"""The one-pass sigma scan of SequenceCrystal against the per-position oracle,
+with the table-driven weight, the spliced bump and the kept last scan."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -46,3 +47,78 @@ def test_scan_statistics_match_per_position_oracle(name, data):
         assert crystal.e(x, i) == scan_oracle.e(crystal, x, i)
         assert crystal.epsilon(x, i) == scan_oracle.epsilon(crystal, x, i)
         assert crystal.phi(x, i) == scan_oracle.phi(crystal, x, i)
+    assert crystal.weight_pairings(x) == scan_oracle.weight_pairings(crystal, x)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    coords=st.dictionaries(st.integers(1, 12), st.integers(-3, 4), max_size=8),
+    k=st.integers(1, 14),
+    delta=st.integers(-4, 4),
+)
+def test_bumped_matches_dict_oracle(coords, k, delta):
+    x = ZVector.from_dict(coords)
+    assert x.bumped(k, delta) == scan_oracle.bumped(x, k, delta)
+
+
+def test_bumped_drops_inserts_and_goes_negative():
+    x = ZVector.from_dict({2: 1, 5: -2})
+    assert x.bumped(2, -1).coords == ((5, -2),)  # a coordinate bumped to 0 drops
+    assert x.bumped(5, 2).coords == ((2, 1),)
+    assert x.bumped(3, 1).coords == ((2, 1), (3, 1), (5, -2))  # inserted in order
+    assert x.bumped(1, -3).coords == ((1, -3), (2, 1), (5, -2))
+    assert x.bumped(7, 4).coords == ((2, 1), (5, -2), (7, 4))
+    assert x.bumped(5, -1).coords == ((2, 1), (5, -3))
+    assert x.bumped(4, 0) == x and ZVector(()).bumped(1, -1).coords == ((1, -1),)
+
+
+def _check_calls(calls):
+    """Each (crystal, operator, vector, index) call, in order, against the oracle."""
+    for crystal, name, x, i in calls:
+        assert getattr(crystal, name)(x, i) == getattr(scan_oracle, name)(crystal, x, i), (
+            name, x, i)
+
+
+def test_kept_scan_is_never_stale():
+    cartan, seq = CASES["a3-iota0"]
+    free = SequenceCrystal(cartan, seq)
+    weighted = SequenceCrystal(cartan, seq, weight(1, 0, 2))
+    coords = {1: 1, 2: 2, 3: -1, 5: 1, 7: 2}
+    x = ZVector.from_dict(coords)
+    y = ZVector.from_dict({2: 1, 4: 3})
+    twin = ZVector.from_dict(coords)  # equal to x, another object
+    xw = ZVector.from_dict(coords, weighted.mode)
+    # the data tells the calls apart, so a scan kept for the wrong call shows
+    assert scan_oracle.epsilon(free, x, 1) != scan_oracle.epsilon(free, y, 1)
+    assert scan_oracle.epsilon(free, x, 1) != scan_oracle.epsilon(free, x, 2)
+    assert scan_oracle.phi(free, x, 1) != scan_oracle.phi(weighted, xw, 1)
+    _check_calls([
+        (free, "epsilon", x, 1), (free, "f", y, 1), (free, "epsilon", x, 1),
+        (free, "epsilon", x, 2), (free, "phi", x, 1), (free, "e", x, 2),
+        (free, "f", twin, 1), (free, "phi", x, 1), (free, "e", twin, 2),
+        (free, "epsilon", x, 1), (weighted, "phi", xw, 1), (free, "phi", x, 1),
+        (weighted, "f", xw, 2), (free, "f", x, 2), (weighted, "epsilon", xw, 1),
+        (free, "m_set", x, 3), (free, "m_set", x, 1), (weighted, "sigma_0", xw, 3),
+    ])
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_interleaved_calls_match_oracle(data):
+    cartan, seq = CASES["a3-iota0"]
+    crystals = (SequenceCrystal(cartan, seq), SequenceCrystal(cartan, seq, weight(1, 1, 0)))
+    pool = [
+        ZVector.from_dict(d, c.mode)
+        for d in data.draw(st.lists(
+            st.dictionaries(st.integers(1, 9), st.integers(-2, 3), max_size=5),
+            min_size=1, max_size=3))
+        for c in crystals
+        for _ in range(2)  # equal but distinct objects
+    ]
+    calls = []
+    for _ in range(data.draw(st.integers(1, 30))):
+        x = data.draw(st.sampled_from(pool))
+        crystal = crystals[x.mode != crystals[0].mode]
+        name = data.draw(st.sampled_from(("f", "e", "epsilon", "phi", "m_set")))
+        calls.append((crystal, name, x, data.draw(st.integers(1, 3))))
+    _check_calls(calls)
