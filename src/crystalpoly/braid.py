@@ -171,13 +171,16 @@ def run_property_suite(c1: int, c2: int, n: int, seed: int, lo: int = -10, hi: i
     violations: list[dict] = []
 
     def strict_map(w):
-        return None if w is None else phi(ctx, w)
+        # `word` and `image` are the loop's current sample and its image
+        if w is None:
+            return None
+        return image if w is word else phi(ctx, w)
 
     for _ in range(n):
         vals = tuple(rng.randint(lo, hi) for _ in range(length))
         word = TensorWord(cartan, [Letter(idx, v) for idx, v in zip(pattern, vals)])
-        found = check_strict_morphism(strict_map, (word,), (1, 2))
         image = phi(ctx, word)
+        found = check_strict_morphism(strict_map, (word,), (1, 2))
         if phi_inverse(ctx, image) != word:
             found.append({"kind": "involution"})
         if ctx.degree == 3 and phi3_alt(ctx, word) != image:

@@ -235,12 +235,15 @@ def cmd_braid(args) -> int:
                 break
             payloads.append((args.c1, args.c2, take, args.seed + worker))
             done += take
-        if jobs == 1:
+        if len(payloads) == 1:
             reports = [_fuzz_chunk(payloads[0])]
         else:
             from concurrent.futures import ProcessPoolExecutor
 
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
+            # the payload split, and so the output, follows --jobs; the number
+            # of processes is capped by the payloads and the CPUs
+            workers = min(len(payloads), os.cpu_count() or 1)
+            with ProcessPoolExecutor(max_workers=workers) as pool:
                 reports = list(pool.map(_fuzz_chunk, payloads))
         violations = [v for r in reports for v in r["violations"]]
         total = sum(r["n"] for r in reports)

@@ -76,7 +76,7 @@ class UnitLetter:
 class TensorWord:
     """A finite tensor product of letters, leftmost factor first."""
 
-    __slots__ = ("cartan", "letters", "unit", "_hash")
+    __slots__ = ("cartan", "letters", "unit", "_hash", "_folds")
 
     def __init__(self, cartan: CartanData, letters, unit: UnitLetter | None = None):
         self.cartan = cartan
@@ -87,7 +87,8 @@ class TensorWord:
                 raise ValueError("letter index out of range")
         if unit is not None and unit.weight.rank != cartan.rank:
             raise ValueError("unit weight rank mismatch")
-        self._hash = hash((self.letters, self.unit))
+        self._hash = None
+        self._folds = {}  # index -> _fold result; a word never changes, so none goes stale
 
     def __eq__(self, other):
         return (
@@ -97,6 +98,8 @@ class TensorWord:
         )
 
     def __hash__(self):
+        if self._hash is None:
+            self._hash = hash((self.letters, self.unit))
         return self._hash
 
     def __len__(self):
@@ -122,49 +125,75 @@ class TensorWord:
         lam = self.unit.weight.pairing(i)
         return -lam, 0, lam
 
-    def eps_phi_wt(self, i: int):
-        """String statistics and the i-pairing of the weight, in one fold."""
-        eps = NEG_INF
-        phi = NEG_INF
-        wtp = 0
-        for m in range(len(self)):
-            le, lp, lw = self._factor_data(m, i)
-            cand = le - wtp
-            if eps < cand:
-                eps = cand
-            cand = phi + lw
-            phi = lp if lp >= cand else cand
+    def _fold(self, i: int):
+        """(eps, phi, <h_i, wt>, f target, e target) in one left-to-right pass.
+
+        The statistics and both operator targets share the phi of the
+        factors before each factor m: f acts on the last m whose eps is >=
+        it, e on the last m whose eps is > it (factor 0 by default).  A
+        letter of another index has eps = phi = -inf and only moves the
+        weight; a target on it makes `_apply` return 0, as does the default
+        target when no factor has index i.  None is -inf inside the loop and
+        the NEG_INF singleton is returned.
+        """
+        kept = self._folds.get(i)
+        if kept is not None:
+            return kept
+        row = self.cartan.matrix[i - 1]
+        eps = phi = None
+        wtp = f_target = e_target = 0
+        for m, letter in enumerate(self.letters):
+            value = letter.value
+            lw = value * row[letter.index - 1]
+            if letter.index == i:
+                le = -value
+                if phi is None:
+                    f_target = e_target = m
+                    phi = value
+                else:
+                    if phi <= le:
+                        f_target = m
+                        if phi < le:
+                            e_target = m
+                    phi += lw
+                    if value > phi:
+                        phi = value
+                le -= wtp
+                if eps is None or le > eps:
+                    eps = le
+            elif phi is not None:
+                phi += lw
             wtp += lw
-        return eps, phi, wtp
+        if self.unit is not None:
+            lam = self.unit.weight.coeffs[i - 1]
+            m = len(self.letters)
+            if phi is None or phi <= -lam:
+                f_target = m
+                if phi is None or phi < -lam:
+                    e_target = m
+            phi = 0 if phi is None else max(phi + lam, 0)
+            le = -lam - wtp
+            if eps is None or le > eps:
+                eps = le
+            wtp += lam
+        if eps is None:
+            eps = phi = NEG_INF
+        kept = self._folds[i] = (eps, phi, wtp, f_target, e_target)
+        return kept
+
+    def eps_phi_wt(self, i: int):
+        """String statistics and the i-pairing of the weight."""
+        return self._fold(i)[:3]
 
     def epsilon(self, i: int):
-        return self.eps_phi_wt(i)[0]
+        return self._fold(i)[0]
 
     def phi(self, i: int):
-        return self.eps_phi_wt(i)[1]
+        return self._fold(i)[1]
 
     def weight_pairings(self) -> tuple[int, ...]:
         """<h_j, wt> for every index j."""
-        out = []
-        for j in self.cartan.indices:
-            total = sum(l.value * self.cartan.a(j, l.index) for l in self.letters)
-            if self.unit is not None:
-                total += self.unit.weight.pairing(j)
-            out.append(total)
-        return tuple(out)
-
-    def _action_target(self, i: int, lowering: bool) -> int:
-        """Factor the operator acts on: the last one whose eps beats the prefix phi."""
-        target = 0
-        phi = NEG_INF  # phi_i of the factors before m
-        for m in range(len(self)):
-            le, lp, lw = self._factor_data(m, i)
-            # at m = 0 this can only set the default target 0
-            if phi <= le if lowering else phi < le:
-                target = m
-            cand = phi + lw
-            phi = lp if lp >= cand else cand
-        return target
+        return tuple(self._fold(j)[2] for j in self.cartan.indices)
 
     def _apply(self, i: int, target: int, delta: int):
         if target == len(self.letters):
@@ -178,15 +207,11 @@ class TensorWord:
 
     def f(self, i: int):
         """Lowering operator; None is the absorbing element."""
-        if len(self) == 0:
-            return None
-        return self._apply(i, self._action_target(i, lowering=True), -1)
+        return self._apply(i, self._fold(i)[3], -1)
 
     def e(self, i: int):
         """Raising operator; None is the absorbing element."""
-        if len(self) == 0:
-            return None
-        return self._apply(i, self._action_target(i, lowering=False), +1)
+        return self._apply(i, self._fold(i)[4], +1)
 
     def to_json_obj(self):
         out = [[l.index, l.value] for l in self.letters]

@@ -192,6 +192,46 @@ def test_braid_fuzz_jobs(capsys):
     assert code == 0 and "n=300" in out
 
 
+def test_braid_fuzz_jobs_caps_processes(capsys, monkeypatch):
+    # a pool forks all of its max_workers at the first submit, so a huge
+    # --jobs must not reach it; this stand-in records the pool and runs inline
+    import concurrent.futures
+    import os
+
+    pools = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            self.max_workers = max_workers
+            self.payloads = None
+            pools.append(self)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, payloads):
+            self.payloads = list(payloads)
+            return map(fn, self.payloads)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    code, out, _ = run(
+        capsys, "braid", "--fuzz", "--c1", "1", "--c2", "1", "--n", "2",
+        "--jobs", "5000", "--seed", "9",
+    )
+    assert code == 0 and "n=2 seed=9 violations=0" in out
+    [pool] = pools
+    assert pool.max_workers == min(2, os.cpu_count() or 1)
+    assert pool.payloads == [(1, 1, 1, 9), (1, 1, 1, 10)]
+    # a single chunk runs in this process
+    code, out, _ = run(
+        capsys, "braid", "--fuzz", "--c1", "1", "--c2", "1", "--n", "1", "--jobs", "4",
+    )
+    assert code == 0 and "n=1 " in out and len(pools) == 1
+
+
 def test_braid_map_set(tmp_path, capsys):
     elements = [
         [[1, 0], [2, 0], [1, 0], [3, 0], [2, 0], [1, 0]],

@@ -12,6 +12,8 @@ from crystalpoly import (
     weight,
 )
 
+import tensor_oracle
+
 SL2 = cartan_from_matrix([[2]])
 A2 = cartan_from_matrix([[2, -1], [-1, 2]])
 
@@ -216,3 +218,50 @@ def test_depth_layers_count_lowering_steps():
         # each lowering step lowers the total pairing sum by a column sum
         assert depth <= 4
         assert (drop == 0) == (depth == 0)
+
+
+PROFILES = [(0, 0), (1, 1), (1, 2), (2, 1), (1, 3), (3, 1)]  # a2, b2/c2, g2 pairings
+
+
+@st.composite
+def oracle_words(draw):
+    """Rank 1-3 words of 0-7 letters, often with no letter of some index."""
+    rank = draw(st.integers(1, 3))
+    matrix = [[2 if a == b else 0 for b in range(rank)] for a in range(rank)]
+    for a in range(rank):
+        for b in range(a + 1, rank):
+            c1, c2 = draw(st.sampled_from(PROFILES))
+            matrix[a][b], matrix[b][a] = -c1, -c2
+    cartan = cartan_from_matrix(matrix)
+    absent = draw(st.one_of(st.none(), st.integers(1, rank)))
+    present = [k for k in cartan.indices if k != absent]
+    n = draw(st.integers(0, 7)) if present else 0
+    letters = [(draw(st.sampled_from(present)), draw(st.integers(-6, 6))) for _ in range(n)]
+    lam = draw(st.one_of(st.none(), st.lists(st.integers(-3, 4), min_size=rank, max_size=rank)))
+    return word(cartan, *letters, lam=None if lam is None else weight(*lam))
+
+
+@settings(max_examples=300, deadline=None)
+@given(w=oracle_words(), data=st.data())
+def test_fold_matches_per_factor_oracle(w, data):
+    # calls in a shuffled order on one word: a kept fold must answer each
+    # (operation, index) exactly as a fresh per-factor fold does
+    ops = ("eps_phi_wt", "f", "e", "epsilon", "phi")
+    calls = [(op, i) for op in ops for i in w.cartan.indices] + [("weight_pairings", None)]
+    for op, i in data.draw(st.permutations(calls)):
+        if i is None:
+            pairings = tuple(tensor_oracle.eps_phi_wt(w, j)[2] for j in w.cartan.indices)
+            assert w.weight_pairings() == pairings
+            continue
+        eps, phi, wtp = tensor_oracle.eps_phi_wt(w, i)
+        expected = {
+            "eps_phi_wt": (eps, phi, wtp),
+            "f": tensor_oracle.f(w, i),
+            "e": tensor_oracle.e(w, i),
+            "epsilon": eps,
+            "phi": phi,
+        }[op]
+        assert getattr(w, op)(i) == expected
+    for i in w.cartan.indices:
+        if w.unit is None and all(l.index != i for l in w.letters):
+            assert w.epsilon(i) is NEG_INF and w.phi(i) is NEG_INF
