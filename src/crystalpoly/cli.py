@@ -121,6 +121,14 @@ def cmd_graph(args) -> int:
     return 0
 
 
+def _check_limits(args):
+    """Reject a round cap or a window below 1 before any work starts."""
+    if args.max_rounds < 1:
+        raise ConfigError("--max-rounds must be >= 1")
+    if args.window is not None and args.window < 1:
+        raise ConfigError("--window must be >= 1")
+
+
 def _build_system(args, cartan, seq, lam, default_bound):
     """The `--method` system: descent generation, the rank-2 or the A_n closed form."""
     if args.method == "generate":
@@ -141,6 +149,7 @@ def _build_system(args, cartan, seq, lam, default_bound):
 
 def cmd_inequalities(args) -> int:
     cartan, seq, lam, builtin = _resolve_inputs(args)
+    _check_limits(args)
     system = _build_system(args, cartan, seq, lam, builtin.longest_len if builtin else None)
     report = []
     if len(system.forms) > MAX_FORMS:
@@ -184,6 +193,7 @@ def cmd_verify(args) -> int:
     cartan, seq, lam, builtin = _resolve_inputs(args)
     if args.depth < 0:
         raise ConfigError("--depth must be >= 0")
+    _check_limits(args)
     floor = max(args.depth, 1)
     if args.method == "generate" and args.support_bound is not None and args.support_bound < floor:
         raise ConfigError("--support-bound must be at least max(depth, 1)")

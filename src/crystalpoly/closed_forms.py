@@ -75,7 +75,9 @@ def rank2_system(c1: int, c2: int, lam: Weight, window: int | None = None) -> Fo
     lm = l_max(c1, c2)
     if lm is None and window is None:
         raise ValueError("infinite-type system needs an explicit window")
-    win = lm if window is None else max(window, 1)
+    if window is not None and window < 1:
+        raise ValueError("window must be >= 1")
+    win = lm if window is None else window
     cutoff = min(lm, win) if lm is not None else win
     forms = [LinearForm.make(lam.pairing(1), {1: -1})]
     for l in range(1, cutoff):

@@ -1,8 +1,10 @@
 """Exact affine forms and the piecewise-linear generation of inequality systems.
 
 A LinearForm is c + sum phi_k x_k with exact rational coefficients on a
-sparse, finitely supported set of positions.  DescentSystem extends the
-SequenceCrystal of a Cartan datum, an index sequence and an optional
+sparse, finitely supported set of positions; a value is kept as an int when
+it is integral and as a Fraction only when it is not, so the integer forms
+that Cartan data produce are rewritten in machine integers.  DescentSystem
+extends the SequenceCrystal of a Cartan datum, an index sequence and an optional
 highest weight with the sign-split update that rewrites a form against
 the local bracket form at a position; iterating those updates from the
 coordinate seeds (plus the weight seeds in highest-weight mode) closes
@@ -22,43 +24,55 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 
-from .cartan import IndexSequence, Weight
+from .cartan import CartanData, IndexSequence, Weight
 from .zvectors import BINF, SequenceCrystal, ZVector
 
 MAX_FORMS = 5000  # admitted forms before generation gives up unsaturated
 
 
+def _exact(value) -> int | Fraction:
+    """`value` as an int when it is integral, otherwise as a Fraction."""
+    if type(value) is int:
+        return value
+    value = Fraction(value)
+    return value.numerator if value.denominator == 1 else value
+
+
 @dataclass(frozen=True)
 class LinearForm:
-    """Affine form: constant plus sparse rational coefficients by position."""
+    """Affine form: constant plus sparse rational coefficients by position.
 
-    const: Fraction
-    coeffs: tuple[tuple[int, Fraction], ...]  # sorted, no zero coefficients
+    Every value is an int unless it is non-integral; since Fraction(n) == n
+    and hash(Fraction(n)) == hash(n), equality and hashing do not see the
+    difference.
+    """
+
+    const: int | Fraction
+    coeffs: tuple[tuple[int, int | Fraction], ...]  # sorted, no zero coefficients
 
     @classmethod
     def make(cls, const=0, coeffs=None) -> "LinearForm":
-        c = Fraction(const)
         items = []
         for pos, val in (coeffs or {}).items():
-            v = Fraction(val)
+            v = _exact(val)
             if v:
                 items.append((int(pos), v))
-        return cls(c, tuple(sorted(items)))
+        return cls(_exact(const), tuple(sorted(items)))
 
     @classmethod
     def x(cls, k: int) -> "LinearForm":
         """The coordinate form taking x -> x_k."""
-        return cls(Fraction(0), ((k, Fraction(1)),))
+        return cls(0, ((k, 1),))
 
     @classmethod
     def zero(cls) -> "LinearForm":
-        return cls(Fraction(0), ())
+        return cls(0, ())
 
-    def coeff(self, k: int) -> Fraction:
+    def coeff(self, k: int) -> int | Fraction:
         for pos, val in self.coeffs:
             if pos == k:
                 return val
-        return Fraction(0)
+        return 0
 
     @property
     def is_zero(self) -> bool:
@@ -71,19 +85,20 @@ class LinearForm:
     def __add__(self, other: "LinearForm") -> "LinearForm":
         d = dict(self.coeffs)
         for pos, val in other.coeffs:
-            d[pos] = d.get(pos, Fraction(0)) + val
+            d[pos] = d.get(pos, 0) + val
         return LinearForm.make(self.const + other.const, d)
 
     def __sub__(self, other: "LinearForm") -> "LinearForm":
         return self + other.scale(-1)
 
     def scale(self, factor) -> "LinearForm":
-        f = Fraction(factor)
+        f = _exact(factor)
         if not f:
             return LinearForm.zero()
-        return LinearForm(self.const * f, tuple((p, v * f) for p, v in self.coeffs))
+        coeffs = tuple((p, _exact(v * f)) for p, v in self.coeffs)
+        return LinearForm(_exact(self.const * f), coeffs)
 
-    def evaluate(self, x) -> Fraction:
+    def evaluate(self, x) -> int | Fraction:
         """Value at a ZVector or a {position: value} mapping."""
         if isinstance(x, dict):
             get = lambda k: x.get(k, 0)
@@ -135,15 +150,23 @@ class GenerationError(RuntimeError):
 class DescentSystem(SequenceCrystal):
     """Bracket forms and the sign-split rewriting operator at each position."""
 
+    def __init__(self, cartan: CartanData, seq: IndexSequence, lam: Weight | None = None):
+        super().__init__(cartan, seq, lam)
+        self._brackets: dict[tuple[int, bool], LinearForm] = {}  # (k, upward) -> bracket
+
     def _pairings(self, i: int, lo: int, hi: int) -> dict[int, int]:
         """<h_i, alpha_{i_j}> at each position lo <= j < hi."""
         return {j: self.cartan.a(i, self.seq.index_at(j)) for j in range(lo, hi)}
 
     def beta_plus(self, k: int) -> LinearForm:
         """x_k + pairing-weighted middle + x at the next occurrence of i_k."""
-        ik = self.seq.index_at(k)
-        kp = self.seq.next_occurrence(k)
-        return LinearForm.make(0, {k: 1, **self._pairings(ik, k + 1, kp), kp: 1})
+        kept = self._brackets.get((k, True))
+        if kept is None:
+            ik = self.seq.index_at(k)
+            kp = self.seq.next_occurrence(k)
+            kept = LinearForm.make(0, {k: 1, **self._pairings(ik, k + 1, kp), kp: 1})
+            self._brackets[k, True] = kept
+        return kept
 
     def beta_minus(self, k: int) -> LinearForm:
         """Downward companion of beta_plus.
@@ -152,13 +175,18 @@ class DescentSystem(SequenceCrystal):
         at a first occurrence it is the zero form in free mode and the
         weight-bearing boundary form in highest-weight mode.
         """
-        km = self.seq.prev_occurrence(k)
-        if km > 0:
-            return self.beta_plus(km)
-        if self.lam is None:
-            return LinearForm.zero()
-        ik = self.seq.index_at(k)
-        return LinearForm.make(-self.lam.pairing(ik), {**self._pairings(ik, 1, k), k: 1})
+        kept = self._brackets.get((k, False))
+        if kept is None:
+            km = self.seq.prev_occurrence(k)
+            if km > 0:
+                kept = self.beta_plus(km)
+            elif self.lam is None:
+                kept = LinearForm.zero()
+            else:
+                ik = self.seq.index_at(k)
+                kept = LinearForm.make(-self.lam.pairing(ik), {**self._pairings(ik, 1, k), k: 1})
+            self._brackets[k, False] = kept
+        return kept
 
     def weight_seed(self, i: int) -> LinearForm:
         """Seed form bounding the first coordinate of index i by the weight."""
@@ -170,9 +198,9 @@ class DescentSystem(SequenceCrystal):
         """Rewrite `form` against the bracket at k, split on the sign of phi_k."""
         c = form.coeff(k)
         if c > 0:
-            return form - self.beta_plus(k).scale(c)
+            return form + self.beta_plus(k).scale(-c)
         if c < 0:
-            return form - self.beta_minus(k).scale(c)
+            return form + self.beta_minus(k).scale(-c)
         return form
 
     def window_for(self, support_bound: int) -> int:
@@ -185,8 +213,10 @@ class DescentSystem(SequenceCrystal):
     def generate(self, support_bound: int, max_rounds: int = 60) -> "FormSet":
         """Close the seed forms under the rewriting operators at 1..support_bound.
 
-        Stops unsaturated after `max_rounds` rounds, or in the round whose
-        admitted forms pass MAX_FORMS.
+        A form is rewritten only at its own support positions up to the
+        bound, in ascending order: at any other position s returns it
+        unchanged.  Stops unsaturated after `max_rounds` rounds, or in the
+        round whose admitted forms pass MAX_FORMS.
         """
         if support_bound < 1:
             raise ValueError("support bound must be >= 1")
@@ -215,7 +245,9 @@ class DescentSystem(SequenceCrystal):
             layer, frontier = frontier, []
             for form in layer:
                 kind, seed, word = trace[form]
-                for k in range(1, support_bound + 1):
+                for k, _ in form.coeffs:
+                    if k > support_bound:
+                        break
                     new = self.s(form, k)
                     if new == form:
                         continue

@@ -121,6 +121,27 @@ def test_inequalities_form_cap(tmp_path, capsys):
     assert counts == f"forms: {match[2]}  window: 11  saturated: False"
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("inequalities", "--builtin", "a2", "--lambda", "1,0", "--max-rounds", "-1"),
+         "--max-rounds must be >= 1"),
+        (("inequalities", "--builtin", "a2", "--lambda", "1,0", "--max-rounds", "0"),
+         "--max-rounds must be >= 1"),
+        (("inequalities", "--builtin", "a2", "--lambda", "1,0", "--method", "rank2",
+          "--window", "0"), "--window must be >= 1"),
+        (("verify", "--builtin", "a2", "--lambda", "1,0", "--depth", "3", "--method", "rank2",
+          "--window", "-5"), "--window must be >= 1"),
+        (("verify", "--builtin", "a2", "--lambda", "1,0", "--depth", "3", "--max-rounds", "0"),
+         "--max-rounds must be >= 1"),
+    ],
+)
+def test_bad_round_cap_or_window_exits_2(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.strip() == f"config error: {message}"
+
+
 def test_verify_equal_cases(capsys):
     code, out, _ = run(
         capsys, "verify", "--builtin", "a2", "--lambda", "1,0", "--depth", "3"

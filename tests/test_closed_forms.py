@@ -89,6 +89,8 @@ def test_rank2_system_requires_dominant_and_window():
         rank2_system(1, 1, weight(-1, 0))
     with pytest.raises(ValueError):
         rank2_system(2, 2, weight(1, 1))
+    with pytest.raises(ValueError, match="window must be >= 1"):
+        rank2_system(2, 2, weight(1, 1), window=0)
 
 
 def test_rank2_zero_weight_is_origin_only():

@@ -1,10 +1,12 @@
 import itertools
 import json
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import crystalpoly.forms as forms_module
 from crystalpoly import (
     DescentSystem,
     FormSet,
@@ -12,11 +14,13 @@ from crystalpoly import (
     LinearForm,
     SequenceCrystal,
     ZVector,
+    cartan_from_matrix,
     get_builtin,
     rank2_system,
     weight,
 )
 
+import descent_oracle
 from brute_enum import brute_force_points
 
 A2 = get_builtin("a2")
@@ -311,3 +315,96 @@ def test_verify_grid_enumeration_matches_brute_force(method, name, lam, budget):
         seq = IOTA0 if method == "iota0" else builtin.iota
         fs = DescentSystem(builtin.cartan, seq, mode).generate(max(budget, builtin.longest_len))
     assert fs.enumerate_points(budget) == brute_force_points(fs, budget)
+
+
+# -- generation against the old Fraction loop ----------------------------
+
+PAIRINGS = [(0, 0), (1, 1), (1, 2), (2, 1), (1, 3), (3, 1)]  # products <= 3
+
+
+@st.composite
+def descent_inputs(draw):
+    """Rank-2/3 Cartan data, a shuffled period with up to 3 extra letters,
+    free or highest-weight mode, a support bound <= 6 and a round cap."""
+    rank = draw(st.integers(2, 3))
+    matrix = [[2 if a == b else 0 for b in range(rank)] for a in range(rank)]
+    for a in range(rank):
+        for b in range(a + 1, rank):
+            c1, c2 = draw(st.sampled_from(PAIRINGS))
+            matrix[a][b], matrix[b][a] = -c1, -c2
+    cartan = cartan_from_matrix(matrix)
+    extra = draw(st.lists(st.integers(1, rank), max_size=3))
+    period = draw(st.permutations(list(range(1, rank + 1)) + extra))
+    lam = draw(st.one_of(st.none(), st.lists(st.integers(0, 2), min_size=rank, max_size=rank)))
+    return (
+        cartan,
+        IndexSequence(tuple(period), rank),
+        None if lam is None else weight(*lam),
+        draw(st.integers(1, 6)),
+        draw(st.sampled_from([1, 2, 3, 60])),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(descent_inputs())
+def test_generation_matches_fraction_oracle(inputs):
+    cartan, seq, lam, bound, max_rounds = inputs
+    # a small cap keeps wild data quick and exercises the unsaturated stop
+    with mock.patch.object(forms_module, "MAX_FORMS", 300):
+        expected = descent_oracle.generate(cartan, seq, lam, bound, max_rounds)
+        fs = DescentSystem(cartan, seq, lam).generate(bound, max_rounds=max_rounds)
+    assert set(fs.forms) == expected["forms"]
+    assert list(fs.trace.items()) == expected["trace"]
+    assert (fs.rounds, fs.saturated, fs.window) == (
+        expected["rounds"], expected["saturated"], expected["window"]
+    )
+    # ints unless a coefficient is non-integral, which Cartan data never make
+    assert all(
+        type(v) is int for f in fs.forms for v in (f.const, *(c for _, c in f.coeffs))
+    )
+
+
+# -- int coefficients, Fraction only when non-integral ----------------------
+
+def test_integral_values_are_stored_as_ints():
+    half = Fraction(1, 2)
+    f = F(Fraction(4, 2), {1: Fraction(6, 3), 2: half})
+    assert type(f.const) is int and f.const == 2
+    assert f.coeffs == ((1, 2), (2, half)) and type(f.coeff(1)) is int
+    assert type(f.coeff(2)) is Fraction
+    g = F(2, {1: 2, 2: half})
+    assert f == g and hash(f) == hash(g)
+    assert F(Fraction(4, 2)) == F(2) and hash(F(Fraction(4, 2))) == hash(F(2))
+    assert type(LinearForm.x(3).coeff(3)) is int and type(LinearForm.zero().const) is int
+    assert type(f.coeff(9)) is int
+
+
+def test_sums_and_scales_normalise():
+    even = F(4, {1: 2, 3: -6})
+    halved = even.scale(Fraction(1, 2))
+    assert halved == F(2, {1: 1, 3: -3})
+    assert all(type(v) is int for v in (halved.const, *(c for _, c in halved.coeffs)))
+    odd = even.scale(Fraction(1, 4))
+    assert odd.const == 1 and odd.coeff(1) == Fraction(1, 2) and type(odd.coeff(1)) is Fraction
+    total = F(0, {1: Fraction(1, 2)}) + F(Fraction(1, 2), {1: Fraction(1, 2)})
+    assert total.coeffs == ((1, 1),) and type(total.coeff(1)) is int
+    assert type(total.const) is Fraction
+    assert (F(0, {1: Fraction(1, 2)}) - F(0, {1: Fraction(1, 2)})).is_zero
+
+
+def test_rational_forms_render_and_round_trip():
+    f = F(Fraction(-3, 2), {2: Fraction(1, 2), 4: 3})
+    assert f.render() == "-3/2 + 1/2*x2 + 3*x4"
+    obj = f.to_json_obj()
+    assert obj == {"const": "-3/2", "coeffs": {"2": "1/2", "4": "3"}}
+    back = LinearForm.from_json_obj(json.loads(json.dumps(obj)))
+    assert back == f and type(back.coeff(4)) is int and type(back.coeff(2)) is Fraction
+
+
+def test_evaluate_and_member_stay_exact():
+    f = F(Fraction(-1, 3), {1: Fraction(1, 3), 2: 1})
+    assert f.evaluate({1: 1}) == 0 and f.evaluate({}) == Fraction(-1, 3)
+    fs = FormSet(forms=(f, F(1, {1: -1})), window=2)
+    assert fs.member({1: 1}) and not fs.member({})
+    assert fs.member({2: 1})
+    assert not fs.member({1: 2})
