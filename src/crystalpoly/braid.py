@@ -12,12 +12,15 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from operator import attrgetter
 
 from .cartan import rank2_cartan
-from .crystals import Letter, TensorWord, check_strict_morphism
+from .crystals import TensorWord, _letter, check_strict_morphism
 
 ALLOWED_PAIRS = {(0, 0), (1, 1), (1, 2), (2, 1), (1, 3), (3, 1)}
 _SHAPE_LEN = {0: 2, 1: 3, 2: 4, 3: 6}
+_INDEX = attrgetter("index")
+_VALUE = attrgetter("value")
 
 
 def _pos(x):
@@ -38,19 +41,30 @@ class BraidContext:
             raise ValueError("indices must be distinct")
         if (self.c1, self.c2) not in ALLOWED_PAIRS:
             raise ValueError(f"unsupported pairing profile ({self.c1}, {self.c2})")
+        # built once per context, outside the dataclass fields, so equality,
+        # hashing and repr still see only (i, j, c1, c2)
+        length = _SHAPE_LEN[self.degree]
+        object.__setattr__(self, "_input", ((self.i, self.j) * 3)[:length])
+        object.__setattr__(self, "_output", ((self.j, self.i) * 3)[:length])
+        object.__setattr__(self, "_swapped", None)
 
     @property
     def degree(self) -> int:
         return self.c1 * self.c2
 
     def swapped(self) -> "BraidContext":
-        return BraidContext(self.j, self.i, self.c2, self.c1)
+        mirror = self._swapped
+        if mirror is None:
+            mirror = BraidContext(self.j, self.i, self.c2, self.c1)
+            object.__setattr__(mirror, "_swapped", self)
+            object.__setattr__(self, "_swapped", mirror)
+        return mirror
 
     def input_pattern(self) -> tuple[int, ...]:
-        return ((self.i, self.j) * 3)[: _SHAPE_LEN[self.degree]]
+        return self._input
 
     def output_pattern(self) -> tuple[int, ...]:
-        return ((self.j, self.i) * 3)[: _SHAPE_LEN[self.degree]]
+        return self._output
 
     @classmethod
     def from_cartan(cls, cartan, i: int, j: int) -> "BraidContext":
@@ -104,15 +118,19 @@ def map_values_nested(c1: int, c2: int, vals: tuple[int, ...]) -> tuple[int, ...
 
 
 def _map_word(ctx: BraidContext, word: TensorWord, family) -> TensorWord:
-    """Rebuild `word` in the mirrored shape from `family`'s output values."""
+    """Rebuild `word` in the mirrored shape from `family`'s output values.
+
+    The output letters carry the indices of the input pattern the word has
+    just matched, so the derived word skips the index check.
+    """
     if word.unit is not None:
         raise ValueError("braid maps act on pure letter words")
-    pattern = tuple(l.index for l in word.letters)
-    if pattern != ctx.input_pattern():
-        raise ValueError(f"word pattern {pattern} does not match {ctx.input_pattern()}")
-    out = family(ctx.c1, ctx.c2, tuple(l.value for l in word.letters))
-    letters = [Letter(idx, val) for idx, val in zip(ctx.output_pattern(), out)]
-    return TensorWord(word.cartan, letters)
+    letters = word.letters
+    pattern = tuple(map(_INDEX, letters))
+    if pattern != ctx._input:
+        raise ValueError(f"word pattern {pattern} does not match {ctx._input}")
+    out = family(ctx.c1, ctx.c2, tuple(map(_VALUE, letters)))
+    return TensorWord._checked(word.cartan, tuple(map(_letter, ctx._output, out)))
 
 
 def phi(ctx: BraidContext, word: TensorWord) -> TensorWord:
@@ -178,7 +196,7 @@ def run_property_suite(c1: int, c2: int, n: int, seed: int, lo: int = -10, hi: i
 
     for _ in range(n):
         vals = tuple(rng.randint(lo, hi) for _ in range(length))
-        word = TensorWord(cartan, [Letter(idx, v) for idx, v in zip(pattern, vals)])
+        word = TensorWord._checked(cartan, tuple(map(_letter, pattern, vals)))
         image = phi(ctx, word)
         found = check_strict_morphism(strict_map, (word,), (1, 2))
         if phi_inverse(ctx, image) != word:

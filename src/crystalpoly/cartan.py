@@ -9,7 +9,7 @@ throughout the public interface.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 
 class CartanError(ValueError):
@@ -138,6 +138,11 @@ class IndexSequence:
 
     period: tuple[int, ...]
     rank: int
+    # offset tables by period slot, built once; they follow from the period,
+    # so equality, hashing and repr leave them out
+    _next: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    _prev: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    _next_of: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not self.period:
@@ -147,6 +152,26 @@ class IndexSequence:
         missing = set(range(1, self.rank + 1)) - set(self.period)
         if missing:
             raise CartanError(f"period must mention every index, missing {sorted(missing)}")
+        m = len(self.period)
+        # _next_of[i - 1][r]: distance from a position p with p % m == r to
+        # the first position beyond p carrying index i (1..m)
+        next_of = []
+        for i in range(1, self.rank + 1):
+            offsets = [0] * m
+            ahead = self.period.index(i) + m  # slot of the next i, unwrapped
+            for r in range(m - 1, -1, -1):
+                if self.period[r] == i:
+                    ahead = r
+                offsets[r] = ahead - r + 1
+            next_of.append(tuple(offsets))
+        # the next and the previous occurrence of the index at slot s
+        nxt = tuple(next_of[i - 1][(s + 1) % m] for s, i in enumerate(self.period))
+        prev = [0] * m
+        for s in range(m):
+            prev[(s + nxt[s]) % m] = nxt[s]
+        object.__setattr__(self, "_next_of", tuple(next_of))
+        object.__setattr__(self, "_next", nxt)
+        object.__setattr__(self, "_prev", tuple(prev))
 
     def __len__(self) -> int:
         return len(self.period)
@@ -159,16 +184,16 @@ class IndexSequence:
 
     def next_occurrence(self, k: int) -> int:
         """Smallest position l > k with i_l = i_k."""
-        return self.next_position_of(self.index_at(k), k)
+        if k < 1:
+            raise CartanError("positions are 1-based")
+        return k + self._next[(k - 1) % len(self.period)]
 
     def prev_occurrence(self, k: int) -> int:
         """Largest position l < k with i_l = i_k, or 0 when there is none."""
-        target = self.index_at(k)
-        # the previous occurrence, if any, lies within one period of k
-        for l in range(k - 1, max(0, k - len(self.period) - 1), -1):
-            if self.index_at(l) == target:
-                return l
-        return 0
+        if k < 1:
+            raise CartanError("positions are 1-based")
+        l = k - self._prev[(k - 1) % len(self.period)]
+        return l if l > 0 else 0
 
     def first_occurrence(self, i: int) -> int:
         """The unique position k with i_k = i and no earlier occurrence."""
@@ -178,10 +203,11 @@ class IndexSequence:
 
     def next_position_of(self, i: int, after: int) -> int:
         """First position strictly beyond `after` carrying index i."""
-        for l in range(after + 1, after + len(self.period) + 1):
-            if self.index_at(l) == i:
-                return l
-        raise AssertionError("periodicity guarantees an occurrence")
+        if after < 0:
+            raise CartanError("positions are 1-based")
+        if not 1 <= i <= self.rank:
+            raise CartanError(f"index {i} does not occur")
+        return after + self._next_of[i - 1][after % len(self.period)]
 
     def positions_of(self, i: int, stop: int) -> list[int]:
         """All positions k <= stop with i_k = i."""

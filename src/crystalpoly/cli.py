@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+from functools import cache
 
 from .braid import BraidContext, apply_at, run_property_suite
 from .cartan import CartanData, IndexSequence, Weight, an_cartan, load_cartan, rank2_cartan
@@ -373,9 +374,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser `main` uses, built on first use: parsing does not change it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (ConfigError, ValueError) as exc:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .cartan import CartanData, Weight
 
@@ -66,6 +67,13 @@ class Letter:
     value: int
 
 
+# Letters are immutable values, so the words that the operators and the braid
+# maps derive share one instance per recently used (index, value) instead of
+# building a frozen dataclass per letter.  The cache is bounded; comparing two
+# letter tuples that share instances stops at identity.
+_letter = lru_cache(maxsize=1024)(Letter)
+
+
 @dataclass(frozen=True)
 class UnitLetter:
     """The single element of the one-point crystal attached to a weight."""
@@ -89,6 +97,22 @@ class TensorWord:
             raise ValueError("unit weight rank mismatch")
         self._hash = None
         self._folds = {}  # index -> _fold result; a word never changes, so none goes stale
+
+    @classmethod
+    def _checked(cls, cartan: CartanData, letters: tuple, unit: UnitLetter | None = None):
+        """A word from a tuple of letters whose indices are known to be in range.
+
+        For words derived from a checked word: `_apply` keeps the index of
+        the letter it changes, and a braid map's output pattern has the
+        indices of the input pattern it matched.  Nothing is re-checked.
+        """
+        word = cls.__new__(cls)
+        word.cartan = cartan
+        word.letters = letters
+        word.unit = unit
+        word._hash = None
+        word._folds = {}
+        return word
 
     def __eq__(self, other):
         return (
@@ -201,9 +225,9 @@ class TensorWord:
         letter = self.letters[target]
         if letter.index != i:
             return None
-        new = Letter(i, letter.value + delta)
+        new = _letter(i, letter.value + delta)
         letters = self.letters[:target] + (new,) + self.letters[target + 1 :]
-        return TensorWord(self.cartan, letters, self.unit)
+        return TensorWord._checked(self.cartan, letters, self.unit)
 
     def f(self, i: int):
         """Lowering operator; None is the absorbing element."""

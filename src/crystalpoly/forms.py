@@ -83,10 +83,28 @@ class LinearForm:
         return self.coeffs[-1][0] if self.coeffs else 0
 
     def __add__(self, other: "LinearForm") -> "LinearForm":
-        d = dict(self.coeffs)
-        for pos, val in other.coeffs:
-            d[pos] = d.get(pos, 0) + val
-        return LinearForm.make(self.const + other.const, d)
+        # one merge of the two sorted coefficient tuples, dropping zero sums
+        a, b = self.coeffs, other.coeffs
+        na, nb = len(a), len(b)
+        out = []
+        x = y = 0
+        while x < na and y < nb:
+            pa, pb = a[x][0], b[y][0]
+            if pa < pb:
+                out.append(a[x])
+                x += 1
+            elif pb < pa:
+                out.append(b[y])
+                y += 1
+            else:
+                v = a[x][1] + b[y][1]
+                if v:
+                    out.append((pa, _exact(v)))
+                x += 1
+                y += 1
+        out += a[x:]
+        out += b[y:]
+        return LinearForm(_exact(self.const + other.const), tuple(out))
 
     def __sub__(self, other: "LinearForm") -> "LinearForm":
         return self + other.scale(-1)

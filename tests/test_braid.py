@@ -1,6 +1,8 @@
+import dataclasses
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from crystalpoly import (
     BraidContext,
@@ -18,6 +20,8 @@ from crystalpoly import (
     weight,
 )
 from crystalpoly.crystals import UnitLetter
+
+import tensor_oracle
 
 PAIRS = [(0, 0), (1, 1), (1, 2), (2, 1), (1, 3), (3, 1)]
 
@@ -91,6 +95,9 @@ def test_shape_mismatch_rejected():
     short = TensorWord(cartan, [Letter(1, 0), Letter(2, 0)])
     with pytest.raises(ValueError):
         phi(ctx, short)
+    letters = [Letter(1, 0), Letter(2, 0), Letter(1, 0)]
+    with pytest.raises(ValueError, match="pure letter"):
+        phi(ctx, TensorWord(cartan, letters, UnitLetter(weight(1, 0))))
 
 
 def test_involution_fuzz():
@@ -200,3 +207,75 @@ def test_apply_at_validates_window():
         apply_at(ctx, w, (2, 3, 4))
     with pytest.raises(ValueError):
         apply_at(ctx, w, (1, 2))
+
+
+# -- words built by the fast paths ------------------------------------------
+
+def rebuilt(word):
+    """The same word through the public, checking constructor."""
+    pairs = [(l.index, l.value) for l in word.letters]
+    return TensorWord(word.cartan, [Letter(i, v) for i, v in pairs], word.unit)
+
+
+def assert_like_public(word):
+    ref = rebuilt(word)
+    assert type(word.letters) is tuple and all(type(l) is Letter for l in word.letters)
+    assert word == ref and ref == word and hash(word) == hash(ref)
+    for i in (1, 2):
+        assert word._fold(i) == ref._fold(i)
+        assert word.eps_phi_wt(i) == tensor_oracle.eps_phi_wt(ref, i)
+        assert word.f(i) == tensor_oracle.f(ref, i) and word.e(i) == tensor_oracle.e(ref, i)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(PAIRS), st.data())
+def test_fast_word_paths_match_public_constructor(pair, data):
+    c1, c2 = pair
+    length = len(BraidContext(1, 2, c1, c2).input_pattern())
+    vals = data.draw(st.lists(st.integers(-6, 6), min_size=length, max_size=length))
+    lam = data.draw(st.tuples(st.integers(0, 3), st.integers(0, 3)))
+    ctx, w = make_word(c1, c2, vals)
+    image = phi(ctx, w)
+    derived = [image, phi_inverse(ctx, image), phi(ctx.swapped(), image)]
+    if ctx.degree == 3:
+        derived.append(phi3_alt(ctx, w))
+    with_unit = TensorWord(w.cartan, w.letters, UnitLetter(weight(*lam)))
+    for word in (w, image, with_unit):
+        for i in (1, 2):
+            derived += [word.f(i), word.e(i)]
+    for word in derived:
+        if word is not None:
+            assert_like_public(word)
+    assert derived[1] == w
+
+
+def test_public_constructor_checks_letter_indices():
+    cartan = rank2_cartan(1, 1)
+    for index in (0, 3):
+        with pytest.raises(ValueError, match="out of range"):
+            TensorWord(cartan, [Letter(1, 0), Letter(index, 0)])
+
+
+def test_letters_stay_immutable_values():
+    ctx, w = make_word(1, 2, (0, -1, 2, 1))
+    shared = phi(ctx, w).letters[0]  # a letter of a derived word
+    for letter in (Letter(1, 2), shared):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            letter.value = 5
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            letter.index = 1
+    assert Letter(1, 2) != (1, 2) and (1, 2) != Letter(1, 2)
+    twin = Letter(shared.index, shared.value)
+    assert twin == shared and hash(twin) == hash(shared) and twin != (shared.index, shared.value)
+    assert repr(Letter(1, 2)) == "Letter(index=1, value=2)"
+
+
+def test_context_patterns_are_built_once():
+    ctx = BraidContext(1, 2, 1, 3)
+    assert ctx.input_pattern() is ctx.input_pattern() == (1, 2, 1, 2, 1, 2)
+    assert ctx.output_pattern() == (2, 1, 2, 1, 2, 1)
+    mirror = ctx.swapped()
+    assert mirror is ctx.swapped() and mirror.swapped() is ctx
+    assert mirror == BraidContext(2, 1, 3, 1) and hash(mirror) == hash(BraidContext(2, 1, 3, 1))
+    assert repr(ctx) == "BraidContext(i=1, j=2, c1=1, c2=3)"
+    assert ctx == BraidContext(1, 2, 1, 3) and dataclasses.replace(ctx, c1=3, c2=1).degree == 3

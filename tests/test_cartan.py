@@ -4,24 +4,11 @@ from hypothesis import given, strategies as st
 from crystalpoly import CartanData, CartanError, IndexSequence, cartan_from_matrix, weight
 from crystalpoly.cartan import an_cartan, rank2_cartan
 
+import sequence_oracle
+
 
 A3_WORD = IndexSequence((1, 2, 3, 2, 1, 2), 3)  # ..212321 read right to left
 RANK2 = IndexSequence((1, 2), 2)
-
-
-def naive_next(seq, k):
-    """Scan oracle: first position above k carrying the same index."""
-    l = k + 1
-    while seq.index_at(l) != seq.index_at(k):
-        l += 1
-    return l
-
-
-def naive_prev(seq, k):
-    for l in range(k - 1, 0, -1):
-        if seq.index_at(l) == seq.index_at(k):
-            return l
-    return 0
 
 
 def test_cartan_validation():
@@ -95,10 +82,21 @@ def sequences(draw):
     return IndexSequence(tuple(period), rank)
 
 
-@given(sequences(), st.integers(1, 40))
-def test_occurrences_match_scan_oracle(seq, k):
-    assert seq.next_occurrence(k) == naive_next(seq, k)
-    assert seq.prev_occurrence(k) == naive_prev(seq, k)
+@given(sequences(), st.data())
+def test_occurrences_match_scan_oracle(seq, data):
+    top = 5 * len(seq)
+    k = data.draw(st.integers(1, top))
+    assert seq.next_occurrence(k) == sequence_oracle.next_occurrence(seq, k)
+    assert seq.prev_occurrence(k) == sequence_oracle.prev_occurrence(seq, k)
+    after = data.draw(st.integers(0, top))
+    for i in range(1, seq.rank + 1):
+        assert seq.next_position_of(i, after) == sequence_oracle.next_position_of(seq, i, after)
+    bad = data.draw(st.integers(-top, 0))
+    for lookup in (seq.index_at, seq.next_occurrence, seq.prev_occurrence):
+        with pytest.raises(CartanError):
+            lookup(bad)
+    with pytest.raises(CartanError):
+        seq.next_position_of(1, bad - 1)
 
 
 @given(sequences(), st.integers(1, 40))
@@ -109,6 +107,12 @@ def test_occurrence_roundtrips(seq, k):
     if km > 0:
         assert seq.next_occurrence(km) == k
     assert kp - k <= len(seq)
+
+
+def test_offset_tables_stay_out_of_equality():
+    assert IndexSequence((1, 2, 1), 2) == IndexSequence((1, 2, 1), 2)
+    assert hash(IndexSequence((1, 2, 1), 2)) == hash(IndexSequence((1, 2, 1), 2))
+    assert repr(RANK2) == "IndexSequence(period=(1, 2), rank=2)"
 
 
 @given(sequences())

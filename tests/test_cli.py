@@ -484,3 +484,41 @@ def test_weight_seeds_inside_window(capsys):
     assert code == 0 and out.startswith("forms: 6  window: 3  saturated: True")
     code, out, _ = run(capsys, "verify", *base, "--depth", "1")
     assert code == 0 and out.strip() == "equal: 3 elements (depth 1)"
+
+
+REUSE_SEQUENCE = [
+    ("graph", "--builtin", "a2", "--lambda", "1,1", "--depth", "3"),
+    ("inequalities", "--builtin", "a3", "--lambda", "1,0,1"),
+    ("verify", "--builtin", "a3", "--iota", "1 2 3 2 1 2", "--lambda", "0,1,0", "--depth", "6"),
+    ("braid", "--fuzz", "--c1", "1", "--c2", "3", "--n", "40", "--seed", "7"),
+    ("verify", "--builtin", "a2", "--lambda", "1,1", "--depth", "x"),  # argparse error
+    ("graph", "--builtin", "a2", "--binf", "--depth", "2", "--format", "json"),
+]
+
+
+def run_catching_exit(capsys, argv):
+    try:
+        code = ("return", main(list(argv)))
+    except SystemExit as exc:
+        code = ("exit", exc.code)
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+def test_main_reuses_one_parser(capsys):
+    import crystalpoly.cli as cli
+
+    cli._parser.cache_clear()
+    reused = [run_catching_exit(capsys, argv) for argv in REUSE_SEQUENCE]
+    parser = cli._parser()
+    assert cli._parser() is parser  # the sequence above ran on this one parser
+    fresh = []
+    for argv in REUSE_SEQUENCE:
+        cli._parser.cache_clear()
+        fresh.append(run_catching_exit(capsys, argv))
+        assert cli._parser() is not parser
+    assert reused == fresh
+    assert [code for code, _, _ in reused] == [
+        ("return", 0), ("return", 0), ("return", 4), ("return", 0), ("exit", 2), ("return", 0),
+    ]
+    assert "invalid int value: 'x'" in reused[4][2]

@@ -408,3 +408,31 @@ def test_evaluate_and_member_stay_exact():
     assert fs.member({1: 1}) and not fs.member({})
     assert fs.member({2: 1})
     assert not fs.member({1: 2})
+
+
+def dict_add(f, g):
+    """The sum through a dict and `make`, as `__add__` computed it before the merge."""
+    d = dict(f.coeffs)
+    for pos, val in g.coeffs:
+        d[pos] = d.get(pos, 0) + val
+    return LinearForm.make(f.const + g.const, d)
+
+
+exact_values = st.one_of(
+    st.integers(-4, 4),
+    st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 2, 3, 4])),
+)
+made_forms = st.builds(
+    F, exact_values, st.dictionaries(st.integers(1, 9), exact_values, max_size=6)
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(made_forms, made_forms)
+def test_sorted_merge_add_matches_dict_version(f, g):
+    for h in (g, g.scale(-1), f.scale(-1)):
+        total, ref = f + h, dict_add(f, h)
+        assert total == ref and hash(total) == hash(ref)
+        # normalised like `make`: sorted, no zero coefficient, an int unless non-integral
+        assert type(total.const) is type(ref.const)
+        assert [(p, type(v)) for p, v in total.coeffs] == [(p, type(v)) for p, v in ref.coeffs]
