@@ -140,9 +140,8 @@ class IndexSequence:
     rank: int
     # offset tables by period slot, built once; they follow from the period,
     # so equality, hashing and repr leave them out
-    _next: tuple[int, ...] = field(init=False, compare=False, repr=False)
-    _prev: tuple[int, ...] = field(init=False, compare=False, repr=False)
     _next_of: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
+    _last_of: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not self.period:
@@ -155,7 +154,9 @@ class IndexSequence:
         m = len(self.period)
         # _next_of[i - 1][r]: distance from a position p with p % m == r to
         # the first position beyond p carrying index i (1..m)
-        next_of = []
+        # _last_of[i - 1][r]: distance from a position p with p % m == r
+        # back to the last position up to p carrying index i (0..m-1)
+        next_of, last_of = [], []
         for i in range(1, self.rank + 1):
             offsets = [0] * m
             ahead = self.period.index(i) + m  # slot of the next i, unwrapped
@@ -164,14 +165,14 @@ class IndexSequence:
                     ahead = r
                 offsets[r] = ahead - r + 1
             next_of.append(tuple(offsets))
-        # the next and the previous occurrence of the index at slot s
-        nxt = tuple(next_of[i - 1][(s + 1) % m] for s, i in enumerate(self.period))
-        prev = [0] * m
-        for s in range(m):
-            prev[(s + nxt[s]) % m] = nxt[s]
+            behind = -1 - self.period[::-1].index(i)  # slot of the last i, one period back
+            for s in range(m):  # position p at slot s has p % m == (s + 1) % m
+                if self.period[s] == i:
+                    behind = s
+                offsets[(s + 1) % m] = s - behind
+            last_of.append(tuple(offsets))
         object.__setattr__(self, "_next_of", tuple(next_of))
-        object.__setattr__(self, "_next", nxt)
-        object.__setattr__(self, "_prev", tuple(prev))
+        object.__setattr__(self, "_last_of", tuple(last_of))
 
     def __len__(self) -> int:
         return len(self.period)
@@ -186,13 +187,15 @@ class IndexSequence:
         """Smallest position l > k with i_l = i_k."""
         if k < 1:
             raise CartanError("positions are 1-based")
-        return k + self._next[(k - 1) % len(self.period)]
+        m = len(self.period)
+        return k + self._next_of[self.period[(k - 1) % m] - 1][k % m]
 
     def prev_occurrence(self, k: int) -> int:
         """Largest position l < k with i_l = i_k, or 0 when there is none."""
         if k < 1:
             raise CartanError("positions are 1-based")
-        l = k - self._prev[(k - 1) % len(self.period)]
+        s = (k - 1) % len(self.period)
+        l = k - 1 - self._last_of[self.period[s] - 1][s]
         return l if l > 0 else 0
 
     def first_occurrence(self, i: int) -> int:

@@ -16,47 +16,7 @@ from functools import lru_cache
 from .cartan import CartanData, Weight
 
 
-class _NegInf:
-    """Formal minus infinity: absorbing under +/-, below every integer."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __add__(self, other):
-        return self
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self
-
-    def __lt__(self, other):
-        return other is not self
-
-    def __le__(self, other):
-        return True
-
-    def __gt__(self, other):
-        return False
-
-    def __ge__(self, other):
-        return other is self
-
-    def __eq__(self, other):
-        return other is self
-
-    def __hash__(self):
-        return hash("-inf")
-
-    def __repr__(self):
-        return "-inf"
-
-
-NEG_INF = _NegInf()
+NEG_INF = float("-inf")  # eps and phi of a word with no letter of the index
 
 
 @dataclass(frozen=True)
@@ -158,7 +118,7 @@ class TensorWord:
         letter of another index has eps = phi = -inf and only moves the
         weight; a target on it makes `_apply` return 0, as does the default
         target when no factor has index i.  None is -inf inside the loop and
-        the NEG_INF singleton is returned.
+        NEG_INF is returned.
         """
         kept = self._folds.get(i)
         if kept is not None:
@@ -371,13 +331,13 @@ def check_crystal_axioms(cartan, elements, indices, *, eps, phi, weight, f, e) -
         for i in indices:
             ev = eps(b, i)
             pv = phi(b, i)
-            if (ev is NEG_INF) != (pv is NEG_INF):
+            if (ev == NEG_INF) != (pv == NEG_INF):
                 bad("eps-phi-finiteness", b, i)
-            elif ev is not NEG_INF and pv != ev + wb[i - 1]:
+            elif ev != NEG_INF and pv != ev + wb[i - 1]:
                 bad("phi=eps+wt", b, i, f"phi={pv} eps={ev} wtp={wb[i - 1]}")
             fb = f(b, i)
             eb = e(b, i)
-            if ev is NEG_INF and (fb is not None or eb is not None):
+            if ev == NEG_INF and (fb is not None or eb is not None):
                 bad("neginf-kills", b, i)
             if fb is not None:
                 wf = weight(fb)

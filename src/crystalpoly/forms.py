@@ -314,7 +314,7 @@ class FormSet:
         if isinstance(x, ZVector):
             if x.max_pos > self.window:
                 raise ValueError("vector support exceeds the system window")
-            x = x.as_dict()
+            x = dict(x.coords)
         elif isinstance(x, dict):
             if any(k > self.window and v for k, v in x.items()):
                 raise ValueError("vector support exceeds the system window")

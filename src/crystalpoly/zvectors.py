@@ -12,7 +12,7 @@ inequality systems are checked against.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .cartan import CartanData, IndexSequence, Weight
@@ -21,12 +21,33 @@ from .crystals import CrystalGraph, Letter, TensorWord, UnitLetter, bfs_graph
 BINF = "binf"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class ZVector:
     """Finitely supported integer vector plus the structure it lives in."""
 
-    coords: tuple[tuple[int, int], ...]  # sorted (position, value), values nonzero
+    coords: tuple[tuple[int, int], ...]  # sorted (position >= 1, value), values nonzero
     mode: object = BINF  # BINF or a Weight
+    # hash((coords, mode)), computed on first use
+    _hash: int | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __init__(self, coords: tuple[tuple[int, int], ...], mode=BINF):
+        _set_coords(self, coords)
+        _set_mode(self, mode)
+        _set_hash(self, None)
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not ZVector:
+            return NotImplemented
+        return self.coords == other.coords and (self.mode is other.mode or self.mode == other.mode)
+
+    def __hash__(self):
+        h = self._hash
+        if h is None:
+            h = hash((self.coords, self.mode))
+            _set_hash(self, h)
+        return h
 
     def get(self, k: int) -> int:
         for pos, val in self.coords:
@@ -45,9 +66,6 @@ class ZVector:
     @property
     def total(self) -> int:
         return sum(val for _, val in self.coords)
-
-    def as_dict(self) -> dict[int, int]:
-        return dict(self.coords)
 
     def bumped(self, k: int, delta: int) -> "ZVector":
         """x_k += delta, splicing the sorted coords; a coordinate that reaches 0 drops."""
@@ -81,7 +99,14 @@ class ZVector:
 
     @classmethod
     def from_dict(cls, d: dict[int, int], mode=BINF) -> "ZVector":
+        if any(k < 1 for k in d):
+            raise ValueError("positions are 1-based")
         return cls(tuple(sorted((k, v) for k, v in d.items() if v)), mode)
+
+
+# the slot descriptors fill a frozen instance without going through its __setattr__
+_set_coords, _set_mode, _set_hash = (
+    ZVector.coords.__set__, ZVector.mode.__set__, ZVector._hash.__set__)
 
 
 class MSet(NamedTuple):
@@ -101,22 +126,24 @@ class SequenceCrystal:
         self.cartan = cartan
         self.seq = seq
         self.lam = lam
-        # one pairing column (<h_1, alpha_{i_k}>, .., <h_r, alpha_{i_k}>) per period slot
-        self._columns = tuple(
-            tuple(cartan.a(j, ik) for j in cartan.indices) for ik in seq.period
-        )
+        self.mode = BINF if lam is None else lam
+        # <h_i, alpha_{i_k}> for every index i (rows) and period slot k (columns)
+        pairs = tuple(tuple(row[ik - 1] for ik in seq.period) for row in cartan.matrix)
+        self._columns = tuple(zip(*pairs))
+        # per index i: its pairings per slot, the offsets from p to the first
+        # position of index i after p and to the last one up to p, and lambda_i
+        lams = (0,) * cartan.rank if lam is None else lam.coeffs
+        self._per_index = tuple(zip(pairs, seq._next_of, seq._last_of, lams))
         self._last_scan = None  # (vector, i, result) of the latest _scan
-
-    @property
-    def mode(self):
-        return BINF if self.lam is None else self.lam
 
     def zero(self) -> ZVector:
         return ZVector((), self.mode)
 
     def _check(self, x: ZVector):
-        if x.mode != self.mode:
+        if x.mode is not self.mode and x.mode != self.mode:
             raise ValueError("vector mode does not match this crystal")
+        if x.coords and x.coords[0][0] < 1:
+            raise ValueError("positions are 1-based")
 
     def sigma(self, x: ZVector, k: int) -> int:
         """x_k plus the pairing-weighted tail sum over positions above k."""
@@ -127,14 +154,16 @@ class SequenceCrystal:
                 total += self.cartan.a(ik, self.seq.index_at(pos)) * val
         return total
 
-    def _scan(self, x: ZVector, i: int) -> tuple[MSet, int]:
-        """m_set(x, i) and sigma_0 from one pass over the positions top .. 1.
+    def _scan(self, x: ZVector, i: int) -> tuple[int, int, int | None, int]:
+        """(sigma, min_pos, max_pos) of m_set(x, i) and sigma_0, one pass over the support.
 
         sigma(x, k) is x_k plus the running pairing-weighted sum over the
         positions above k; over all positions that sum is sigma_0 + lambda_i,
         lambda_i read as 0 in free mode, so <h_i, wt x> = -sigma_0 in both.
-        Beyond the support every sigma is 0, so the max is >= 0; max_pos=None
-        flags the infinite attaining set of a max of 0.
+        In a run of zero coordinates every position of index i has sigma
+        equal to that sum, so only the lowest and the highest one count.
+        Beyond the support every sigma is 0, so the max is >= 0;
+        max_pos=None flags the infinite attaining set of a max of 0.
 
         The latest result is kept with its vector, so the operators and
         statistics asked about the same (x, i) in a row share one pass; the
@@ -145,26 +174,36 @@ class SequenceCrystal:
             return last[2]
         self._check(x)
         period = self.seq.period
-        row = self.cartan.matrix[i - 1]
-        values = x.as_dict()
-        top = x.max_pos
-        tail = 0
-        best = 0
+        m = len(period)
+        pairs, next_of, last_of, lam_i = self._per_index[i - 1]
+        tail = best = upper = 0  # upper: the coordinate visited last, 0 above the top
         lo = hi = None
-        for k in range(top, 0, -1):
-            ik = period[(k - 1) % len(period)]
-            v = values.get(k, 0)
-            if ik == i:
+        for pos, v in reversed(x.coords):
+            first = pos + next_of[pos % m]
+            if first < upper:  # the zero run strictly between pos and upper
+                if tail > best:
+                    best, lo, hi = tail, first, upper - 1 - last_of[slot]  # slot of upper
+                elif tail == best:
+                    lo = first
+            slot = (pos - 1) % m
+            if period[slot] == i:
                 s = v + tail
                 if s > best:
-                    best, lo, hi = s, k, k
+                    best, lo, hi = s, pos, pos
                 elif s == best:
-                    lo = k
-            tail += row[ik - 1] * v
-        if lo is None:  # no position up to top attains the max 0
-            lo = self.seq.next_position_of(i, top)
-        sigma_0 = tail - (self.lam.pairing(i) if self.lam is not None else 0)
-        result = MSet(best, lo, hi), sigma_0
+                    lo = pos
+            tail += pairs[slot] * v
+            upper = pos
+        first = next_of[0]
+        if first < upper:  # the zero run below the lowest coordinate
+            if tail > best:
+                best, lo, hi = tail, first, upper - 1 - last_of[slot]
+            elif tail == best:
+                lo = first
+        if lo is None:  # no position up to the top attains the max 0
+            top = x.max_pos
+            lo = top + next_of[top % m]
+        result = best, lo, hi, tail - lam_i
         self._last_scan = (x, i, result)
         return result
 
@@ -172,27 +211,25 @@ class SequenceCrystal:
         """Affine companion of sigma carrying the highest-weight data."""
         if self.lam is None:
             raise ValueError("sigma_0 is only defined in highest-weight mode")
-        return self._scan(x, i)[1]
+        return self._scan(x, i)[3]
 
     def m_set(self, x: ZVector, i: int) -> MSet:
         """Max of sigma over positions of index i, with arg-min and arg-max."""
-        return self._scan(x, i)[0]
+        return MSet(*self._scan(x, i)[:3])
 
     def f(self, x: ZVector, i: int) -> ZVector | None:
         """Lowering: add 1 at the first position attaining the sigma max."""
-        ms, sigma_0 = self._scan(x, i)
-        if self.lam is not None and not ms.sigma > sigma_0:
+        best, lo, _, sigma_0 = self._scan(x, i)
+        if self.lam is not None and best <= sigma_0:
             return None
-        return x.bumped(ms.min_pos, +1)
+        return x.bumped(lo, +1)
 
     def e(self, x: ZVector, i: int) -> ZVector | None:
         """Raising: subtract 1 at the last position attaining the sigma max."""
-        ms, sigma_0 = self._scan(x, i)
-        if ms.sigma <= 0:
+        best, _, hi, sigma_0 = self._scan(x, i)
+        if best <= 0 or self.lam is not None and best < sigma_0:
             return None
-        if self.lam is not None and not ms.sigma >= sigma_0:
-            return None
-        return x.bumped(ms.max_pos, -1)
+        return x.bumped(hi, -1)
 
     def weight_pairings(self, x: ZVector) -> tuple[int, ...]:
         """<h_j, wt(x)> for every j, with wt = lambda minus the step roots."""
@@ -204,12 +241,12 @@ class SequenceCrystal:
         return tuple(out)
 
     def epsilon(self, x: ZVector, i: int) -> int:
-        ms, sigma_0 = self._scan(x, i)
-        return ms.sigma if self.lam is None else max(ms.sigma, sigma_0)
+        best, _, _, sigma_0 = self._scan(x, i)
+        return best if self.lam is None or best >= sigma_0 else sigma_0
 
     def phi(self, x: ZVector, i: int) -> int:
-        ms, sigma_0 = self._scan(x, i)
-        return (ms.sigma if self.lam is None else max(ms.sigma, sigma_0)) - sigma_0
+        best, _, _, sigma_0 = self._scan(x, i)
+        return (best if self.lam is None or best >= sigma_0 else sigma_0) - sigma_0
 
     def wt_eps_phi(self, x: ZVector):
         wt = self.weight_pairings(x)

@@ -99,6 +99,20 @@ def test_occurrences_match_scan_oracle(seq, data):
         seq.next_position_of(1, bad - 1)
 
 
+@given(sequences(), st.data())
+def test_last_occurrence_table_matches_positions_of(seq, data):
+    m = len(seq)
+    p = data.draw(st.integers(0, 5 * m))
+    for i in range(1, seq.rank + 1):
+        back = seq._last_of[i - 1][p % m]
+        assert 0 <= back < m
+        below = seq.positions_of(i, p)
+        if below:
+            assert p - back == below[-1]
+        else:  # the last i of the period before position 1
+            assert p - back == seq.positions_of(i, m)[-1] - m
+
+
 @given(sequences(), st.integers(1, 40))
 def test_occurrence_roundtrips(seq, k):
     kp = seq.next_occurrence(k)

@@ -448,6 +448,18 @@ def test_braid_map_set_malformed(tmp_path, capsys, content):
     assert code == 2 and err.startswith("config error: malformed --map-set contents:")
 
 
+def test_braid_map_set_position_zero_is_a_config_error(tmp_path, capsys):
+    # x0 is not a coordinate; it used to be dropped and the image of x2=1 printed
+    src = tmp_path / "im.json"
+    src.write_text(json.dumps([{"coords": {"0": 5, "2": 1}}]))
+    code, out, err = run(
+        capsys, "braid", "--builtin", "a2", "--iota", "1 2", "--window", "1 2 3",
+        "--map-set", str(src),
+    )
+    assert (code, out) == (2, "")
+    assert err.strip() == "config error: positions are 1-based"
+
+
 def test_braid_index_out_of_range(capsys):
     code, _, err = run(
         capsys, "braid", "--builtin", "a2", "--i", "1", "--j", "3", "--map-set", "f",

@@ -42,6 +42,16 @@ GOLDEN = [
      "24bcf3a64b4a05792499cfa51d0668819de48fad49717a4864cb8f046e47865e"),
     (("verify", "--builtin", "g2", "--lambda", "1,1", "--depth", "8", "--method", "rank2"), 0,
      "fa473e3f9b6388a8e86cd2f0e54908a851231df31ee3bdc089709a4521c53218"),
+    (("graph", "--builtin", "a4", "--binf", "--depth", "6"), 0,
+     "441c414b875542a528c6207df538f05a1bf31bf728b28cca18f7c39479f0623e"),
+    (("graph", "--builtin", "a3", "--binf", "--depth", "4", "--format", "json"), 0,
+     "13350ca1b9773a5ee5c5885a799ccba53ea62bc7e581b6b5cf6f55c21ce60252"),
+    (("graph", "--builtin", "a4", "--lambda", "1,0,1,0", "--depth", "6"), 0,
+     "2a82165be70ff6ae73c229b13f92e779794de46f93c34b3fa5693111241dcbd8"),
+    (("graph", *IOTA0, "--lambda", "0,1,0", "--depth", "6", "--format", "dot"), 0,
+     "ece63094281dddce6f125812e52c40fb56f3234e89ad530f6012b62e46a6181a"),
+    (("graph", "--builtin", "a1tilde", "--binf", "--depth", "5"), 0,
+     "f5e2e9f6cd9cab160575d01e328bf82f60ab03c7d648c6c7c01b02886c683bad"),
 ]
 
 

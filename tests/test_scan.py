@@ -9,6 +9,7 @@ from crystalpoly import IndexSequence, SequenceCrystal, ZVector, get_builtin, we
 import scan_oracle
 
 A3 = get_builtin("a3")
+A4 = get_builtin("a4")
 A1T = get_builtin("a1tilde")
 G2 = get_builtin("g2")  # <h_2, alpha_1> = -3
 CASES = {
@@ -19,15 +20,27 @@ CASES = {
 
 
 @st.composite
-def crystal_and_vector(draw, name):
-    cartan, seq = CASES[name]
+def crystal_and_vector(draw, case, top=12, values=st.integers(-3, 4), max_size=8):
+    cartan, seq = case
     lam = None
     if draw(st.booleans()):
         lam = weight(*draw(st.lists(st.integers(0, 3), min_size=cartan.rank,
                                     max_size=cartan.rank)))
     crystal = SequenceCrystal(cartan, seq, lam)
-    coords = draw(st.dictionaries(st.integers(1, 12), st.integers(-3, 4), max_size=8))
+    coords = draw(st.dictionaries(st.integers(1, top), values, max_size=max_size))
     return crystal, ZVector.from_dict(coords, crystal.mode)
+
+
+def _assert_matches_oracle(crystal, x):
+    for i in crystal.cartan.indices:
+        assert crystal.m_set(x, i) == scan_oracle.m_set(crystal, x, i)
+        if crystal.lam is not None:
+            assert crystal.sigma_0(x, i) == scan_oracle.sigma_0(crystal, x, i)
+        assert crystal.f(x, i) == scan_oracle.f(crystal, x, i)
+        assert crystal.e(x, i) == scan_oracle.e(crystal, x, i)
+        assert crystal.epsilon(x, i) == scan_oracle.epsilon(crystal, x, i)
+        assert crystal.phi(x, i) == scan_oracle.phi(crystal, x, i)
+    assert crystal.weight_pairings(x) == scan_oracle.weight_pairings(crystal, x)
 
 
 def test_g2_case_has_pairing_minus_three():
@@ -38,16 +51,25 @@ def test_g2_case_has_pairing_minus_three():
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_scan_statistics_match_per_position_oracle(name, data):
-    crystal, x = data.draw(crystal_and_vector(name))
-    for i in crystal.cartan.indices:
-        assert crystal.m_set(x, i) == scan_oracle.m_set(crystal, x, i)
-        if crystal.lam is not None:
-            assert crystal.sigma_0(x, i) == scan_oracle.sigma_0(crystal, x, i)
-        assert crystal.f(x, i) == scan_oracle.f(crystal, x, i)
-        assert crystal.e(x, i) == scan_oracle.e(crystal, x, i)
-        assert crystal.epsilon(x, i) == scan_oracle.epsilon(crystal, x, i)
-        assert crystal.phi(x, i) == scan_oracle.phi(crystal, x, i)
-    assert crystal.weight_pairings(x) == scan_oracle.weight_pairings(crystal, x)
+    _assert_matches_oracle(*data.draw(crystal_and_vector(CASES[name])))
+
+
+SPARSE = {
+    "a3-iota0": CASES["a3-iota0"],
+    "a4": (A4.cartan, A4.iota),
+    "a1tilde": CASES["a1tilde"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(SPARSE))
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_sparse_vectors_match_per_position_oracle(name, data):
+    """At most five nonzero coordinates up to position 60: runs of zero
+    coordinates span several periods, so the scan reads both ends of a run
+    from the offset tables."""
+    _assert_matches_oracle(*data.draw(crystal_and_vector(
+        SPARSE[name], top=60, values=st.integers(-4, 4), max_size=5)))
 
 
 @settings(max_examples=300, deadline=None)

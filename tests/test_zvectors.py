@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -230,6 +232,41 @@ def test_json_roundtrip():
     y = vec(free, x2=5)
     assert ZVector.from_json_obj(y.to_json_obj()) == y
     assert y.to_json_obj()["mode"] == "binf"
+
+
+@pytest.mark.parametrize("coords", [{0: 5, 2: 1}, {-3: 1}, {0: 0, 1: 2}])
+def test_positions_below_one_are_refused(coords):
+    with pytest.raises(ValueError, match="1-based"):
+        ZVector.from_dict(coords)
+    obj = {"coords": {str(k): v for k, v in coords.items()}, "mode": "binf"}
+    with pytest.raises(ValueError, match="1-based"):
+        ZVector.from_json_obj(obj)
+
+
+@pytest.mark.parametrize("lam", [None, weight(1, 0)])
+def test_crystal_refuses_a_vector_below_position_one(lam):
+    crystal = SequenceCrystal(A2.cartan, A2.iota, lam)
+    x = ZVector(((0, 5), (2, 1)), crystal.mode)  # built around from_dict's check
+    for op in (crystal.f, crystal.e, crystal.epsilon, crystal.phi, crystal.m_set):
+        with pytest.raises(ValueError, match="1-based"):
+            op(x, 1)
+    with pytest.raises(ValueError, match="1-based"):
+        crystal.to_tensor_word(x, 3)
+
+
+def test_vectors_are_slotted_frozen_values_with_a_kept_hash():
+    lam = weight(1, 0)
+    x = ZVector(((1, 2), (4, -1)), lam)
+    assert not hasattr(x, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        x.coords = ()
+    assert hash(x) == hash((((1, 2), (4, -1)), lam)) == x._hash
+    twin = ZVector(((1, 2), (4, -1)), weight(1, 0))  # equal mode, another object
+    assert x == twin and hash(x) == hash(twin) and not x != twin
+    assert x != ZVector(((1, 2), (4, -1))) and x != ZVector(((1, 2),), lam)
+    assert x != x.coords and ZVector(()) != ()
+    assert repr(x) == "ZVector(x1=2,x4=-1)"
+    assert dataclasses.replace(x, coords=((3, 1),)) == ZVector(((3, 1),), lam)
 
 
 def test_bfs_enumerates_small_representation():
