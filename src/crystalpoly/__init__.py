@@ -17,13 +17,10 @@ from .cartan import (
     IndexSequence,
     Weight,
     cartan_from_matrix,
-    load_cartan,
     rank2_cartan,
     weight,
 )
 from .closed_forms import (
-    Builtin,
-    TruncationReport,
     a_prime,
     a_sequence,
     an_flat,
@@ -36,7 +33,6 @@ from .closed_forms import (
 )
 from .crystals import (
     NEG_INF,
-    CrystalGraph,
     Letter,
     TensorWord,
     UnitLetter,
@@ -44,21 +40,17 @@ from .crystals import (
     check_strict_morphism,
     connected_component,
 )
-from .forms import DescentSystem, FormSet, GenerationError, LinearForm
-from .zvectors import BINF, MSet, SequenceCrystal, ZVector
+from .forms import DescentSystem, FormSet, LinearForm
+from .zvectors import MSet, SequenceCrystal, ZVector
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BINF",
     "BraidContext",
-    "Builtin",
     "CartanData",
     "CartanError",
-    "CrystalGraph",
     "DescentSystem",
     "FormSet",
-    "GenerationError",
     "IndexSequence",
     "Letter",
     "LinearForm",
@@ -66,7 +58,6 @@ __all__ = [
     "NEG_INF",
     "SequenceCrystal",
     "TensorWord",
-    "TruncationReport",
     "UnitLetter",
     "Weight",
     "ZVector",
@@ -82,7 +73,6 @@ __all__ = [
     "connected_component",
     "get_builtin",
     "l_max",
-    "load_cartan",
     "map_values",
     "map_values_nested",
     "phi",

@@ -18,7 +18,7 @@ from .cartan import CartanData, IndexSequence, Weight, an_cartan, load_cartan, r
 from .closed_forms import an_system, get_builtin, rank2_system
 from .crystals import TensorWord, check_crystal_axioms
 from .forms import MAX_FORMS, DescentSystem
-from .zvectors import BINF, SequenceCrystal, ZVector
+from .zvectors import SequenceCrystal, ZVector
 
 BUILTIN_DIR_ENV = "CRYSTALPOLY_BUILTIN_DIR"
 
@@ -97,16 +97,7 @@ def cmd_graph(args) -> int:
         raise ConfigError("--depth must be >= 0")
     crystal = SequenceCrystal(cartan, seq, lam)
     graph = crystal.bfs(args.depth)
-    bad = check_crystal_axioms(
-        cartan,
-        graph.nodes,
-        cartan.indices,
-        eps=crystal.epsilon,
-        phi=crystal.phi,
-        weight=crystal.weight_pairings,
-        f=crystal.f,
-        e=crystal.e,
-    )
+    bad = check_crystal_axioms(crystal, graph.nodes)
     if bad:
         print(f"internal inconsistency: {bad[0]}", file=sys.stderr)
         return 1
@@ -199,7 +190,8 @@ def cmd_verify(args) -> int:
     if args.method == "generate" and args.support_bound is not None and args.support_bound < floor:
         raise ConfigError("--support-bound must be at least max(depth, 1)")
     longest = builtin.longest_len if builtin else None
-    bfs_nodes = SequenceCrystal(cartan, seq, lam).bfs(args.depth).node_set()
+    graph = SequenceCrystal(cartan, seq, lam).bfs(args.depth)
+    bfs_nodes = graph.node_set()
     bound = max(floor, longest or 0)
     if args.method == "generate" and args.support_bound is None:
         # raise the default bound only as far as the smallest whose window covers the BFS
@@ -211,7 +203,8 @@ def cmd_verify(args) -> int:
     if not system.saturated:  # only generation stops early; closed forms are complete
         print("generation did not saturate; verification would be unsound")
         return 3
-    over = [n for n in bfs_nodes if n.max_pos > system.window]
+    # in BFS order, so the node named does not depend on set iteration (vector hashes)
+    over = [n for n in graph.nodes if n.max_pos > system.window]
     if over:
         print(f"BFS leaves the window: {over[0].label()} beyond {system.window}")
         return 4
@@ -301,14 +294,13 @@ def cmd_braid(args) -> int:
             # coordinate-encoded element: rebuild letters along the sequence
             if default_seq is None:
                 raise ConfigError("coordinate elements need --iota (or a builtin)")
-            lam = None if elem.mode == BINF else elem.mode
-            crystal = SequenceCrystal(cartan, default_seq, lam)
+            crystal = SequenceCrystal(cartan, default_seq, elem.lam)
             word = crystal.to_tensor_word(elem, max(window[-1], elem.max_pos))
             image = apply_at(ctx, word, window)
             # decode back to coordinates; the letters carry their own indices
             n = len(image.letters)
             coords = {n - off: -l.value for off, l in enumerate(image.letters) if l.value}
-            mapped.append(ZVector.from_dict(coords, elem.mode).to_json_obj())
+            mapped.append(ZVector.from_dict(coords, elem.lam).to_json_obj())
         else:
             mapped.append(apply_at(ctx, elem, window).to_json_obj())
     mapped.sort(key=json.dumps)
@@ -333,6 +325,12 @@ def build_parser() -> argparse.ArgumentParser:
         if need_depth:
             p.add_argument("--depth", type=int, required=True)
 
+    def system_options(p):
+        p.add_argument("--method", choices=("generate", "rank2", "an"), default="generate")
+        p.add_argument("--support-bound", type=int)
+        p.add_argument("--max-rounds", type=int, default=60)
+        p.add_argument("--window", type=int, help="window for the rank2 method")
+
     g = sub.add_parser("graph", help="breadth-first crystal graph")
     common(g, need_depth=True)
     g.add_argument("--format", choices=("dot", "json", "text"), default="text")
@@ -340,19 +338,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     q = sub.add_parser("inequalities", help="emit an inequality system")
     common(q)
-    q.add_argument("--method", choices=("generate", "rank2", "an"), default="generate")
-    q.add_argument("--support-bound", type=int)
-    q.add_argument("--max-rounds", type=int, default=60)
-    q.add_argument("--window", type=int, help="window for the rank2 method")
+    system_options(q)
     q.add_argument("--format", choices=("text", "json"), default="text")
     q.set_defaults(func=cmd_inequalities)
 
     v = sub.add_parser("verify", help="compare BFS against lattice points")
     common(v, need_depth=True)
-    v.add_argument("--method", choices=("generate", "rank2"), default="generate")
-    v.add_argument("--support-bound", type=int)
-    v.add_argument("--max-rounds", type=int, default=60)
-    v.add_argument("--window", type=int)
+    system_options(v)
     v.set_defaults(func=cmd_verify)
 
     b = sub.add_parser("braid", help="apply or fuzz the braid maps")

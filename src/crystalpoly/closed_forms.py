@@ -155,23 +155,16 @@ class TruncationReport:
         return not self.violations
 
 
-def truncation_check(
-    cartan: CartanData, word, depth: int, expected_length: int | None = None
-) -> TruncationReport:
+def truncation_check(cartan: CartanData, word, depth: int) -> TruncationReport:
     """Free-mode BFS facts for a sequence opening with the given word.
 
     Checks every node to the given depth for (a) vanishing beyond the
     word length and (b) vanishing at any position whose index repeats the
     previous one.  The tail of the sequence repeats the word, which does
-    not affect either predicate.  Reduced-ness of the word is taken on
-    trust; pass `expected_length` (the longest-element length for the
-    type) to at least pin the word length.
+    not affect either predicate.  Reduced-ness of the word, and its
+    length, are taken on trust.
     """
     word = tuple(int(w) for w in word)
-    if expected_length is not None and len(word) != expected_length:
-        raise ValueError(
-            f"word has length {len(word)}, expected {expected_length} for this type"
-        )
     seq = IndexSequence(word, cartan.rank)
     crystal = SequenceCrystal(cartan, seq)
     graph = crystal.bfs(depth)

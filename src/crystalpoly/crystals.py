@@ -12,6 +12,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import add, sub
 
 from .cartan import CartanData, Weight
 
@@ -311,24 +312,27 @@ def check_strict_morphism(map_fn, sample, indices) -> list[dict]:
     return violations
 
 
-def check_crystal_axioms(cartan, elements, indices, *, eps, phi, weight, f, e) -> list[dict]:
+def check_crystal_axioms(crystal, elements) -> list[dict]:
     """Check the defining crystal axioms on the given elements.
 
-    The accessors abstract over the concrete realization so the same
-    checker drives both tensor words and coordinate vectors: eps(b, i),
-    phi(b, i), weight(b) -> pairing tuple, f(b, i), e(b, i) with None
-    playing the role of 0.
+    `crystal` carries its Cartan datum as `crystal.cartan` and the
+    accessors epsilon(b, i), phi(b, i), weight_pairings(b) -> pairing
+    tuple, f(b, i) and e(b, i), with None playing the role of 0: a
+    SequenceCrystal as it is, tensor words through a small adapter.
     """
+    cartan = crystal.cartan
+    eps, phi, weight = crystal.epsilon, crystal.phi, crystal.weight_pairings
+    f, e = crystal.f, crystal.e
+    # column i - 1 holds <h_j, alpha_i> for every j: the weight shift of an i-arrow
+    columns = tuple(zip(*cartan.matrix))
     violations = []
-    # (j - 1, <h_j, alpha_i>) for every j: the weight shift of an i-arrow
-    shifts = {i: tuple((j - 1, cartan.a(j, i)) for j in indices) for i in indices}
 
     def bad(kind, b, i, detail=""):
         violations.append({"kind": kind, "element": b, "index": i, "detail": detail})
 
     for b in elements:
         wb = weight(b)
-        for i in indices:
+        for i in cartan.indices:
             ev = eps(b, i)
             pv = phi(b, i)
             if (ev == NEG_INF) != (pv == NEG_INF):
@@ -340,14 +344,12 @@ def check_crystal_axioms(cartan, elements, indices, *, eps, phi, weight, f, e) -
             if ev == NEG_INF and (fb is not None or eb is not None):
                 bad("neginf-kills", b, i)
             if fb is not None:
-                wf = weight(fb)
-                if any(wf[j] != wb[j] - a for j, a in shifts[i]):
+                if weight(fb) != tuple(map(sub, wb, columns[i - 1])):
                     bad("wt-shift-f", b, i)
                 if e(fb, i) != b:
                     bad("ef-adjoint", b, i)
             if eb is not None:
-                we = weight(eb)
-                if any(we[j] != wb[j] + a for j, a in shifts[i]):
+                if weight(eb) != tuple(map(add, wb, columns[i - 1])):
                     bad("wt-shift-e", b, i)
                 if f(eb, i) != b:
                     bad("fe-adjoint", b, i)

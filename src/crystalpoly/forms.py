@@ -25,7 +25,7 @@ from fractions import Fraction
 from math import lcm
 
 from .cartan import CartanData, IndexSequence, Weight
-from .zvectors import BINF, SequenceCrystal, ZVector
+from .zvectors import SequenceCrystal, ZVector
 
 MAX_FORMS = 5000  # admitted forms before generation gives up unsaturated
 
@@ -73,10 +73,6 @@ class LinearForm:
             if pos == k:
                 return val
         return 0
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs and not self.const
 
     @property
     def support_max(self) -> int:
@@ -350,7 +346,7 @@ class FormSet:
         `lambda_i - x_k >= 0`) become fixed bounds on that coordinate, and a
         form with no support in the window is just its constant.
         """
-        mode = BINF if self.lam is None else self.lam
+        lam = self.lam
         window = self.window
         rows = self._int_rows()
         low = [0] * (window + 1)
@@ -376,7 +372,7 @@ class FormSet:
 
         def rec(k: int, remaining: int):
             if k > window:
-                found.add(ZVector(tuple((p, v) for p, v in enumerate(x) if v), mode))
+                found.add(ZVector(tuple((p, v) for p, v in enumerate(x) if v), lam))
                 return
             lo, hi = low[k], min(high[k], remaining)
             for const, a, rest in buckets[k]:

@@ -18,21 +18,19 @@ from typing import NamedTuple
 from .cartan import CartanData, IndexSequence, Weight
 from .crystals import CrystalGraph, Letter, TensorWord, UnitLetter, bfs_graph
 
-BINF = "binf"
-
 
 @dataclass(frozen=True, slots=True, init=False)
 class ZVector:
-    """Finitely supported integer vector plus the structure it lives in."""
+    """Finitely supported integer vector plus the highest weight of its crystal."""
 
     coords: tuple[tuple[int, int], ...]  # sorted (position >= 1, value), values nonzero
-    mode: object = BINF  # BINF or a Weight
-    # hash((coords, mode)), computed on first use
+    lam: Weight | None = None  # None in free mode
+    # hash((coords, lam)), computed on first use
     _hash: int | None = field(default=None, init=False, repr=False, compare=False)
 
-    def __init__(self, coords: tuple[tuple[int, int], ...], mode=BINF):
+    def __init__(self, coords: tuple[tuple[int, int], ...], lam: Weight | None = None):
         _set_coords(self, coords)
-        _set_mode(self, mode)
+        _set_lam(self, lam)
         _set_hash(self, None)
 
     def __eq__(self, other):
@@ -40,12 +38,12 @@ class ZVector:
             return True
         if other.__class__ is not ZVector:
             return NotImplemented
-        return self.coords == other.coords and (self.mode is other.mode or self.mode == other.mode)
+        return self.coords == other.coords and (self.lam is other.lam or self.lam == other.lam)
 
     def __hash__(self):
         h = self._hash
         if h is None:
-            h = hash((self.coords, self.mode))
+            h = hash((self.coords, self.lam))
             _set_hash(self, h)
         return h
 
@@ -73,10 +71,10 @@ class ZVector:
         n = bisect_left(coords, (k,))  # (k,) sorts before every (k, value)
         if n < len(coords) and coords[n][0] == k:
             val = coords[n][1] + delta
-            return ZVector(coords[:n] + (((k, val),) if val else ()) + coords[n + 1 :], self.mode)
+            return ZVector(coords[:n] + (((k, val),) if val else ()) + coords[n + 1 :], self.lam)
         if not delta:
             return self
-        return ZVector(coords[:n] + ((k, delta),) + coords[n:], self.mode)
+        return ZVector(coords[:n] + ((k, delta),) + coords[n:], self.lam)
 
     def label(self) -> str:
         if not self.coords:
@@ -87,26 +85,25 @@ class ZVector:
         return f"ZVector({self.label()})"
 
     def to_json_obj(self) -> dict:
-        mode = BINF if self.mode == BINF else {"lambda": list(self.mode.coeffs)}
+        mode = "binf" if self.lam is None else {"lambda": list(self.lam.coeffs)}
         return {"coords": {str(pos): val for pos, val in self.coords}, "mode": mode}
 
     @classmethod
     def from_json_obj(cls, obj) -> "ZVector":
-        mode = obj.get("mode", BINF)
-        if mode != BINF:
-            mode = Weight(tuple(int(c) for c in mode["lambda"]))
-        return cls.from_dict({int(k): int(v) for k, v in obj["coords"].items()}, mode)
+        mode = obj.get("mode", "binf")
+        lam = None if mode == "binf" else Weight(tuple(int(c) for c in mode["lambda"]))
+        return cls.from_dict({int(k): int(v) for k, v in obj["coords"].items()}, lam)
 
     @classmethod
-    def from_dict(cls, d: dict[int, int], mode=BINF) -> "ZVector":
+    def from_dict(cls, d: dict[int, int], lam: Weight | None = None) -> "ZVector":
         if any(k < 1 for k in d):
             raise ValueError("positions are 1-based")
-        return cls(tuple(sorted((k, v) for k, v in d.items() if v)), mode)
+        return cls(tuple(sorted((k, v) for k, v in d.items() if v)), lam)
 
 
 # the slot descriptors fill a frozen instance without going through its __setattr__
-_set_coords, _set_mode, _set_hash = (
-    ZVector.coords.__set__, ZVector.mode.__set__, ZVector._hash.__set__)
+_set_coords, _set_lam, _set_hash = (
+    ZVector.coords.__set__, ZVector.lam.__set__, ZVector._hash.__set__)
 
 
 class MSet(NamedTuple):
@@ -126,7 +123,6 @@ class SequenceCrystal:
         self.cartan = cartan
         self.seq = seq
         self.lam = lam
-        self.mode = BINF if lam is None else lam
         # <h_i, alpha_{i_k}> for every index i (rows) and period slot k (columns)
         pairs = tuple(tuple(row[ik - 1] for ik in seq.period) for row in cartan.matrix)
         self._columns = tuple(zip(*pairs))
@@ -137,11 +133,11 @@ class SequenceCrystal:
         self._last_scan = None  # (vector, i, result) of the latest _scan
 
     def zero(self) -> ZVector:
-        return ZVector((), self.mode)
+        return ZVector((), self.lam)
 
     def _check(self, x: ZVector):
-        if x.mode is not self.mode and x.mode != self.mode:
-            raise ValueError("vector mode does not match this crystal")
+        if x.lam is not self.lam and x.lam != self.lam:
+            raise ValueError("vector weight does not match this crystal")
         if x.coords and x.coords[0][0] < 1:
             raise ValueError("positions are 1-based")
 
@@ -248,11 +244,6 @@ class SequenceCrystal:
         best, _, _, sigma_0 = self._scan(x, i)
         return (best if self.lam is None or best >= sigma_0 else sigma_0) - sigma_0
 
-    def wt_eps_phi(self, x: ZVector):
-        wt = self.weight_pairings(x)
-        eps = tuple(self.epsilon(x, i) for i in self.cartan.indices)
-        return wt, eps, tuple(w + e for w, e in zip(wt, eps))
-
     def bfs(self, depth: int) -> CrystalGraph:
         """All lowering descendants of the zero vector, to the given depth."""
         return bfs_graph(self.zero(), self.cartan.indices, self.f, depth)
@@ -278,4 +269,4 @@ class SequenceCrystal:
                 raise ValueError("letter indices do not follow the sequence")
             if letter.value:
                 coords[pos] = -letter.value
-        return ZVector.from_dict(coords, self.mode)
+        return ZVector.from_dict(coords, self.lam)

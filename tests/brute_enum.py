@@ -4,11 +4,10 @@ Tries every composition of the budget over the whole window and checks
 every form only at the leaves.  Exponential in the window; keep inputs small.
 """
 
-from crystalpoly import BINF, ZVector
+from crystalpoly import ZVector
 
 
 def brute_force_points(system, budget: int) -> set:
-    mode = BINF if system.lam is None else system.lam
     rows = [(f.const, f.coeffs) for f in system.forms]
     found = set()
     assignment: dict[int, int] = {}
@@ -19,7 +18,7 @@ def brute_force_points(system, budget: int) -> set:
                 const + sum(c * assignment.get(p, 0) for p, c in coeffs) >= 0
                 for const, coeffs in rows
             ):
-                found.add(ZVector.from_dict(assignment, mode))
+                found.add(ZVector.from_dict(assignment, system.lam))
             return
         for val in range(remaining + 1):
             if val:

@@ -13,7 +13,7 @@ from crystalpoly import MSet, ZVector
 def bumped(x, k, delta):
     d = dict(x.coords)
     d[k] = d.get(k, 0) + delta
-    return ZVector(tuple(sorted((p, v) for p, v in d.items() if v)), x.mode)
+    return ZVector(tuple(sorted((p, v) for p, v in d.items() if v)), x.lam)
 
 
 def weight_pairings(crystal, x):

@@ -269,16 +269,7 @@ def test_criterion_9_truncation_predicates():
 
 
 def _axiom_clean(crystal, graph):
-    return check_crystal_axioms(
-        crystal.cartan,
-        graph.nodes,
-        crystal.cartan.indices,
-        eps=crystal.epsilon,
-        phi=crystal.phi,
-        weight=crystal.weight_pairings,
-        f=crystal.f,
-        e=crystal.e,
-    )
+    return check_crystal_axioms(crystal, graph.nodes)
 
 
 def every_acceptance_graph():

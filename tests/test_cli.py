@@ -177,6 +177,8 @@ def test_verify_mismatch_exit(capsys):
         # the default bound 15 gives window 20 and the BFS reaches x21: raised to 16
         (("a5", "--lambda", "1,1,1,1,1", "--depth", "8"), "equal: 1279 elements (depth 8)"),
         (("a5", "--lambda", "1,0,0,0,1", "--depth", "10"), "equal: 35 elements (depth 10)"),
+        (("a3", "--lambda", "1,0,1", "--depth", "6", "--method", "an"),
+         "equal: 15 elements (depth 6)"),
     ],
 )
 def test_verify_deep_oracle_cases(capsys, argv, line):
@@ -383,6 +385,8 @@ def test_inequalities_an_method(capsys):
         (("verify", "--builtin", "a2", "--lambda", "1,0", "--depth", "3",
           "--support-bound", "2"),
          "--support-bound must be at least max(depth, 1)"),
+        (("verify", "--builtin", "a2", "--binf", "--depth", "3", "--method", "an"),
+         "the an method needs --lambda"),
     ],
 )
 def test_method_dispatch_errors(capsys, argv, message):

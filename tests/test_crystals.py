@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 from hypothesis import given, settings, strategies as st
 
 from crystalpoly import (
@@ -148,17 +150,12 @@ def tensor_words(draw):
 @settings(max_examples=150, deadline=None)
 @given(tensor_words())
 def test_axioms_on_random_words(w):
-    violations = check_crystal_axioms(
-        w.cartan,
-        [w],
-        w.cartan.indices,
-        eps=lambda b, i: b.epsilon(i),
-        phi=lambda b, i: b.phi(i),
-        weight=lambda b: b.weight_pairings(),
-        f=lambda b, i: b.f(i),
-        e=lambda b, i: b.e(i),
+    # the accessors the checker reads, with the word as their first argument
+    words = SimpleNamespace(
+        cartan=w.cartan, epsilon=TensorWord.epsilon, phi=TensorWord.phi,
+        weight_pairings=TensorWord.weight_pairings, f=TensorWord.f, e=TensorWord.e,
     )
-    assert violations == []
+    assert check_crystal_axioms(words, [w]) == []
 
 
 @settings(max_examples=150, deadline=None)

@@ -28,7 +28,7 @@ def crystal_and_vector(draw, case, top=12, values=st.integers(-3, 4), max_size=8
                                     max_size=cartan.rank)))
     crystal = SequenceCrystal(cartan, seq, lam)
     coords = draw(st.dictionaries(st.integers(1, top), values, max_size=max_size))
-    return crystal, ZVector.from_dict(coords, crystal.mode)
+    return crystal, ZVector.from_dict(coords, crystal.lam)
 
 
 def _assert_matches_oracle(crystal, x):
@@ -109,7 +109,7 @@ def test_kept_scan_is_never_stale():
     x = ZVector.from_dict(coords)
     y = ZVector.from_dict({2: 1, 4: 3})
     twin = ZVector.from_dict(coords)  # equal to x, another object
-    xw = ZVector.from_dict(coords, weighted.mode)
+    xw = ZVector.from_dict(coords, weighted.lam)
     # the data tells the calls apart, so a scan kept for the wrong call shows
     assert scan_oracle.epsilon(free, x, 1) != scan_oracle.epsilon(free, y, 1)
     assert scan_oracle.epsilon(free, x, 1) != scan_oracle.epsilon(free, x, 2)
@@ -130,7 +130,7 @@ def test_interleaved_calls_match_oracle(data):
     cartan, seq = CASES["a3-iota0"]
     crystals = (SequenceCrystal(cartan, seq), SequenceCrystal(cartan, seq, weight(1, 1, 0)))
     pool = [
-        ZVector.from_dict(d, c.mode)
+        ZVector.from_dict(d, c.lam)
         for d in data.draw(st.lists(
             st.dictionaries(st.integers(1, 9), st.integers(-2, 3), max_size=5),
             min_size=1, max_size=3))
@@ -140,7 +140,7 @@ def test_interleaved_calls_match_oracle(data):
     calls = []
     for _ in range(data.draw(st.integers(1, 30))):
         x = data.draw(st.sampled_from(pool))
-        crystal = crystals[x.mode != crystals[0].mode]
+        crystal = crystals[x.lam != crystals[0].lam]
         name = data.draw(st.sampled_from(("f", "e", "epsilon", "phi", "m_set")))
         calls.append((crystal, name, x, data.draw(st.integers(1, 3))))
     _check_calls(calls)
