@@ -38,7 +38,6 @@ from .crystals import (
     UnitLetter,
     check_crystal_axioms,
     check_strict_morphism,
-    connected_component,
 )
 from .forms import DescentSystem, FormSet, LinearForm
 from .zvectors import MSet, SequenceCrystal, ZVector
@@ -70,7 +69,6 @@ __all__ = [
     "chebyshev",
     "check_crystal_axioms",
     "check_strict_morphism",
-    "connected_component",
     "get_builtin",
     "l_max",
     "map_values",

@@ -113,35 +113,42 @@ def cmd_graph(args) -> int:
     return 0
 
 
-def _check_limits(args):
-    """Reject a round cap or a window below 1 before any work starts."""
+def _check_system_options(args, cartan, lam):
+    """Reject a round cap or a window below 1, or a closed-form method the
+    datum and weight do not fit, before any work starts."""
     if args.max_rounds < 1:
         raise ConfigError("--max-rounds must be >= 1")
     if args.window is not None and args.window < 1:
         raise ConfigError("--window must be >= 1")
-
-
-def _build_system(args, cartan, seq, lam, default_bound):
-    """The `--method` system: descent generation, the rank-2 or the A_n closed form."""
     if args.method == "generate":
-        bound = default_bound if args.support_bound is None else args.support_bound
-        if bound is None:
-            raise ConfigError("--support-bound is required here")
-        return DescentSystem(cartan, seq, lam).generate(bound, max_rounds=args.max_rounds)
+        return
     if lam is None:
         raise ConfigError(f"the {args.method} method needs --lambda")
     if args.method == "rank2":
         if cartan.rank != 2:
             raise ConfigError("this method needs a rank-2 Cartan datum")
-        return rank2_system(-cartan.a(1, 2), -cartan.a(2, 1), lam, window=args.window)
-    if cartan.matrix != an_cartan(cartan.rank).matrix:
+    elif cartan.matrix != an_cartan(cartan.rank).matrix:
         raise ConfigError("the an method needs a simply laced chain datum")
+
+
+def _build_system(args, cartan, seq, lam, default_bound):
+    """The `--method` system: descent generation, the rank-2 or the A_n closed form.
+
+    The options have passed `_check_system_options`.
+    """
+    if args.method == "generate":
+        bound = default_bound if args.support_bound is None else args.support_bound
+        if bound is None:
+            raise ConfigError("--support-bound is required here")
+        return DescentSystem(cartan, seq, lam).generate(bound, max_rounds=args.max_rounds)
+    if args.method == "rank2":
+        return rank2_system(-cartan.a(1, 2), -cartan.a(2, 1), lam, window=args.window)
     return an_system(cartan.rank, lam)
 
 
 def cmd_inequalities(args) -> int:
     cartan, seq, lam, builtin = _resolve_inputs(args)
-    _check_limits(args)
+    _check_system_options(args, cartan, lam)
     system = _build_system(args, cartan, seq, lam, builtin.longest_len if builtin else None)
     report = []
     if len(system.forms) > MAX_FORMS:
@@ -185,7 +192,7 @@ def cmd_verify(args) -> int:
     cartan, seq, lam, builtin = _resolve_inputs(args)
     if args.depth < 0:
         raise ConfigError("--depth must be >= 0")
-    _check_limits(args)
+    _check_system_options(args, cartan, lam)
     floor = max(args.depth, 1)
     if args.method == "generate" and args.support_bound is not None and args.support_bound < floor:
         raise ConfigError("--support-bound must be at least max(depth, 1)")

@@ -278,11 +278,6 @@ def bfs_graph(seed, indices, lower, depth: int) -> CrystalGraph:
     return CrystalGraph(nodes, edges, depths)
 
 
-def connected_component(seed: TensorWord, depth: int) -> CrystalGraph:
-    """All lowering descendants of a tensor word, with labelled edges."""
-    return bfs_graph(seed, seed.cartan.indices, lambda w, i: w.f(i), depth)
-
-
 def check_strict_morphism(map_fn, sample, indices) -> list[dict]:
     """Violations of strictness for `map_fn` on the sampled elements.
 
@@ -319,38 +314,87 @@ def check_crystal_axioms(crystal, elements) -> list[dict]:
     accessors epsilon(b, i), phi(b, i), weight_pairings(b) -> pairing
     tuple, f(b, i) and e(b, i), with None playing the role of 0: a
     SequenceCrystal as it is, tensor words through a small adapter.
+
+    `elements` is a sequence (it is read twice) of hashable elements, to
+    which the accessors give equal answers whenever they are equal; an
+    element may repeat, and each occurrence is reported.
+    A first pass evaluates the accessors once per distinct element and
+    index, and checks each image outside the elements on the spot.  The
+    second pass reports in element order, then index order, and checks an
+    image that is one of the elements against that element's row: its
+    weight, and whether its e (or f) leads back.
     """
     cartan = crystal.cartan
     eps, phi, weight = crystal.epsilon, crystal.phi, crystal.weight_pairings
     f, e = crystal.f, crystal.e
+    indices = cartan.indices
     # column i - 1 holds <h_j, alpha_i> for every j: the weight shift of an i-arrow
     columns = tuple(zip(*cartan.matrix))
+
+    # every distinct element at the position of its first occurrence, with its weight
+    position = dict.fromkeys(elements)
+    for k, b in enumerate(position):
+        position[b] = k
+    shared = {}  # one tuple per distinct weight
+    weights = [shared.setdefault(w, w) for w in map(weight, position)]
+
+    def slot(image, b, wb, i, shift, back, kinds):
+        """The position of an image among the elements or, for an image
+        outside them, the kinds of its weight and back checks that fail."""
+        if image is None:
+            return None
+        k = position.get(image)
+        if k is not None:
+            return k
+        wrong_weight, no_way_back = kinds
+        failed = ()
+        if weight(image) != tuple(map(shift, wb, columns[i - 1])):
+            failed += (wrong_weight,)
+        if back(image, i) != b:
+            failed += (no_way_back,)
+        return failed
+
+    # pass 1: the row of element k holds, for each index i in turn, (eps, phi,
+    # f slot, e slot); one flat list, so the e slot sits at width * k + 4 * i - 1
+    width = 4 * len(indices)
+    rows = []
+    for b, wb in zip(position, weights):
+        for i in indices:
+            ev, pv, fb, eb = eps(b, i), phi(b, i), f(b, i), e(b, i)
+            rows += (ev, pv, slot(fb, b, wb, i, sub, e, ("wt-shift-f", "ef-adjoint")),
+                     slot(eb, b, wb, i, add, f, ("wt-shift-e", "fe-adjoint")))
+
     violations = []
 
     def bad(kind, b, i, detail=""):
         violations.append({"kind": kind, "element": b, "index": i, "detail": detail})
 
+    # pass 2
     for b in elements:
-        wb = weight(b)
-        for i in cartan.indices:
-            ev = eps(b, i)
-            pv = phi(b, i)
+        k = position[b]
+        wb = weights[k]
+        stats = iter(rows[width * k : width * (k + 1)])
+        for i, ev, pv, fk, ek in zip(indices, stats, stats, stats, stats):
             if (ev == NEG_INF) != (pv == NEG_INF):
                 bad("eps-phi-finiteness", b, i)
             elif ev != NEG_INF and pv != ev + wb[i - 1]:
                 bad("phi=eps+wt", b, i, f"phi={pv} eps={ev} wtp={wb[i - 1]}")
-            fb = f(b, i)
-            eb = e(b, i)
-            if ev == NEG_INF and (fb is not None or eb is not None):
+            if ev == NEG_INF and (fk is not None or ek is not None):
                 bad("neginf-kills", b, i)
-            if fb is not None:
-                if weight(fb) != tuple(map(sub, wb, columns[i - 1])):
+            if isinstance(fk, int):
+                if weights[fk] != tuple(map(sub, wb, columns[i - 1])):
                     bad("wt-shift-f", b, i)
-                if e(fb, i) != b:
+                if rows[width * fk + 4 * i - 1] != k:
                     bad("ef-adjoint", b, i)
-            if eb is not None:
-                if weight(eb) != tuple(map(add, wb, columns[i - 1])):
+            elif fk:
+                for kind in fk:
+                    bad(kind, b, i)
+            if isinstance(ek, int):
+                if weights[ek] != tuple(map(add, wb, columns[i - 1])):
                     bad("wt-shift-e", b, i)
-                if f(eb, i) != b:
+                if rows[width * ek + 4 * i - 2] != k:
                     bad("fe-adjoint", b, i)
+            elif ek:
+                for kind in ek:
+                    bad(kind, b, i)
     return violations

@@ -231,9 +231,12 @@ class SequenceCrystal:
         """<h_j, wt(x)> for every j, with wt = lambda minus the step roots."""
         out = list(self.lam.coeffs) if self.lam is not None else [0] * self.cartan.rank
         columns = self._columns
+        m = len(columns)
         for pos, val in x.coords:
-            for j, a in enumerate(columns[(pos - 1) % len(columns)]):
+            j = 0  # a running index: cheaper than enumerate's tuple per pairing
+            for a in columns[(pos - 1) % m]:
                 out[j] -= a * val
+                j += 1
         return tuple(out)
 
     def epsilon(self, x: ZVector, i: int) -> int:

@@ -3,10 +3,12 @@
 The statistics and the operator targets are folded separately, one
 `_factor_data` call per factor, with NEG_INF arithmetic throughout, as
 TensorWord computed them before the fold was shared.  Nothing is kept
-between calls.
+between calls.  `connected_component` is the breadth-first closure of a
+word under its lowering operators, for the tests that need tensor crystals.
 """
 
 from crystalpoly import NEG_INF
+from crystalpoly.crystals import bfs_graph
 
 
 def eps_phi_wt(word, i):
@@ -49,3 +51,8 @@ def e(word, i):
     if len(word) == 0:
         return None
     return word._apply(i, action_target(word, i, lowering=False), +1)
+
+
+def connected_component(seed, depth):
+    """All lowering descendants of a tensor word, with labelled edges."""
+    return bfs_graph(seed, seed.cartan.indices, lambda w, i: w.f(i), depth)

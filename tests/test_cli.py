@@ -7,6 +7,7 @@ import pytest
 from crystalpoly import get_builtin, weight
 from crystalpoly.cli import main
 from crystalpoly.forms import MAX_FORMS, DescentSystem
+from crystalpoly.zvectors import SequenceCrystal
 
 
 def run(capsys, *argv):
@@ -392,6 +393,17 @@ def test_inequalities_an_method(capsys):
 def test_method_dispatch_errors(capsys, argv, message):
     code, _, err = run(capsys, *argv)
     assert code == 2 and err.strip() == f"config error: {message}"
+
+
+@pytest.mark.parametrize("method", ["an", "rank2"])
+def test_verify_rejects_method_before_bfs(capsys, monkeypatch, method):
+    def no_bfs(crystal, depth):
+        raise AssertionError("the BFS ran before the method was checked")
+
+    monkeypatch.setattr(SequenceCrystal, "bfs", no_bfs)
+    code, _, err = run(capsys, "verify", "--builtin", "a2", "--binf", "--depth", "12",
+                       "--method", method)
+    assert code == 2 and err.strip() == f"config error: the {method} method needs --lambda"
 
 
 def test_generate_from_file_needs_support_bound(tmp_path, capsys):

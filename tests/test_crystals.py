@@ -10,11 +10,11 @@ from crystalpoly import (
     cartan_from_matrix,
     check_crystal_axioms,
     check_strict_morphism,
-    connected_component,
     weight,
 )
 
 import tensor_oracle
+from tensor_oracle import connected_component
 
 SL2 = cartan_from_matrix([[2]])
 A2 = cartan_from_matrix([[2, -1], [-1, 2]])

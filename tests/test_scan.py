@@ -72,6 +72,24 @@ def test_sparse_vectors_match_per_position_oracle(name, data):
         SPARSE[name], top=60, values=st.integers(-4, 4), max_size=5)))
 
 
+@pytest.mark.parametrize("mode", ["free", "weight"])
+@pytest.mark.parametrize("name", sorted({**CASES, **SPARSE}))
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_weight_pairings_match_per_coordinate_oracle(name, mode, data):
+    """The weight summed from the crystal's negated slot columns, against the
+    pairing of each coordinate with its index summed on its own."""
+    cartan, seq = {**CASES, **SPARSE}[name]
+    lam = None
+    if mode == "weight":
+        lam = weight(*data.draw(st.lists(st.integers(0, 3), min_size=cartan.rank,
+                                         max_size=cartan.rank)))
+    crystal = SequenceCrystal(cartan, seq, lam)
+    coords = data.draw(st.dictionaries(st.integers(1, 40), st.integers(-5, 5), max_size=10))
+    x = ZVector.from_dict(coords, lam)
+    assert crystal.weight_pairings(x) == scan_oracle.weight_pairings(crystal, x)
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     coords=st.dictionaries(st.integers(1, 12), st.integers(-3, 4), max_size=8),
