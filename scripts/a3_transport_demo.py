@@ -14,8 +14,8 @@ from crystalpoly import (
     BraidContext,
     IndexSequence,
     SequenceCrystal,
-    apply_at,
     get_builtin,
+    transport,
 )
 
 
@@ -32,17 +32,13 @@ def main():
     dst_nodes = target.bfs(depth).node_set()
     print(f"depth {depth}: {len(src_nodes)} elements on each side")
 
-    mapped = set()
-    for node in src_nodes:
-        word = source.to_tensor_word(node, 6)
-        mapped.add(target.from_tensor_word(apply_at(ctx, word, (4, 5, 6))))
+    mapped = {transport(ctx, iota1, node, (4, 5, 6)) for node in src_nodes}
     print("transport is a bijection onto the other image:", mapped == dst_nodes)
 
     sample = sorted(src_nodes, key=lambda n: (n.total, n.coords))[:8]
     print("sample of the transport:")
     for node in sample:
-        word = source.to_tensor_word(node, 6)
-        image = target.from_tensor_word(apply_at(ctx, word, (4, 5, 6)))
+        image = transport(ctx, iota1, node, (4, 5, 6))
         print(f"  {node.label():>22}  ->  {image.label()}")
 
 

@@ -10,6 +10,7 @@ from .braid import (
     phi3_alt,
     phi_inverse,
     run_property_suite,
+    transport,
 )
 from .cartan import (
     CartanData,
@@ -79,6 +80,7 @@ __all__ = [
     "rank2_cartan",
     "rank2_system",
     "run_property_suite",
+    "transport",
     "truncation_check",
     "weight",
 ]

@@ -14,8 +14,9 @@ import random
 from dataclasses import dataclass
 from operator import attrgetter
 
-from .cartan import rank2_cartan
+from .cartan import IndexSequence, rank2_cartan
 from .crystals import TensorWord, _letter, check_strict_morphism
+from .zvectors import ZVector
 
 ALLOWED_PAIRS = {(0, 0), (1, 1), (1, 2), (2, 1), (1, 3), (3, 1)}
 _SHAPE_LEN = {0: 2, 1: 3, 2: 4, 3: 6}
@@ -150,6 +151,19 @@ def phi3_alt(ctx: BraidContext, word: TensorWord) -> TensorWord:
     return _map_word(ctx, word, map_values_nested)
 
 
+def _window(ctx: BraidContext, positions, n: int | None = None) -> tuple[int, ...]:
+    """The window as ints: the map's length, contiguous, ascending, from 1 up to n."""
+    positions = tuple(int(p) for p in positions)
+    expect = _SHAPE_LEN[ctx.degree]
+    if len(positions) != expect:
+        raise ValueError(f"window must cover {expect} positions")
+    if list(positions) != list(range(positions[0], positions[0] + expect)):
+        raise ValueError("window positions must be contiguous and ascending")
+    if positions[0] < 1 or n is not None and positions[-1] > n:
+        raise ValueError("window must lie inside the word")
+    return positions
+
+
 def apply_at(ctx: BraidContext, word: TensorWord, positions) -> TensorWord:
     """Apply the braid map to a contiguous window of tensor positions.
 
@@ -157,20 +171,28 @@ def apply_at(ctx: BraidContext, word: TensorWord, positions) -> TensorWord:
     letter is not a position).  The window must be contiguous, ascending,
     and its letters, read left to right, must match the map's pattern.
     """
-    positions = tuple(int(p) for p in positions)
     n = len(word.letters)
-    expect = _SHAPE_LEN[ctx.degree]
-    if len(positions) != expect:
-        raise ValueError(f"window must cover {expect} positions")
-    if list(positions) != list(range(positions[0], positions[0] + expect)):
-        raise ValueError("window positions must be contiguous and ascending")
-    if positions[0] < 1 or positions[-1] > n:
-        raise ValueError("window must lie inside the word")
+    positions = _window(ctx, positions, n)
     # letters are stored leftmost first; position p is letter n - p
     lo, hi = n - positions[-1], n - positions[0] + 1
     image = phi(ctx, TensorWord(word.cartan, word.letters[lo:hi]))
     letters = word.letters[:lo] + image.letters + word.letters[hi:]
     return TensorWord(word.cartan, letters, word.unit)
+
+
+def transport(ctx: BraidContext, seq: IndexSequence, x: ZVector, positions) -> ZVector:
+    """Carry a vector on `seq` across a braid window; weight and other coordinates stay."""
+    # x_p is the tensor letter (-x_p) of index i_p at position p: read the window top down
+    top_down = _window(ctx, positions)[::-1]
+    if x.lam is not None and x.lam.rank != seq.rank:
+        raise ValueError("weight rank must match the Cartan datum")
+    pattern = tuple(map(seq.index_at, top_down))
+    if pattern != ctx._input:
+        raise ValueError(f"word pattern {pattern} does not match {ctx._input}")
+    out = map_values(ctx.c1, ctx.c2, tuple(-x.get(p) for p in top_down))
+    coords = dict(x.coords)
+    coords.update(zip(top_down, (-v for v in out)))
+    return ZVector.from_dict(coords, x.lam)
 
 
 def run_property_suite(c1: int, c2: int, n: int, seed: int, lo: int = -10, hi: int = 10) -> dict:

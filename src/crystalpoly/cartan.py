@@ -71,16 +71,25 @@ class CartanData:
         return datum
 
 
+def exact_int(value) -> int:
+    """`value` as an int, refusing one that int() would change (1.5, "2", inf)."""
+    try:
+        if int(value) == value:
+            return int(value)
+    except OverflowError:
+        pass
+    raise ValueError(f"expected an integer, got {value!r}")
+
+
 def cartan_from_matrix(matrix, labels=None) -> CartanData:
     """Validate an integer matrix and wrap it as CartanData."""
     try:
-        given = tuple(tuple(row) for row in matrix)
-        rows = tuple(tuple(int(v) for v in row) for row in given)
+        rows = tuple(tuple(exact_int(v) for v in row) for row in matrix)
         lab = tuple(str(x) for x in labels) if labels is not None else None
     except TypeError as exc:
         raise CartanError("matrix must be a list of integer rows and labels a list") from exc
-    if rows != given:
-        raise CartanError("matrix entries must be integers")
+    except ValueError as exc:
+        raise CartanError("matrix entries must be integers") from exc
     return CartanData(rank=len(rows), matrix=rows, labels=lab)
 
 

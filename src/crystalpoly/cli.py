@@ -13,7 +13,7 @@ import os
 import sys
 from functools import cache
 
-from .braid import BraidContext, apply_at, run_property_suite
+from .braid import BraidContext, apply_at, run_property_suite, transport
 from .cartan import CartanData, IndexSequence, Weight, an_cartan, load_cartan, rank2_cartan
 from .closed_forms import an_system, get_builtin, rank2_system
 from .crystals import TensorWord, check_crystal_axioms
@@ -238,14 +238,10 @@ def cmd_braid(args) -> int:
             raise ConfigError("--n must be >= 1")
         jobs = max(1, args.jobs)
         chunk = (args.n + jobs - 1) // jobs
-        payloads = []
-        done = 0
-        for worker in range(jobs):
-            take = min(chunk, args.n - done)
-            if take <= 0:
-                break
-            payloads.append((args.c1, args.c2, take, args.seed + worker))
-            done += take
+        payloads = [
+            (args.c1, args.c2, min(chunk, args.n - start), args.seed + worker)
+            for worker, start in enumerate(range(0, args.n, chunk))
+        ]
         if len(payloads) == 1:
             reports = [_fuzz_chunk(payloads[0])]
         else:
@@ -269,16 +265,14 @@ def cmd_braid(args) -> int:
     if not args.map_set:
         raise ConfigError("braid needs --fuzz or --map-set")
     if args.c1 is not None and args.c2 is not None:
-        ctx = BraidContext(args.i, args.j, args.c1, args.c2)
-        cartan = rank2_cartan(args.c1, args.c2)
-        default_seq = None
+        cartan, seq = rank2_cartan(args.c1, args.c2), None
     else:
-        cartan, default_seq, _ = _resolve_cartan(args)
-        if not (1 <= args.i <= cartan.rank and 1 <= args.j <= cartan.rank):
-            raise ConfigError(f"--i and --j must lie in 1..{cartan.rank}")
-        ctx = BraidContext.from_cartan(cartan, args.i, args.j)
+        cartan, seq, _ = _resolve_cartan(args)
+    if not (1 <= args.i <= cartan.rank and 1 <= args.j <= cartan.rank):
+        raise ConfigError(f"--i and --j must lie in 1..{cartan.rank}")
+    ctx = BraidContext.from_cartan(cartan, args.i, args.j)
     if args.iota:
-        default_seq = IndexSequence.from_string(args.iota, cartan.rank)
+        seq = IndexSequence.from_string(args.iota, cartan.rank)
     window = tuple(int(t) for t in args.window.replace(",", " ").split())
     if not window:
         raise ConfigError("--window is required for --map-set")
@@ -295,21 +289,13 @@ def cmd_braid(args) -> int:
         ]
     except (KeyError, IndexError, TypeError) as exc:
         raise ConfigError(f"malformed --map-set contents: {exc!r}") from exc
-    mapped = []
-    for elem in elements:
-        if isinstance(elem, ZVector):
-            # coordinate-encoded element: rebuild letters along the sequence
-            if default_seq is None:
-                raise ConfigError("coordinate elements need --iota (or a builtin)")
-            crystal = SequenceCrystal(cartan, default_seq, elem.lam)
-            word = crystal.to_tensor_word(elem, max(window[-1], elem.max_pos))
-            image = apply_at(ctx, word, window)
-            # decode back to coordinates; the letters carry their own indices
-            n = len(image.letters)
-            coords = {n - off: -l.value for off, l in enumerate(image.letters) if l.value}
-            mapped.append(ZVector.from_dict(coords, elem.lam).to_json_obj())
-        else:
-            mapped.append(apply_at(ctx, elem, window).to_json_obj())
+    if seq is None and any(isinstance(elem, ZVector) for elem in elements):
+        raise ConfigError("coordinate elements need --iota (or a builtin)")
+    mapped = [
+        (apply_at(ctx, elem, window) if isinstance(elem, TensorWord)
+         else transport(ctx, seq, elem, window)).to_json_obj()
+        for elem in elements
+    ]
     mapped.sort(key=json.dumps)
     _write(json.dumps(mapped, indent=2), args)
     return 0

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from operator import add, sub
 
-from .cartan import CartanData, Weight
+from .cartan import CartanData, Weight, exact_int
 
 
 NEG_INF = float("-inf")  # eps and phi of a word with no letter of the index
@@ -210,9 +210,9 @@ class TensorWord:
         unit = None
         for entry in obj:
             if entry[0] == "r":
-                unit = UnitLetter(Weight(tuple(int(c) for c in entry[1])))
+                unit = UnitLetter(Weight(tuple(map(exact_int, entry[1]))))
             else:
-                letters.append(Letter(int(entry[0]), int(entry[1])))
+                letters.append(Letter(exact_int(entry[0]), exact_int(entry[1])))
         return cls(cartan, letters, unit)
 
 

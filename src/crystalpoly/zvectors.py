@@ -15,8 +15,8 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .cartan import CartanData, IndexSequence, Weight
-from .crystals import CrystalGraph, Letter, TensorWord, UnitLetter, bfs_graph
+from .cartan import CartanData, IndexSequence, Weight, exact_int
+from .crystals import CrystalGraph, bfs_graph
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -91,8 +91,11 @@ class ZVector:
     @classmethod
     def from_json_obj(cls, obj) -> "ZVector":
         mode = obj.get("mode", "binf")
-        lam = None if mode == "binf" else Weight(tuple(int(c) for c in mode["lambda"]))
-        return cls.from_dict({int(k): int(v) for k, v in obj["coords"].items()}, lam)
+        lam = None if mode == "binf" else Weight(tuple(map(exact_int, mode["lambda"])))
+        coords = obj["coords"]
+        if not isinstance(coords, dict):
+            raise TypeError("coords must map positions to values")
+        return cls.from_dict({int(k): exact_int(v) for k, v in coords.items()}, lam)
 
     @classmethod
     def from_dict(cls, d: dict[int, int], lam: Weight | None = None) -> "ZVector":
@@ -250,26 +253,3 @@ class SequenceCrystal:
     def bfs(self, depth: int) -> CrystalGraph:
         """All lowering descendants of the zero vector, to the given depth."""
         return bfs_graph(self.zero(), self.cartan.indices, self.f, depth)
-
-    def to_tensor_word(self, x: ZVector, length: int) -> TensorWord:
-        """Truncate to a finite tensor word; coordinate x_k becomes (-x_k)_{i_k}."""
-        self._check(x)
-        if x.max_pos > length:
-            raise ValueError("truncation length does not cover the support")
-        letters = [
-            Letter(self.seq.index_at(k), -x.get(k)) for k in range(length, 0, -1)
-        ]
-        unit = None if self.lam is None else UnitLetter(self.lam)
-        return TensorWord(self.cartan, letters, unit)
-
-    def from_tensor_word(self, word: TensorWord) -> ZVector:
-        """Inverse of to_tensor_word for words shaped like this sequence."""
-        n = len(word.letters)
-        coords = {}
-        for offset, letter in enumerate(word.letters):
-            pos = n - offset
-            if letter.index != self.seq.index_at(pos):
-                raise ValueError("letter indices do not follow the sequence")
-            if letter.value:
-                coords[pos] = -letter.value
-        return ZVector.from_dict(coords, self.lam)

@@ -5,10 +5,15 @@ The statistics and the operator targets are folded separately, one
 TensorWord computed them before the fold was shared.  Nothing is kept
 between calls.  `connected_component` is the breadth-first closure of a
 word under its lowering operators, for the tests that need tensor crystals.
+
+`to_tensor_word`, `from_tensor_word` and `tensor_transport` are the tensor
+route across a braid window: truncate a vector to a word, apply the map
+with `apply_at`, and read the coordinates back.  They are the oracle for
+`transport` and for the vector operators.
 """
 
-from crystalpoly import NEG_INF
-from crystalpoly.crystals import bfs_graph
+from crystalpoly import NEG_INF, SequenceCrystal, ZVector, apply_at
+from crystalpoly.crystals import Letter, TensorWord, UnitLetter, bfs_graph
 
 
 def eps_phi_wt(word, i):
@@ -56,3 +61,40 @@ def e(word, i):
 def connected_component(seed, depth):
     """All lowering descendants of a tensor word, with labelled edges."""
     return bfs_graph(seed, seed.cartan.indices, lambda w, i: w.f(i), depth)
+
+
+def to_tensor_word(crystal, x, length):
+    """Truncate to a finite tensor word; coordinate x_k becomes (-x_k)_{i_k}."""
+    crystal._check(x)
+    if x.max_pos > length:
+        raise ValueError("truncation length does not cover the support")
+    letters = [Letter(crystal.seq.index_at(k), -x.get(k)) for k in range(length, 0, -1)]
+    unit = None if crystal.lam is None else UnitLetter(crystal.lam)
+    return TensorWord(crystal.cartan, letters, unit)
+
+
+def from_tensor_word(crystal, word):
+    """Inverse of to_tensor_word for words shaped like the crystal's sequence."""
+    n = len(word.letters)
+    coords = {}
+    for offset, letter in enumerate(word.letters):
+        pos = n - offset
+        if letter.index != crystal.seq.index_at(pos):
+            raise ValueError("letter indices do not follow the sequence")
+        if letter.value:
+            coords[pos] = -letter.value
+    return ZVector.from_dict(coords, crystal.lam)
+
+
+def tensor_transport(ctx, cartan, seq, x, positions):
+    """A vector across a braid window by the tensor round trip.
+
+    The word covers the window and the support; the image is read back by
+    position, since its window letters carry the braided sequence's indices.
+    """
+    crystal = SequenceCrystal(cartan, seq, x.lam)
+    word = to_tensor_word(crystal, x, max(max(positions), x.max_pos))
+    image = apply_at(ctx, word, positions)
+    n = len(image.letters)
+    coords = {n - off: -l.value for off, l in enumerate(image.letters) if l.value}
+    return ZVector.from_dict(coords, x.lam)

@@ -17,13 +17,13 @@ from crystalpoly import (
     Weight,
     a_sequence,
     an_system,
-    apply_at,
     BraidContext,
     check_crystal_axioms,
     get_builtin,
     l_max,
     rank2_system,
     run_property_suite,
+    transport,
     truncation_check,
     weight,
 )
@@ -212,12 +212,8 @@ def golden_weighted_0(m):
     ]
 
 
-def transport(ctx, source, target, nodes):
-    out = set()
-    for node in nodes:
-        word = source.to_tensor_word(node, 6)
-        out.add(target.from_tensor_word(apply_at(ctx, word, (4, 5, 6))))
-    return out
+def transport_all(ctx, seq, nodes):
+    return {transport(ctx, seq, node, (4, 5, 6)) for node in nodes}
 
 
 def test_criterion_8_golden_transport():
@@ -233,10 +229,10 @@ def test_criterion_8_golden_transport():
         set0 = FormSet(forms=tuple(GOLDEN_FREE_0), window=6).enumerate_points(6)
         assert coords(set1) == coords(bfs1)
         assert coords(set0) == coords(bfs0)
-        forward = transport(ctx, free1, free0, bfs1)
+        forward = transport_all(ctx, IOTA1, bfs1)
         assert coords(forward) == coords(bfs0)
         assert len(forward) == len(bfs1)
-        backward = transport(ctx.swapped(), free0, free1, bfs0)
+        backward = transport_all(ctx.swapped(), IOTA0, bfs0)
         assert coords(backward) == coords(bfs1)
 
         for m in itertools.product((0, 1), repeat=3):
@@ -249,7 +245,7 @@ def test_criterion_8_golden_transport():
             g0 = FormSet(forms=tuple(golden_weighted_0(m)), window=6, lam=lam)
             assert coords(g1.enumerate_points(6)) == coords(b1), m
             assert coords(g0.enumerate_points(6)) == coords(b0), m
-            fwd = transport(ctx, c1, c0, b1)
+            fwd = transport_all(ctx, IOTA1, b1)
             assert coords(fwd) == coords(b0) and len(fwd) == len(b1), m
 
 

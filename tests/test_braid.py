@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import random
 
 import pytest
@@ -6,10 +7,15 @@ from hypothesis import given, settings, strategies as st
 
 from crystalpoly import (
     BraidContext,
+    IndexSequence,
     Letter,
+    SequenceCrystal,
     TensorWord,
+    Weight,
+    ZVector,
     apply_at,
     check_strict_morphism,
+    get_builtin,
     map_values,
     map_values_nested,
     phi,
@@ -17,6 +23,7 @@ from crystalpoly import (
     phi_inverse,
     rank2_cartan,
     run_property_suite,
+    transport,
     weight,
 )
 from crystalpoly.crystals import UnitLetter
@@ -207,6 +214,85 @@ def test_apply_at_validates_window():
         apply_at(ctx, w, (2, 3, 4))
     with pytest.raises(ValueError):
         apply_at(ctx, w, (1, 2))
+
+
+# -- vectors across a window ------------------------------------------------
+
+A3 = get_builtin("a3").cartan
+A3_IOTA1 = IndexSequence((1, 2, 3, 1, 2, 1), 3)
+A3_IOTA0 = IndexSequence((1, 2, 3, 2, 1, 2), 3)
+
+
+def transport_grid():
+    """(ctx, cartan, seq, vector, window) over breadth-first graphs.
+
+    The a3 openings 1 2 3 1 2 1 and 1 2 3 2 1 2 through 4,5,6, both ways,
+    free and every lambda in {0,1}^3, at depth 6; the five finite rank-2
+    data on both periods, free and lambda=(1,1), through the windows 1..L
+    and L+1..2L, at depth 7.  The context is the one the window reads.
+    """
+    ctx = BraidContext.from_cartan(A3, 1, 2)
+    for lam in (None, *map(Weight, itertools.product((0, 1), repeat=3))):
+        for c, seq in ((ctx, A3_IOTA1), (ctx.swapped(), A3_IOTA0)):
+            for x in SequenceCrystal(A3, seq, lam).bfs(6).nodes:
+                yield c, A3, seq, x, (4, 5, 6)
+    for name in ("a1xa1", "a2", "b2", "c2", "g2"):
+        cartan = get_builtin(name).cartan
+        length = len(BraidContext.from_cartan(cartan, 1, 2).input_pattern())
+        for period in ((1, 2), (2, 1)):
+            seq = IndexSequence(period, 2)
+            for lam in (None, weight(1, 1)):
+                nodes = SequenceCrystal(cartan, seq, lam).bfs(7).nodes
+                for lo in (1, length + 1):
+                    window = tuple(range(lo, lo + length))
+                    top = window[-1]
+                    c = BraidContext.from_cartan(
+                        cartan, seq.index_at(top), seq.index_at(top - 1))
+                    for x in nodes:
+                        yield c, cartan, seq, x, window
+
+
+def test_transport_matches_the_tensor_route():
+    pairs = 0
+    for ctx, cartan, seq, x, window in transport_grid():
+        assert transport(ctx, seq, x, window) == tensor_oracle.tensor_transport(
+            ctx, cartan, seq, x, window), (ctx, seq, x, window)
+        pairs += 1
+    assert pairs == 2604
+
+
+def test_transport_round_trip_keeps_the_weight():
+    ctx = BraidContext.from_cartan(A3, 1, 2)
+    x = ZVector.from_dict({1: 1, 4: 2, 6: 1, 9: 3}, weight(1, 0, 1))
+    y = transport(ctx, A3_IOTA1, x, (4, 5, 6))
+    assert y.lam == x.lam and y.get(1) == 1 and y.get(9) == 3
+    assert transport(ctx.swapped(), A3_IOTA0, y, (4, 5, 6)) == x
+
+
+@pytest.mark.parametrize(
+    "window, message",
+    [
+        ((4, 5), "window must cover 3 positions"),
+        ((4, 6, 5), "window positions must be contiguous and ascending"),
+        ((0, 1, 2), "window must lie inside the word"),
+        ((1, 2, 3), r"word pattern \(3, 2, 1\) does not match \(1, 2, 1\)"),
+    ],
+)
+def test_transport_refuses_a_window(window, message):
+    ctx = BraidContext.from_cartan(A3, 1, 2)
+    with pytest.raises(ValueError, match=message):
+        transport(ctx, A3_IOTA1, ZVector.from_dict({4: 1}), window)
+    if "pattern" not in message:  # the same check guards the tensor route
+        word = TensorWord(A3, [Letter(1, 0), Letter(2, 0), Letter(1, 0), Letter(3, 0)])
+        with pytest.raises(ValueError, match=message):
+            apply_at(ctx, word, window)
+
+
+def test_transport_refuses_a_weight_of_another_rank():
+    ctx = BraidContext.from_cartan(A3, 1, 2)
+    x = ZVector.from_dict({4: 1}, weight(1, 0))
+    with pytest.raises(ValueError, match="weight rank must match the Cartan datum"):
+        transport(ctx, A3_IOTA1, x, (4, 5, 6))
 
 
 # -- words built by the fast paths ------------------------------------------

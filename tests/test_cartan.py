@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from crystalpoly import CartanData, CartanError, IndexSequence, cartan_from_matrix, weight
-from crystalpoly.cartan import an_cartan, rank2_cartan
+from crystalpoly.cartan import an_cartan, exact_int, rank2_cartan
 
 import sequence_oracle
 
@@ -152,8 +152,21 @@ def test_shared_builders():
         {"matrix": [[None]]},
         {"matrix": [[2]], "labels": 5},
         {"matrix": [[2, -1.7], [-1, 2]]},  # int() would truncate this to A2
+        {"matrix": [[2, 1e400], [-1, 2]]},  # JSON reads 1e400 as inf; int(inf) overflows
+        {"matrix": [[2, float("nan")], [-1, 2]]},
+        {"matrix": [[2, "-1"], [-1, 2]]},
     ],
 )
 def test_malformed_json_is_cartan_error(obj):
     with pytest.raises(CartanError):
         CartanData.from_json_dict(obj)
+
+
+@pytest.mark.parametrize("value", [1.5, 2.9, -0.5, 1e400, float("nan"), "2", None])
+def test_exact_int_refuses_what_int_would_change(value):
+    with pytest.raises(TypeError if value is None else ValueError):
+        exact_int(value)
+
+
+def test_exact_int_keeps_integral_values():
+    assert [exact_int(v) for v in (3, -2, 4.0, True)] == [3, -2, 4, 1]

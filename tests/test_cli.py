@@ -1,4 +1,5 @@
 import json
+import random
 import re
 import time
 
@@ -425,8 +426,8 @@ def test_verify_rank2_ignores_support_bound(capsys):
 
 @pytest.mark.parametrize(
     "content",
-    [[1], {"matrix": 5}, {"matrix": [[2, -1.7], [-1, 2]]}],
-    ids=["top-level-list", "scalar-matrix", "non-integral"],
+    [[1], {"matrix": 5}, {"matrix": [[2, -1.7], [-1, 2]]}, {"matrix": [[2, 1e400], [-1, 2]]}],
+    ids=["top-level-list", "scalar-matrix", "non-integral", "overflowing"],
 )
 def test_malformed_cartan_file(tmp_path, capsys, content):
     src = tmp_path / "bad.json"
@@ -452,8 +453,10 @@ def test_malformed_builtin_dir_file(tmp_path, capsys, monkeypatch):
         {"x": 1},
         {"elements": [[[1]]]},
         [{"coords": {"1": 1}, "mode": {"lam": [1, 1]}}],
+        [{"coords": [1, 2]}],
+        [{"coords": None}],
     ],
-    ids=["no-elements", "short-letter", "bad-mode"],
+    ids=["no-elements", "short-letter", "bad-mode", "coords-list", "coords-null"],
 )
 def test_braid_map_set_malformed(tmp_path, capsys, content):
     src = tmp_path / "im.json"
@@ -462,6 +465,46 @@ def test_braid_map_set_malformed(tmp_path, capsys, content):
         capsys, "braid", "--builtin", "a2", "--window", "1,2,3", "--map-set", str(src),
     )
     assert code == 2 and err.startswith("config error: malformed --map-set contents:")
+
+
+@pytest.mark.parametrize(
+    "element, message",
+    [
+        ({"coords": {"1": 1.5}}, "expected an integer, got 1.5"),
+        ([[1, 0], [2, 2.9], [1, 0]], "expected an integer, got 2.9"),
+        ({"coords": {"1": 1}, "mode": {"lambda": [1]}}, "weight rank must match the Cartan datum"),
+    ],
+    ids=["fractional-coordinate", "fractional-letter", "short-weight"],
+)
+def test_braid_map_set_refuses_a_value(tmp_path, capsys, element, message):
+    src = tmp_path / "im.json"
+    src.write_text(json.dumps([element]))
+    code, out, err = run(
+        capsys, "braid", "--builtin", "a2", "--iota", "1 2", "--window", "1,2,3",
+        "--map-set", str(src),
+    )
+    assert (code, out, err.strip()) == (2, "", f"config error: {message}")
+
+
+def test_braid_map_set_c1_c2_names_the_datum(tmp_path, capsys):
+    # --c1/--c2 pick rank2_cartan(c1, c2); --i/--j then read it as a builtin does
+    rng = random.Random(7)
+    words = [[[k, rng.randint(-4, 4)] for k in (2, 1, 2, 1, 2, 1)] for _ in range(16)]
+    src = tmp_path / "words.json"
+    src.write_text(json.dumps(words))
+    window = ("--i", "2", "--j", "1", "--window", "1,2,3,4,5,6", "--map-set", str(src))
+    code, by_pairing, _ = run(capsys, "braid", "--c1", "1", "--c2", "3", *window)
+    assert code == 0
+    code, by_name, _ = run(capsys, "braid", "--builtin", "g2", *window)
+    assert code == 0 and by_pairing == by_name
+
+
+def test_braid_c1_c2_index_out_of_range(capsys):
+    code, _, err = run(
+        capsys, "braid", "--c1", "1", "--c2", "1", "--i", "3", "--j", "1", "--map-set", "f",
+        "--window", "1,2,3",
+    )
+    assert code == 2 and err.strip() == "config error: --i and --j must lie in 1..2"
 
 
 def test_braid_map_set_position_zero_is_a_config_error(tmp_path, capsys):

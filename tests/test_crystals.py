@@ -1,5 +1,6 @@
 from types import SimpleNamespace
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from crystalpoly import (
@@ -113,6 +114,13 @@ def test_graph_exports_roundtrip():
     assert rebuilt == list(graph.nodes)
     dot = graph.to_dot()
     assert dot.startswith("digraph") and 'label="1"' in dot
+
+
+@pytest.mark.parametrize(
+    "obj", [[[1, 2.9]], [[1.5, 0]], [[1, 0], ["r", [1, 0.5]]], [[1, 1e400]]])
+def test_json_letters_must_be_integers(obj):
+    with pytest.raises(ValueError, match="expected an integer"):
+        TensorWord.from_json_obj(A2, obj)
 
 
 def test_identity_is_strict():

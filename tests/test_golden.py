@@ -6,9 +6,12 @@ says why.
 """
 
 import hashlib
+import json
+import random
 
 import pytest
 
+from crystalpoly import IndexSequence, SequenceCrystal, get_builtin, weight
 from crystalpoly.cli import main
 
 IOTA0 = ("--builtin", "a3", "--iota", "1 2 3 2 1 2")
@@ -63,3 +66,42 @@ def test_cli_output_is_pinned(capsys, argv, code, digest):
     got = main(list(argv))
     out = capsys.readouterr().out
     assert (got, hashlib.sha256(out.encode()).hexdigest()) == (code, digest)
+
+
+def _a3_nodes(lam):
+    """Depth-4 graph nodes on the a3 opening 1 2 3 1 2 1, as `graph --format json` lists them."""
+    crystal = SequenceCrystal(
+        get_builtin("a3").cartan, IndexSequence((1, 2, 3, 1, 2, 1), 3), lam)
+    return [node.to_json_obj() for node in crystal.bfs(4).nodes]
+
+
+def _g2_words():
+    rng = random.Random(20240)
+    return [[[k, rng.randint(-4, 4)] for k in (1, 2, 1, 2, 1, 2)] for _ in range(24)]
+
+
+A3_MAP = ("--builtin", "a3", "--iota", "1 2 3 1 2 1", "--i", "1", "--j", "2",
+          "--window", "4,5,6")
+G2_MAP = ("--i", "1", "--j", "2", "--window", "1,2,3,4,5,6")
+
+# (elements, argv before --map-set, sha256 of stdout); every run exits 0
+MAP_SET_GOLDEN = {
+    "a3-free": (lambda: _a3_nodes(None), A3_MAP,
+                "333fd070a5a28d68e436f65ada914c01d90fda38450bf8442b6c57a950f898c6"),
+    "a3-lambda-101": (lambda: _a3_nodes(weight(1, 0, 1)), A3_MAP,
+                      "e4c3d28bb0abca64dc6be41c67916bc64a6abdfcf3c2355eaf4c14f65bea4a9e"),
+    "g2-builtin": (_g2_words, ("--builtin", "g2", *G2_MAP),
+                   "1589c40667085ef29d1ae1f6d476ebb6056c43a0852cbfda52faacf927bf0f99"),
+    "g2-c1-c2": (_g2_words, ("--c1", "1", "--c2", "3", *G2_MAP),
+                 "1589c40667085ef29d1ae1f6d476ebb6056c43a0852cbfda52faacf927bf0f99"),
+}
+
+
+@pytest.mark.parametrize("name", MAP_SET_GOLDEN)
+def test_braid_map_set_is_pinned(tmp_path, capsys, name):
+    elements, argv, digest = MAP_SET_GOLDEN[name]
+    src = tmp_path / "elements.json"
+    src.write_text(json.dumps(elements()))
+    got = main(["braid", *argv, "--map-set", str(src)])
+    out = capsys.readouterr().out
+    assert (got, hashlib.sha256(out.encode()).hexdigest()) == (0, digest)

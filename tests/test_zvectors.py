@@ -4,13 +4,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from crystalpoly import (
+    BraidContext,
     IndexSequence,
     SequenceCrystal,
     ZVector,
     check_crystal_axioms,
     get_builtin,
+    transport,
     weight,
 )
+from tensor_oracle import from_tensor_word, to_tensor_word
 
 SL2 = get_builtin("a1")
 A2 = get_builtin("a2")
@@ -205,18 +208,18 @@ def test_tensor_bridge_intertwines():
     for lam in (None, weight(1, 1)):
         crystal = SequenceCrystal(A2.cartan, A2.iota, lam)
         for node in crystal.bfs(4).nodes:
-            w = crystal.to_tensor_word(node, 6)
-            assert crystal.from_tensor_word(w) == node
+            w = to_tensor_word(crystal, node, 6)
+            assert from_tensor_word(crystal, w) == node
             for i in (1, 2):
                 zf = crystal.f(node, i)
                 tf = w.f(i)
                 if zf is None:
                     assert tf is None
                 else:
-                    assert tf == crystal.to_tensor_word(zf, 6)
+                    assert tf == to_tensor_word(crystal, zf, 6)
                 ze = crystal.e(node, i)
                 if ze is not None:
-                    assert w.e(i) == crystal.to_tensor_word(ze, 6)
+                    assert w.e(i) == to_tensor_word(crystal, ze, 6)
 
 
 def test_json_roundtrip():
@@ -227,6 +230,25 @@ def test_json_roundtrip():
     y = vec(free, x2=5)
     assert ZVector.from_json_obj(y.to_json_obj()) == y
     assert y.to_json_obj()["mode"] == "binf"
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {"coords": {"1": 1.5}},
+        {"coords": {"2": 1e400}},
+        {"coords": {"1": 1}, "mode": {"lambda": [1, 0.5]}},
+    ],
+)
+def test_json_values_must_be_integers(obj):
+    with pytest.raises(ValueError, match="expected an integer"):
+        ZVector.from_json_obj(obj)
+
+
+@pytest.mark.parametrize("coords", [[1, 2], None, 3])
+def test_json_coords_must_be_an_object(coords):
+    with pytest.raises(TypeError, match="coords must map positions to values"):
+        ZVector.from_json_obj({"coords": coords})
 
 
 @pytest.mark.parametrize("coords", [{0: 5, 2: 1}, {-3: 1}, {0: 0, 1: 2}])
@@ -246,7 +268,7 @@ def test_crystal_refuses_a_vector_below_position_one(lam):
         with pytest.raises(ValueError, match="1-based"):
             op(x, 1)
     with pytest.raises(ValueError, match="1-based"):
-        crystal.to_tensor_word(x, 3)
+        transport(BraidContext.from_cartan(A2.cartan, 1, 2), A2.iota, x, (1, 2, 3))
 
 
 def test_vectors_are_slotted_frozen_values_with_a_kept_hash():
