@@ -264,7 +264,11 @@ def cmd_braid(args) -> int:
 
     if not args.map_set:
         raise ConfigError("braid needs --fuzz or --map-set")
-    if args.c1 is not None and args.c2 is not None:
+    if (args.c1 is None) != (args.c2 is None):
+        raise ConfigError("give both --c1 and --c2, or neither")
+    if args.c1 is not None:
+        if args.builtin or args.cartan_file:
+            raise ConfigError("give either --c1/--c2 or --builtin/--cartan-file, not both")
         cartan, seq = rank2_cartan(args.c1, args.c2), None
     else:
         cartan, seq, _ = _resolve_cartan(args)

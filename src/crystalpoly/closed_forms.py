@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cache
 
 from .cartan import CartanData, CartanError, IndexSequence, Weight, an_cartan, rank2_cartan
 from .forms import FormSet, LinearForm
@@ -210,15 +211,15 @@ MAX_CHAIN_RANK = 64
 
 
 def get_builtin(name: str) -> Builtin:
-    """Resolve a builtin name to its Cartan datum, sequence, and word data."""
+    """Resolve a builtin name to its Cartan datum, sequence, and word data.
+
+    Case is ignored and so are leading zeros in the N of `aN`.  Each datum
+    is built once per process and shared: a Builtin and everything in it
+    is frozen.
+    """
     key = name.lower()
     if key in _RANK2:
-        c1, c2 = _RANK2[key]
-        length = l_max(c1, c2)
-        word = None
-        if length is not None:
-            word = tuple(1 if m % 2 == 0 else 2 for m in range(length))
-        return Builtin(key, rank2_cartan(c1, c2), IndexSequence((1, 2), 2), length, word)
+        return _builtin(key)
     match = re.fullmatch(r"a(\d+)", key)
     if match:
         digits = match.group(1).lstrip("0") or "0"
@@ -226,16 +227,29 @@ def get_builtin(name: str) -> Builtin:
         if len(digits) > len(str(MAX_CHAIN_RANK)) or int(digits) > MAX_CHAIN_RANK:
             raise CartanError(f"chain builtins go up to a{MAX_CHAIN_RANK}, got {name!r}")
         n = int(digits)
-        if n < 1:
-            raise KeyError(name)
-        word = []
-        for block in range(1, n + 1):
-            word.extend(range(block, 0, -1))
-        return Builtin(
-            key,
-            an_cartan(n),
-            IndexSequence(tuple(range(1, n + 1)), n),
-            n * (n + 1) // 2,
-            tuple(word),
-        )
+        if n >= 1:
+            return _builtin(f"a{n}")
     raise KeyError(name)
+
+
+@cache
+def _builtin(key: str) -> Builtin:
+    """The builtin of a normalised name: one of _RANK2, or aN with 1 <= N <= MAX_CHAIN_RANK."""
+    if key in _RANK2:
+        c1, c2 = _RANK2[key]
+        length = l_max(c1, c2)
+        word = None
+        if length is not None:
+            word = tuple(1 if m % 2 == 0 else 2 for m in range(length))
+        return Builtin(key, rank2_cartan(c1, c2), IndexSequence((1, 2), 2), length, word)
+    n = int(key[1:])
+    word = []
+    for block in range(1, n + 1):
+        word.extend(range(block, 0, -1))
+    return Builtin(
+        key,
+        an_cartan(n),
+        IndexSequence(tuple(range(1, n + 1)), n),
+        n * (n + 1) // 2,
+        tuple(word),
+    )

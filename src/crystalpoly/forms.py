@@ -78,8 +78,14 @@ class LinearForm:
     def support_max(self) -> int:
         return self.coeffs[-1][0] if self.coeffs else 0
 
-    def __add__(self, other: "LinearForm") -> "LinearForm":
-        # one merge of the two sorted coefficient tuples, dropping zero sums
+    def add_scaled(self, other: "LinearForm", factor) -> "LinearForm":
+        """self + factor * other, in one merge of the two sorted coefficient tuples.
+
+        Zero sums are dropped; an int result is kept as it is and any other
+        value goes through `_exact`, so the result is normalised like `make`.
+        """
+        if type(factor) is not int:
+            factor = _exact(factor)
         a, b = self.coeffs, other.coeffs
         na, nb = len(a), len(b)
         out = []
@@ -90,27 +96,32 @@ class LinearForm:
                 out.append(a[x])
                 x += 1
             elif pb < pa:
-                out.append(b[y])
+                v = b[y][1] * factor
+                if v:
+                    out.append((pb, v if type(v) is int else _exact(v)))
                 y += 1
             else:
-                v = a[x][1] + b[y][1]
+                v = a[x][1] + b[y][1] * factor
                 if v:
-                    out.append((pa, _exact(v)))
+                    out.append((pa, v if type(v) is int else _exact(v)))
                 x += 1
                 y += 1
         out += a[x:]
-        out += b[y:]
-        return LinearForm(_exact(self.const + other.const), tuple(out))
+        for pb, vb in b[y:]:
+            v = vb * factor
+            if v:
+                out.append((pb, v if type(v) is int else _exact(v)))
+        const = self.const + other.const * factor
+        return LinearForm(const if type(const) is int else _exact(const), tuple(out))
+
+    def __add__(self, other: "LinearForm") -> "LinearForm":
+        return self.add_scaled(other, 1)
 
     def __sub__(self, other: "LinearForm") -> "LinearForm":
-        return self + other.scale(-1)
+        return self.add_scaled(other, -1)
 
     def scale(self, factor) -> "LinearForm":
-        f = _exact(factor)
-        if not f:
-            return LinearForm.zero()
-        coeffs = tuple((p, _exact(v * f)) for p, v in self.coeffs)
-        return LinearForm(_exact(self.const * f), coeffs)
+        return LinearForm.zero().add_scaled(self, factor)
 
     def evaluate(self, x) -> int | Fraction:
         """Value at a ZVector or a {position: value} mapping."""
@@ -209,13 +220,22 @@ class DescentSystem(SequenceCrystal):
         return self.beta_minus(self.seq.first_occurrence(i)).scale(-1)
 
     def s(self, form: LinearForm, k: int) -> LinearForm:
-        """Rewrite `form` against the bracket at k, split on the sign of phi_k."""
+        """Rewrite `form` against the bracket at k, split on the sign of phi_k.
+
+        Returns `form` itself when phi_k is 0 or the bracket is the zero form;
+        any other bracket has coefficient 1 at k, so the rewrite clears phi_k
+        and returns a different form.
+        """
         c = form.coeff(k)
         if c > 0:
-            return form + self.beta_plus(k).scale(-c)
-        if c < 0:
-            return form + self.beta_minus(k).scale(-c)
-        return form
+            bracket = self.beta_plus(k)
+        elif c < 0:
+            bracket = self.beta_minus(k)
+        else:
+            return form
+        if not bracket.coeffs and not bracket.const:
+            return form
+        return form.add_scaled(bracket, -c)
 
     def window_for(self, support_bound: int) -> int:
         """Furthest position any operator at 1..support_bound or weight seed can reach."""
@@ -263,7 +283,7 @@ class DescentSystem(SequenceCrystal):
                     if k > support_bound:
                         break
                     new = self.s(form, k)
-                    if new == form:
+                    if new is form:
                         continue
                     if new.support_max > window:
                         raise GenerationError(
@@ -319,15 +339,24 @@ class FormSet:
     def _int_rows(self):
         """(const, ((pos, coeff), ...)) rows in machine ints.
 
-        A form with a denominator above 1 is multiplied by the lcm of its
-        denominators, which is positive, so the sign of every value stays.
+        An all-int form passes through as its own (const, coeffs).  A form
+        holding a Fraction is multiplied by the lcm of its denominators,
+        which is positive, so the sign of every value stays.
         """
         rows = []
         for f in self.forms:
-            scale = lcm(f.const.denominator, *(v.denominator for _, v in f.coeffs))
+            const, coeffs = f.const, f.coeffs
+            if type(const) is int:
+                for _, v in coeffs:
+                    if type(v) is not int:
+                        break
+                else:
+                    rows.append((const, coeffs))
+                    continue
+            scale = lcm(const.denominator, *(v.denominator for _, v in coeffs))
             rows.append((
-                f.const.numerator * (scale // f.const.denominator),
-                tuple((p, v.numerator * (scale // v.denominator)) for p, v in f.coeffs),
+                const.numerator * (scale // const.denominator),
+                tuple((p, v.numerator * (scale // v.denominator)) for p, v in coeffs),
             ))
         return rows
 

@@ -499,6 +499,29 @@ def test_braid_map_set_c1_c2_names_the_datum(tmp_path, capsys):
     assert code == 0 and by_pairing == by_name
 
 
+@pytest.mark.parametrize(
+    "datum, message",
+    [
+        (("--builtin", "a2", "--c1", "1", "--c2", "3"),
+         "give either --c1/--c2 or --builtin/--cartan-file, not both"),
+        (("--cartan-file", "a2.json", "--c1", "1", "--c2", "3"),
+         "give either --c1/--c2 or --builtin/--cartan-file, not both"),
+        (("--c1", "1"), "give both --c1 and --c2, or neither"),
+        (("--c2", "3"), "give both --c1 and --c2, or neither"),
+        (("--builtin", "g2", "--c2", "3"), "give both --c1 and --c2, or neither"),
+    ],
+    ids=["builtin-and-pairing", "file-and-pairing", "c1-alone", "c2-alone", "builtin-and-c2"],
+)
+def test_braid_map_set_one_datum(tmp_path, capsys, datum, message):
+    # a named datum is never silently replaced, and a lone pairing never silently dropped
+    src = tmp_path / "words.json"
+    src.write_text(json.dumps([[[2, 1], [1, 0], [2, 0]]]))
+    code, out, err = run(
+        capsys, "braid", *datum, "--window", "1,2,3", "--map-set", str(src),
+    )
+    assert (code, out, err.strip()) == (2, "", f"config error: {message}")
+
+
 def test_braid_c1_c2_index_out_of_range(capsys):
     code, _, err = run(
         capsys, "braid", "--c1", "1", "--c2", "1", "--i", "3", "--j", "1", "--map-set", "f",

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import pytest
@@ -187,3 +188,24 @@ def test_builtin_longest_words_open_reduced():
         b = get_builtin(name)
         rep = truncation_check(b.cartan, b.longest_word, 4)
         assert rep.ok, (name, rep.violations[:2])
+
+
+def test_builtins_are_resolved_once_and_frozen():
+    from crystalpoly.closed_forms import _RANK2, MAX_CHAIN_RANK, _builtin
+
+    names = {*_RANK2, *(f"a{n}" for n in range(1, MAX_CHAIN_RANK + 1))}  # a2 is in both
+    for name in names:
+        b = get_builtin(name)
+        assert b.name == name
+        assert get_builtin(name.upper()) is b
+    # spellings of one chain datum share one entry under the normalised name
+    assert get_builtin("a3") is get_builtin("A03") is get_builtin("a0003")
+    for bad in ("a0", "a00", "e8", "a-1", "a1x"):
+        with pytest.raises(KeyError):
+            get_builtin(bad)
+    assert _builtin.cache_info().currsize == len(names) == 69
+    b = get_builtin("g2")
+    for obj, attr in ((b, "name"), (b.cartan, "matrix"), (b.iota, "period")):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(obj, attr, None)
+    assert isinstance(b.cartan.matrix, tuple) and isinstance(b.longest_word, tuple)

@@ -1,6 +1,7 @@
 import itertools
 import json
 from fractions import Fraction
+from math import lcm
 from unittest import mock
 
 import pytest
@@ -410,12 +411,12 @@ def test_evaluate_and_member_stay_exact():
     assert not fs.member({1: 2})
 
 
-def dict_add(f, g):
-    """The sum through a dict and `make`, as `__add__` computed it before the merge."""
+def dict_add(f, g, factor=1):
+    """f + factor * g through a dict and `make`, as `__add__` computed sums before the merge."""
     d = dict(f.coeffs)
     for pos, val in g.coeffs:
-        d[pos] = d.get(pos, 0) + val
-    return LinearForm.make(f.const + g.const, d)
+        d[pos] = d.get(pos, 0) + factor * val
+    return LinearForm.make(f.const + factor * g.const, d)
 
 
 exact_values = st.one_of(
@@ -425,14 +426,55 @@ exact_values = st.one_of(
 made_forms = st.builds(
     F, exact_values, st.dictionaries(st.integers(1, 9), exact_values, max_size=6)
 )
+factors = st.one_of(
+    st.sampled_from([0, 1, -1]),
+    st.integers(-5, 5),
+    st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 2, 3, 4])),
+)
+
+
+def assert_same_form(total, ref):
+    assert total == ref and hash(total) == hash(ref)
+    # normalised like `make`: sorted, no zero coefficient, an int unless non-integral
+    assert type(total.const) is type(ref.const)
+    assert [(p, type(v)) for p, v in total.coeffs] == [(p, type(v)) for p, v in ref.coeffs]
 
 
 @settings(max_examples=200, deadline=None)
-@given(made_forms, made_forms)
-def test_sorted_merge_add_matches_dict_version(f, g):
-    for h in (g, g.scale(-1), f.scale(-1)):
-        total, ref = f + h, dict_add(f, h)
-        assert total == ref and hash(total) == hash(ref)
-        # normalised like `make`: sorted, no zero coefficient, an int unless non-integral
-        assert type(total.const) is type(ref.const)
-        assert [(p, type(v)) for p, v in total.coeffs] == [(p, type(v)) for p, v in ref.coeffs]
+@given(made_forms, made_forms, factors)
+def test_sorted_merge_add_matches_dict_version(f, g, factor):
+    assert_same_form(f.add_scaled(g, factor), dict_add(f, g, factor))
+    assert_same_form(f + g, dict_add(f, g))
+    assert_same_form(f - g, dict_add(f, g, -1))
+    assert_same_form(f + f.scale(-1), LinearForm.zero())
+
+
+def test_s_returns_the_form_itself_when_unchanged():
+    # free a2 on 1 2: x1 and x2 are first occurrences, so the downward bracket is zero
+    system = DescentSystem(A2.cartan, A2.iota)
+    for form, k in ((F(0, {1: -1, 3: 1}), 1), (F(0, {2: -2, 3: 1}), 2), (F(1, {3: 1}), 1)):
+        assert system.s(form, k) is form
+    # a nonzero bracket clears phi_k, so the rewrite is a different form
+    rewritten = system.s(F(0, {1: 1}), 1)
+    assert rewritten.coeff(1) == 0 and rewritten != F(0, {1: 1})
+
+
+def lcm_rows(forms):
+    """_int_rows's lcm route, taken on every form."""
+    rows = []
+    for f in forms:
+        scale = lcm(f.const.denominator, *(v.denominator for _, v in f.coeffs))
+        rows.append((
+            f.const.numerator * (scale // f.const.denominator),
+            tuple((p, v.numerator * (scale // v.denominator)) for p, v in f.coeffs),
+        ))
+    return rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(made_forms, max_size=8))
+def test_int_rows_match_the_lcm_route(forms):
+    fs = FormSet(forms=tuple(forms), window=9)
+    rows = fs._int_rows()
+    assert rows == lcm_rows(fs.forms)
+    assert all(type(v) is int for const, coeffs in rows for v in (const, *(c for _, c in coeffs)))
