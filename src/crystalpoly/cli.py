@@ -234,6 +234,13 @@ def cmd_braid(args) -> int:
     if args.fuzz:
         if args.c1 is None or args.c2 is None:
             raise ConfigError("--fuzz needs --c1 and --c2")
+        # the fuzz reads only --c1/--c2/--n/--seed/--jobs; say so rather than drop the rest
+        ignored = [flag for flag, value in (
+            ("--builtin", args.builtin), ("--cartan-file", args.cartan_file),
+            ("--iota", args.iota), ("--map-set", args.map_set), ("--window", args.window.strip()),
+        ) if value]
+        if ignored:
+            raise ConfigError(f"--fuzz does not take {', '.join(ignored)}")
         if args.n < 1:
             raise ConfigError("--n must be >= 1")
         jobs = max(1, args.jobs)

@@ -371,17 +371,23 @@ class FormSet:
         the form evaluated exactly in integers (`_int_rows`) it leaves an
         interval of admissible values, so a value is skipped exactly when it
         would make a fully assigned form negative.
+        That rest is kept as a running partial value per form: each position
+        lists the (form, coefficient) pairs whose earlier support holds it,
+        setting x_p moves those partials by their coefficient per step of
+        x_p's value loop, and backtracking takes the steps back out, so a
+        form filed at k reads one integer.
         Forms in a single coordinate (the zero pins and the weight bounds
         `lambda_i - x_k >= 0`) become fixed bounds on that coordinate, and a
         form with no support in the window is just its constant.
         """
         lam = self.lam
         window = self.window
-        rows = self._int_rows()
         low = [0] * (window + 1)
         high = [budget] * (window + 1)
-        buckets: list[list] = [[] for _ in range(window + 1)]
-        for const, coeffs in rows:
+        buckets: list[list] = [[] for _ in range(window + 1)]  # by k: (slot, coeff) filed at k
+        touches: list[list] = [[] for _ in range(window + 1)]  # by p: (slot, coeff) filed past p
+        partial: list[int] = []  # by slot: const plus the terms of the positions set so far
+        for const, coeffs in self._int_rows():
             inside = [(p, c) for p, c in coeffs if 0 < p <= window]
             if not inside:
                 if const < 0:
@@ -393,8 +399,12 @@ class FormSet:
                 else:
                     high[k] = min(high[k], const // -a)
             else:
-                k, a = inside[-1]
-                buckets[k].append((const, a, inside[:-1]))
+                k, a = inside.pop()
+                slot = len(partial)
+                partial.append(const)
+                buckets[k].append((slot, a))
+                for p, c in inside:
+                    touches[p].append((slot, c))
 
         found: set[ZVector] = set()
         x = [0] * (window + 1)
@@ -404,15 +414,28 @@ class FormSet:
                 found.add(ZVector(tuple((p, v) for p, v in enumerate(x) if v), lam))
                 return
             lo, hi = low[k], min(high[k], remaining)
-            for const, a, rest in buckets[k]:
-                value = const + sum(c * x[p] for p, c in rest)
+            for slot, a in buckets[k]:
                 if a > 0:
-                    lo = max(lo, -(value // a))
+                    bound = -(partial[slot] // a)
+                    if bound > lo:
+                        lo = bound
                 else:
-                    hi = min(hi, value // -a)
+                    bound = partial[slot] // -a
+                    if bound < hi:
+                        hi = bound
+            if lo > hi:
+                return
+            moves = touches[k]
+            if lo:
+                for slot, c in moves:
+                    partial[slot] += c * lo
             for val in range(lo, hi + 1):
                 x[k] = val
                 rec(k + 1, remaining - val)
+                for slot, c in moves:
+                    partial[slot] += c
+            for slot, c in moves:  # the lo shift and the hi - lo + 1 steps
+                partial[slot] -= c * (hi + 1)
             x[k] = 0
 
         rec(1, budget)

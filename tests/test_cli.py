@@ -257,6 +257,25 @@ def test_braid_fuzz_jobs_caps_processes(capsys, monkeypatch):
     assert code == 0 and "n=1 " in out and len(pools) == 1
 
 
+@pytest.mark.parametrize("extra, named", [
+    (["--builtin", "a3"], "--builtin"),
+    (["--cartan-file", "absent.json"], "--cartan-file"),
+    (["--iota", "1 2 1"], "--iota"),
+    (["--map-set", "missing.json", "--window", "1,2,3"], "--map-set, --window"),
+    (["--window", "1,2,3"], "--window"),
+], ids=["builtin", "cartan-file", "iota", "map-set-window", "window"])
+def test_braid_fuzz_refuses_options_it_would_ignore(capsys, extra, named):
+    code, out, err = run(capsys, "braid", "--fuzz", "--c1", "1", "--c2", "2", "--n", "5", *extra)
+    assert code == 2 and out == ""
+    assert err == f"config error: --fuzz does not take {named}\n"
+
+
+def test_braid_fuzz_takes_an_empty_window(capsys):
+    code, out, _ = run(capsys, "braid", "--fuzz", "--c1", "1", "--c2", "2", "--n", "5",
+                       "--window", "", "--seed", "3")
+    assert code == 0 and "n=5 seed=3 violations=0" in out
+
+
 def test_braid_map_set(tmp_path, capsys):
     elements = [
         [[1, 0], [2, 0], [1, 0], [3, 0], [2, 0], [1, 0]],

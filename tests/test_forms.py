@@ -23,6 +23,7 @@ from crystalpoly import (
 
 import descent_oracle
 from brute_enum import brute_force_points
+from enum_oracle import resumming_points
 
 A2 = get_builtin("a2")
 A3 = get_builtin("a3")
@@ -287,6 +288,67 @@ def small_form_sets(draw):
 @given(small_form_sets(), st.integers(0, 5))
 def test_pruned_enumeration_matches_brute_force(fs, budget):
     assert fs.enumerate_points(budget) == brute_force_points(fs, budget)
+
+
+@st.composite
+def shared_support_systems(draw):
+    """Several forms filed at one position over a few shared earlier positions,
+    a second filing position over the same ones, and lower bounds that can
+    lie past the budget, so that a value range comes out empty."""
+    window = draw(st.integers(3, 5))
+    top = draw(st.integers(3, window))
+    shared = draw(st.lists(st.integers(1, top - 1), min_size=1, max_size=3, unique=True))
+    forms = []
+    for filed in (top, top, top, draw(st.integers(2, window))):
+        earlier = [p for p in shared if p < filed] or [1]
+        support = draw(st.lists(st.sampled_from(earlier), min_size=1, unique=True))
+        coeffs = {p: draw(COEFFS) for p in support}
+        coeffs[filed] = draw(COEFFS)
+        forms.append(F(draw(st.integers(-3, 4)), coeffs))
+    for _ in range(draw(st.integers(0, 2))):  # x_k + x_j - c >= 0 with c up to 7
+        k, j = draw(st.lists(st.integers(1, window), min_size=2, max_size=2, unique=True))
+        forms.append(F(-draw(st.integers(0, 7)), {k: 1, j: 1}))
+    return FormSet(forms=tuple(forms), window=window)
+
+
+@settings(max_examples=100, deadline=None)
+@given(shared_support_systems())
+def test_running_partials_match_brute_force(fs):
+    # one FormSet, budgets 0..5 in turn: no partial value survives a call
+    for budget in range(6):
+        assert fs.enumerate_points(budget) == brute_force_points(fs, budget)
+
+
+def _descent(name, lam, bound, seq=None):
+    builtin = get_builtin(name)
+    mode = None if lam is None else weight(*lam)
+    return DescentSystem(builtin.cartan, seq or builtin.iota, mode).generate(bound)
+
+
+def _g2_rank2():
+    c = get_builtin("g2").cartan
+    return rank2_system(-c.a(1, 2), -c.a(2, 1), weight(2, 2))
+
+
+# Systems too big for the brute force, against the re-summing search:
+# (label, system builder, budget, point count).  The a5 bound 16 is the
+# smallest whose window covers the depth-10 BFS, as `verify` would pick it.
+LARGE_SYSTEMS = [
+    ("a4-rho-8", lambda: _descent("a4", (1, 1, 1, 1), 10), 8, 351),
+    ("a4-rho-10", lambda: _descent("a4", (1, 1, 1, 1), 10), 10, 567),
+    ("a5-10001-10", lambda: _descent("a5", (1, 0, 0, 0, 1), 16), 10, 35),
+    ("a3-free-iota0-6", lambda: _descent("a3", None, 6, IOTA0), 6, 97),
+    ("g2-rank2-22-8", _g2_rank2, 8, 86),
+]
+
+
+@pytest.mark.parametrize("build, budget, count", [case[1:] for case in LARGE_SYSTEMS],
+                         ids=[case[0] for case in LARGE_SYSTEMS])
+def test_running_partials_match_the_resumming_search(build, budget, count):
+    fs = build()
+    points = fs.enumerate_points(budget)
+    assert points == resumming_points(fs, budget)
+    assert len(points) == count
 
 
 # The systems `crystalpoly verify` builds on the benchmark grid: (method,
