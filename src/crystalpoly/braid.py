@@ -12,16 +12,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from operator import attrgetter
 
 from .cartan import IndexSequence, rank2_cartan
-from .crystals import TensorWord, _letter, check_strict_morphism
+from .crystals import TensorWord, check_strict_morphism
 from .zvectors import ZVector
 
 ALLOWED_PAIRS = {(0, 0), (1, 1), (1, 2), (2, 1), (1, 3), (3, 1)}
 _SHAPE_LEN = {0: 2, 1: 3, 2: 4, 3: 6}
-_INDEX = attrgetter("index")
-_VALUE = attrgetter("value")
 
 
 def _pos(x):
@@ -126,12 +123,9 @@ def _map_word(ctx: BraidContext, word: TensorWord, family) -> TensorWord:
     """
     if word.unit is not None:
         raise ValueError("braid maps act on pure letter words")
-    letters = word.letters
-    pattern = tuple(map(_INDEX, letters))
-    if pattern != ctx._input:
-        raise ValueError(f"word pattern {pattern} does not match {ctx._input}")
-    out = family(ctx.c1, ctx.c2, tuple(map(_VALUE, letters)))
-    return TensorWord._checked(word.cartan, tuple(map(_letter, ctx._output, out)))
+    if not (word.indices is ctx._input or word.indices == ctx._input):
+        raise ValueError(f"word pattern {word.indices} does not match {ctx._input}")
+    return TensorWord._checked(word.cartan, ctx._output, family(ctx.c1, ctx.c2, word.values))
 
 
 def phi(ctx: BraidContext, word: TensorWord) -> TensorWord:
@@ -171,13 +165,14 @@ def apply_at(ctx: BraidContext, word: TensorWord, positions) -> TensorWord:
     letter is not a position).  The window must be contiguous, ascending,
     and its letters, read left to right, must match the map's pattern.
     """
-    n = len(word.letters)
+    indices, values = word.indices, word.values
+    n = len(values)
     positions = _window(ctx, positions, n)
     # letters are stored leftmost first; position p is letter n - p
     lo, hi = n - positions[-1], n - positions[0] + 1
-    image = phi(ctx, TensorWord(word.cartan, word.letters[lo:hi]))
-    letters = word.letters[:lo] + image.letters + word.letters[hi:]
-    return TensorWord(word.cartan, letters, word.unit)
+    image = phi(ctx, TensorWord._checked(word.cartan, indices[lo:hi], values[lo:hi]))
+    return TensorWord._checked(word.cartan, indices[:lo] + image.indices + indices[hi:],
+                               values[:lo] + image.values + values[hi:], word.unit)
 
 
 def transport(ctx: BraidContext, seq: IndexSequence, x: ZVector, positions) -> ZVector:
@@ -218,7 +213,7 @@ def run_property_suite(c1: int, c2: int, n: int, seed: int, lo: int = -10, hi: i
 
     for _ in range(n):
         vals = tuple(rng.randint(lo, hi) for _ in range(length))
-        word = TensorWord._checked(cartan, tuple(map(_letter, pattern, vals)))
+        word = TensorWord._checked(cartan, pattern, vals)
         image = phi(ctx, word)
         found = check_strict_morphism(strict_map, (word,), (1, 2))
         if phi_inverse(ctx, image) != word:

@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 1 internal inconsistency, 2 configuration error,
 3 generation stopped before saturating, 4 oracle/lattice mismatch,
-5 braid property violation.
+5 braid property violation, 141 stdout closed by its reader.
 """
 
 from __future__ import annotations
@@ -386,8 +386,16 @@ def main(argv=None) -> int:
 
 
 def console():
-    raise SystemExit(main())
+    """`main` as a command; a stdout closed early (as by `| head`) exits 141 quietly."""
+    try:
+        status = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the interpreter flushes stdout again at exit; send that to nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        status = 141
+    raise SystemExit(status)
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    console()

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import lru_cache
 from operator import add, sub
 
 from .cartan import CartanData, Weight, exact_int
@@ -28,13 +27,6 @@ class Letter:
     value: int
 
 
-# Letters are immutable values, so the words that the operators and the braid
-# maps derive share one instance per recently used (index, value) instead of
-# building a frozen dataclass per letter.  The cache is bounded; comparing two
-# letter tuples that share instances stops at identity.
-_letter = lru_cache(maxsize=1024)(Letter)
-
-
 @dataclass(frozen=True)
 class UnitLetter:
     """The single element of the one-point crystal attached to a weight."""
@@ -43,69 +35,74 @@ class UnitLetter:
 
 
 class TensorWord:
-    """A finite tensor product of letters, leftmost factor first."""
+    """A finite tensor product of letters, leftmost factor first, kept as
+    two int tuples; the `Letter` tuple `letters` is built on demand."""
 
-    __slots__ = ("cartan", "letters", "unit", "_hash", "_folds")
+    __slots__ = ("cartan", "indices", "values", "unit", "_hash", "_folds")
 
     def __init__(self, cartan: CartanData, letters, unit: UnitLetter | None = None):
-        self.cartan = cartan
-        self.letters = tuple(letters)
-        self.unit = unit
-        for letter in self.letters:
-            if not 1 <= letter.index <= cartan.rank:
+        letters = tuple(letters)
+        self.indices = tuple(letter.index for letter in letters)
+        for index in self.indices:
+            if not 1 <= index <= cartan.rank:
                 raise ValueError("letter index out of range")
         if unit is not None and unit.weight.rank != cartan.rank:
             raise ValueError("unit weight rank mismatch")
+        self.cartan = cartan
+        self.values = tuple(letter.value for letter in letters)
+        self.unit = unit
         self._hash = None
         self._folds = {}  # index -> _fold result; a word never changes, so none goes stale
 
     @classmethod
-    def _checked(cls, cartan: CartanData, letters: tuple, unit: UnitLetter | None = None):
-        """A word from a tuple of letters whose indices are known to be in range.
+    def _checked(cls, cartan: CartanData, indices, values, unit: UnitLetter | None = None):
+        """A word from index and value tuples whose indices are known to be in range.
 
-        For words derived from a checked word: `_apply` keeps the index of
-        the letter it changes, and a braid map's output pattern has the
+        For words derived from a checked word: `_apply` shares the indices
+        of the word it changes, and a braid map's output pattern has the
         indices of the input pattern it matched.  Nothing is re-checked.
         """
         word = cls.__new__(cls)
         word.cartan = cartan
-        word.letters = letters
+        word.indices = indices
+        word.values = values
         word.unit = unit
         word._hash = None
         word._folds = {}
         return word
 
+    @property
+    def letters(self) -> tuple:
+        return tuple(map(Letter, self.indices, self.values))
+
     def __eq__(self, other):
-        return (
-            isinstance(other, TensorWord)
-            and self.letters == other.letters
-            and self.unit == other.unit
-        )
+        return (isinstance(other, TensorWord) and self.values == other.values
+                and self.indices == other.indices and self.unit == other.unit)
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((self.letters, self.unit))
+            self._hash = hash((self.indices, self.values, self.unit))
         return self._hash
 
     def __len__(self):
-        return len(self.letters) + (1 if self.unit is not None else 0)
+        return len(self.values) + (1 if self.unit is not None else 0)
 
     def __repr__(self):
         return f"TensorWord({self.label()})"
 
     def label(self) -> str:
-        parts = [f"({l.value}){l.index}" for l in self.letters]
+        parts = [f"({v}){i}" for i, v in zip(self.indices, self.values)]
         if self.unit is not None:
             parts.append("r" + ",".join(str(c) for c in self.unit.weight.coeffs))
         return " ".join(parts) if parts else "()"
 
     def _factor_data(self, m: int, i: int):
         """(eps_i, phi_i, <h_i, wt>) of the m-th factor (0-based)."""
-        if m < len(self.letters):
-            letter = self.letters[m]
-            wtp = letter.value * self.cartan.a(i, letter.index)
-            if letter.index == i:
-                return -letter.value, letter.value, wtp
+        if m < len(self.values):
+            index, value = self.indices[m], self.values[m]
+            wtp = value * self.cartan.a(i, index)
+            if index == i:
+                return -value, value, wtp
             return NEG_INF, NEG_INF, wtp
         lam = self.unit.weight.pairing(i)
         return -lam, 0, lam
@@ -127,10 +124,9 @@ class TensorWord:
         row = self.cartan.matrix[i - 1]
         eps = phi = None
         wtp = f_target = e_target = 0
-        for m, letter in enumerate(self.letters):
-            value = letter.value
-            lw = value * row[letter.index - 1]
-            if letter.index == i:
+        for m, (index, value) in enumerate(zip(self.indices, self.values)):
+            lw = value * row[index - 1]
+            if index == i:
                 le = -value
                 if phi is None:
                     f_target = e_target = m
@@ -151,7 +147,7 @@ class TensorWord:
             wtp += lw
         if self.unit is not None:
             lam = self.unit.weight.coeffs[i - 1]
-            m = len(self.letters)
+            m = len(self.values)
             if phi is None or phi <= -lam:
                 f_target = m
                 if phi is None or phi < -lam:
@@ -181,14 +177,11 @@ class TensorWord:
         return tuple(self._fold(j)[2] for j in self.cartan.indices)
 
     def _apply(self, i: int, target: int, delta: int):
-        if target == len(self.letters):
-            return None  # operators kill the unit letter
-        letter = self.letters[target]
-        if letter.index != i:
-            return None
-        new = _letter(i, letter.value + delta)
-        letters = self.letters[:target] + (new,) + self.letters[target + 1 :]
-        return TensorWord._checked(self.cartan, letters, self.unit)
+        values = self.values
+        if target == len(values) or self.indices[target] != i:
+            return None  # operators kill the unit letter and letters of other indices
+        values = values[:target] + (values[target] + delta,) + values[target + 1 :]
+        return TensorWord._checked(self.cartan, self.indices, values, self.unit)
 
     def f(self, i: int):
         """Lowering operator; None is the absorbing element."""
@@ -199,7 +192,7 @@ class TensorWord:
         return self._apply(i, self._fold(i)[4], +1)
 
     def to_json_obj(self):
-        out = [[l.index, l.value] for l in self.letters]
+        out = [[i, v] for i, v in zip(self.indices, self.values)]
         if self.unit is not None:
             out.append(["r", list(self.unit.weight.coeffs)])
         return out

@@ -177,6 +177,34 @@ def test_property_suite_detects_broken_map(monkeypatch, c1, c2, expected):
     assert expected <= kinds
 
 
+_S1, _S2, _S3 = (-3, 8, 7, -6, 1, 9), (5, 10, 8, -8, 9, -10), (5, -2, 7, -3, -4, 5)
+
+
+@pytest.mark.parametrize(
+    "pair, first, samples",
+    [
+        ((0, 0), [("wt", None), ("eps", 1), ("phi", 1)], [_S1[:2], _S1[2:4], _S1[4:]]),
+        ((1, 1), [("wt", None), ("eps", 2), ("phi", 2)], [_S1[:3], _S1[3:], _S2[:3]]),
+        ((1, 2), [("wt", None), ("phi", 1), ("eps", 2)], [_S1[:4], _S1[4:] + _S2[:2], _S2[2:]]),
+        ((2, 1), [("wt", None), ("eps", 1), ("phi", 1)], [_S1[:4], _S1[4:] + _S2[:2], _S2[2:]]),
+        ((1, 3), [("wt", None), ("phi", 1), ("eps", 2)], [_S1, _S2, _S3]),
+        ((3, 1), [("wt", None), ("eps", 1), ("eps", 2)], [_S1, _S2, _S3]),
+    ],
+    ids=[f"{c1}-{c2}" for c1, c2 in PAIRS],
+)
+def test_property_suite_sample_stream_is_pinned(monkeypatch, pair, first, samples):
+    # with every image shifted each sample fails; the violations' values are
+    # the drawn samples, so a change to the draw order shows up here
+    monkeypatch.setattr(
+        "crystalpoly.braid.map_values",
+        lambda c1, c2, vals: tuple(v + 1 for v in map_values(c1, c2, vals)),
+    )
+    violations = run_property_suite(*pair, 40, seed=3)["violations"]
+    assert [(v["kind"], v["index"]) for v in violations[:3]] == first
+    assert [v["values"] for v in violations[:3]] == [samples[0]] * 3
+    assert list(dict.fromkeys(v["values"] for v in violations))[:3] == samples
+
+
 def test_apply_at_swap_window():
     cartan = rank2_cartan(0, 0)
     ctx = BraidContext(1, 2, 0, 0)
@@ -365,3 +393,75 @@ def test_context_patterns_are_built_once():
     assert mirror == BraidContext(2, 1, 3, 1) and hash(mirror) == hash(BraidContext(2, 1, 3, 1))
     assert repr(ctx) == "BraidContext(i=1, j=2, c1=1, c2=3)"
     assert ctx == BraidContext(1, 2, 1, 3) and dataclasses.replace(ctx, c1=3, c2=1).degree == 3
+
+
+def random_braid_word(rng, cartan, contexts):
+    """Letters of random indices with some braid patterns spliced in."""
+    indices = []
+    while len(indices) < 9:
+        if rng.random() < 0.5:
+            indices += rng.choice(contexts).input_pattern()
+        else:
+            indices.append(rng.randint(1, cartan.rank))
+    letters = [Letter(i, rng.randint(-5, 5)) for i in indices[: rng.randint(2, 9)]]
+    lam = rng.choice([None, tuple(rng.randint(0, 2) for _ in cartan.indices)])
+    return TensorWord(cartan, letters, None if lam is None else UnitLetter(Weight(lam)))
+
+
+@pytest.mark.parametrize("datum", ["a3", *(f"rank2-{c1}-{c2}" for c1, c2 in PAIRS)])
+def test_apply_at_every_window_matches_public_splice(datum):
+    if datum == "a3":
+        cartan = A3
+    else:
+        cartan = rank2_cartan(*map(int, datum.split("-")[1:]))
+    contexts = [
+        BraidContext.from_cartan(cartan, i, j)
+        for i, j in itertools.permutations(cartan.indices, 2)
+    ]
+    rng = random.Random(datum)
+    applied = refused = 0
+    for _ in range(60):
+        w = random_braid_word(rng, cartan, contexts)
+        n = len(w.letters)
+        for ctx in contexts:
+            length = len(ctx.input_pattern())
+            for start in range(1, n - length + 2):
+                window = tuple(range(start, start + length))
+                lo, hi = n - window[-1], n - window[0] + 1
+                sub = TensorWord(cartan, w.letters[lo:hi])
+                if sub.indices != ctx.input_pattern():
+                    with pytest.raises(ValueError, match="does not match"):
+                        apply_at(ctx, w, window)
+                    refused += 1
+                    continue
+                image = phi(ctx, sub)
+                spliced = w.letters[:lo] + image.letters + w.letters[hi:]
+                expected = TensorWord(cartan, spliced, w.unit)
+                out = apply_at(ctx, w, window)
+                assert out == expected and hash(out) == hash(expected)
+                assert out.letters == expected.letters and out.unit is w.unit
+                if cartan.rank == 2:
+                    assert_like_public(out)
+                assert apply_at(ctx.swapped(), out, window) == w
+                applied += 1
+    assert applied > 30 and refused > 30
+
+
+@pytest.mark.parametrize("pair", PAIRS)
+def test_derived_words_survive_json(pair):
+    rng = random.Random(str(pair))
+    ctx = BraidContext(1, 2, *pair)
+    length = len(ctx.input_pattern())
+    for _ in range(40):
+        _, w = make_word(*pair, [rng.randint(-6, 6) for _ in range(length)])
+        image = phi(ctx, w)
+        derived = [image, phi_inverse(ctx, image)]
+        derived += [getattr(word, op)(i) for word in (w, image) for op in "fe" for i in (1, 2)]
+        for word in derived:
+            if word is None:
+                continue
+            obj = word.to_json_obj()
+            assert obj == [[l.index, l.value] for l in word.letters]
+            back = TensorWord.from_json_obj(word.cartan, obj)
+            assert back == word and hash(back) == hash(word) and back.label() == word.label()
+            assert back.indices == word.indices and back.values == word.values

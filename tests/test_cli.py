@@ -1,12 +1,16 @@
 import json
+import os
 import random
 import re
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
 from crystalpoly import get_builtin, weight
-from crystalpoly.cli import main
+from crystalpoly.cli import console, main
 from crystalpoly.forms import MAX_FORMS, DescentSystem
 from crystalpoly.zvectors import SequenceCrystal
 
@@ -635,3 +639,52 @@ def test_main_reuses_one_parser(capsys):
         ("return", 0), ("return", 0), ("return", 4), ("return", 0), ("exit", 2), ("return", 0),
     ]
     assert "invalid int value: 'x'" in reused[4][2]
+
+
+ENTRY_POINTS = {
+    "module": ["-m", "crystalpoly.cli"],
+    "console": ["-c", "from crystalpoly.cli import console; console()"],
+}
+
+
+def _command(entry, *argv):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    return [sys.executable, *ENTRY_POINTS[entry], *argv], env
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_stdout_closed_after_one_line_exits_quietly(entry):
+    # about 115 KB of JSON, more than a pipe holds, so the writer is still
+    # writing when the reader goes away
+    cmd, env = _command(entry, "graph", "--builtin", "a3", "--binf", "--depth", "8",
+                        "--format", "json")
+    proc = subprocess.Popen(cmd, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 141
+    assert b"Traceback" not in err and err == b""
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_stdout_closed_before_the_fuzz_line_exits_quietly(entry):
+    # the read end is gone before the child starts, so its one line cannot go out
+    cmd, env = _command(entry, "braid", "--fuzz", "--c1", "1", "--c2", "3", "--n", "30",
+                        "--seed", "1")
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(cmd, env=env, stdout=write_end, stderr=subprocess.PIPE,
+                              timeout=120)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141
+    assert b"Traceback" not in proc.stderr and proc.stderr == b""
+
+
+def test_console_passes_the_status_through(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["crystalpoly", "braid", "--n", "3"])
+    with pytest.raises(SystemExit) as exc:
+        console()
+    assert exc.value.code == 2 and "braid needs --fuzz or --map-set" in capsys.readouterr().err

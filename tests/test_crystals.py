@@ -270,3 +270,74 @@ def test_fold_matches_per_factor_oracle(w, data):
     for i in w.cartan.indices:
         if w.unit is None and all(l.index != i for l in w.letters):
             assert w.epsilon(i) == NEG_INF and w.phi(i) == NEG_INF
+
+
+# -- the index and value tuples at their edges --------------------------------
+
+def assert_tuples_match_letters(w):
+    assert type(w.indices) is tuple and type(w.values) is tuple
+    assert len(w.indices) == len(w.values) == len(w) - (w.unit is not None)
+    assert type(w.letters) is tuple and all(type(l) is Letter for l in w.letters)
+    assert w.letters == tuple(map(Letter, w.indices, w.values))
+
+
+def test_empty_word():
+    w = TensorWord(A2, [])
+    assert w.indices == w.values == w.letters == () and len(w) == 0
+    assert w.label() == "()" and w.to_json_obj() == [] and repr(w) == "TensorWord(())"
+    assert w == TensorWord(A2, iter(())) and hash(w) == hash(TensorWord(A2, ()))
+    assert w != TensorWord(A2, [], UnitLetter(weight(0, 0)))
+    for i in A2.indices:
+        assert w.eps_phi_wt(i) == (NEG_INF, NEG_INF, 0) == tensor_oracle.eps_phi_wt(w, i)
+        assert w.f(i) is None and w.e(i) is None
+    assert w.weight_pairings() == (0, 0)
+    assert TensorWord.from_json_obj(A2, w.to_json_obj()) == w
+    assert_tuples_match_letters(w)
+
+
+def test_unit_only_word():
+    w = TensorWord(A2, [], UnitLetter(weight(2, 1)))
+    assert w.indices == w.values == w.letters == () and len(w) == 1
+    assert w.label() == "r2,1" and w.to_json_obj() == [["r", [2, 1]]]
+    assert w == TensorWord(A2, (), UnitLetter(weight(2, 1)))
+    assert hash(w) == hash(TensorWord(A2, (), UnitLetter(weight(2, 1))))
+    assert w != TensorWord(A2, [], UnitLetter(weight(1, 2))) and w != TensorWord(A2, [])
+    assert w.eps_phi_wt(1) == (-2, 0, 2) and w.eps_phi_wt(2) == (-1, 0, 1)
+    for i in A2.indices:
+        assert w.eps_phi_wt(i) == tensor_oracle.eps_phi_wt(w, i)
+        assert w.f(i) is None and w.e(i) is None  # the operators kill the unit letter
+    assert TensorWord.from_json_obj(A2, w.to_json_obj()) == w
+    assert_tuples_match_letters(w)
+
+
+@pytest.mark.parametrize("lam", [(0, 0), (1, 0), (0, 2), (3, 1)])
+def test_trailing_unit_letter(lam):
+    w = word(A2, (1, 0), (2, -1), (1, 1), lam=weight(*lam))
+    assert w.label() == "(0)1 (-1)2 (1)1 r" + ",".join(map(str, lam))
+    assert w != word(A2, (1, 0), (2, -1), (1, 1))
+    seen = []
+    for i in A2.indices:
+        for op in ("f", "e"):
+            out = getattr(w, op)(i)
+            assert out == getattr(tensor_oracle, op)(w, i)
+            if out is not None:
+                # one value changes; the indices tuple and the unit are the parent's
+                assert out.indices is w.indices and out.unit is w.unit
+                assert sum(a != b for a, b in zip(out.values, w.values)) == 1
+                assert_tuples_match_letters(out)
+                seen.append(out)
+    assert seen  # at least one operator acts on a letter here
+    assert_tuples_match_letters(w)
+
+
+@settings(max_examples=150, deadline=None)
+@given(oracle_words())
+def test_letters_are_built_from_the_tuples(w):
+    assert_tuples_match_letters(w)
+    assert w == TensorWord(w.cartan, w.letters, w.unit)
+    assert hash(w) == hash(TensorWord(w.cartan, w.letters, w.unit))
+    for i in w.cartan.indices:
+        for out in (w.f(i), w.e(i)):
+            if out is not None:
+                assert_tuples_match_letters(out)
+                assert out == TensorWord.from_json_obj(w.cartan, out.to_json_obj())
