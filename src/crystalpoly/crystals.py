@@ -43,13 +43,17 @@ class TensorWord:
     def __init__(self, cartan: CartanData, letters, unit: UnitLetter | None = None):
         letters = tuple(letters)
         self.indices = tuple(letter.index for letter in letters)
+        self.values = tuple(letter.value for letter in letters)
+        # plain ints only: a float or a bool would pass the range check and
+        # then flow through the folds as a non-integer letter
+        if not all(type(v) is int for v in self.indices + self.values):
+            raise ValueError("letter indices and values must be integers")
         for index in self.indices:
             if not 1 <= index <= cartan.rank:
                 raise ValueError("letter index out of range")
         if unit is not None and unit.weight.rank != cartan.rank:
             raise ValueError("unit weight rank mismatch")
         self.cartan = cartan
-        self.values = tuple(letter.value for letter in letters)
         self.unit = unit
         self._hash = None
         self._folds = {}  # index -> _fold result; a word never changes, so none goes stale

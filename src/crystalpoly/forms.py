@@ -20,6 +20,7 @@ wild Cartan data can double the form set every round.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
@@ -364,57 +365,99 @@ class FormSet:
         """Nonnegative window-supported lattice points with coordinate sum <= budget
         satisfying every form.
 
-        Depth-first search over the positions 1..window, assigning x_1, x_2, ...
-        in turn; positions outside the window are 0.  Each form is filed under the
-        largest position of its support inside the window and is solved for
-        that coordinate as soon as every earlier one is set: with the rest of
-        the form evaluated exactly in integers (`_int_rows`) it leaves an
-        interval of admissible values, so a value is skipped exactly when it
-        would make a fully assigned form negative.
-        That rest is kept as a running partial value per form: each position
-        lists the (form, coefficient) pairs whose earlier support holds it,
-        setting x_p moves those partials by their coefficient per step of
-        x_p's value loop, and backtracking takes the steps back out, so a
-        form filed at k reads one integer.
-        Forms in a single coordinate (the zero pins and the weight bounds
-        `lambda_i - x_k >= 0`) become fixed bounds on that coordinate, and a
-        form with no support in the window is just its constant.
+        Positions outside the window are 0, and every form is taken in exact
+        integers (`_int_rows`).  A presolve comes first.  Forms in a single
+        coordinate (the zero pins and the weight bounds `lambda_i - x_k >= 0`)
+        become fixed bounds on that coordinate, and a form with no support in
+        the window is just its constant.  A position whose bounds meet is
+        pinned: its value is substituted into the other forms, which can
+        leave new one-coordinate bounds and so new pins, until none appears;
+        the pinned values come off the budget.
+        Then a depth-first search assigns the free positions in increasing
+        order.  Each form left with two or more free coordinates is filed
+        under the largest and solved for it once the earlier ones are set:
+        the rest of the form leaves an interval of admissible values, so a
+        value is skipped exactly when it would make a fully assigned form
+        negative.  That rest is kept as a running partial value per form:
+        each free position lists the (form, coefficient) pairs whose earlier
+        support holds it, setting the position moves those partials by their
+        coefficient per step of its value loop, and backtracking takes the
+        steps back out, so a form filed at k reads one integer.
+        Each level hands the next the sorted tuple of nonzero (position,
+        value) pairs set so far, with the nonzero pins merged in position
+        order, and the last free level adds its points directly.
         """
         lam = self.lam
         window = self.window
         low = [0] * (window + 1)
         high = [budget] * (window + 1)
-        buckets: list[list] = [[] for _ in range(window + 1)]  # by k: (slot, coeff) filed at k
-        touches: list[list] = [[] for _ in range(window + 1)]  # by p: (slot, coeff) filed past p
-        partial: list[int] = []  # by slot: const plus the terms of the positions set so far
-        for const, coeffs in self._int_rows():
-            inside = [(p, c) for p, c in coeffs if 0 < p <= window]
-            if not inside:
-                if const < 0:
+        pins: dict[int, int] = {}
+        rows = self._int_rows()
+        while True:
+            multi = []  # (const, ((pos, coeff), ...)) with two or more free positions
+            for const, coeffs in rows:
+                inside = []
+                for p, c in coeffs:
+                    if 0 < p <= window:
+                        if p in pins:
+                            const += c * pins[p]
+                        else:
+                            inside.append((p, c))
+                if len(inside) > 1:
+                    multi.append((const, inside))
+                elif inside:
+                    k, a = inside[0]
+                    if a > 0:
+                        low[k] = max(low[k], -(const // a))
+                    else:
+                        high[k] = min(high[k], const // -a)
+                elif const < 0:
                     return set()
-            elif len(inside) == 1:
-                k, a = inside[0]
-                if a > 0:
-                    low[k] = max(low[k], -(const // a))
-                else:
-                    high[k] = min(high[k], const // -a)
-            else:
-                k, a = inside.pop()
-                slot = len(partial)
-                partial.append(const)
-                buckets[k].append((slot, a))
-                for p, c in inside:
-                    touches[p].append((slot, c))
+            rows = multi
+            new = [k for k in range(1, window + 1) if low[k] >= high[k] and k not in pins]
+            if not new:
+                break
+            for k in new:
+                if low[k] > high[k]:
+                    return set()
+                pins[k] = low[k]
+        budget -= sum(pins.values())
+        if budget < 0:
+            return set()
+
+        free = [k for k in range(1, window + 1) if k not in pins]
+        level = {k: n for n, k in enumerate(free)}
+        lows = [low[k] for k in free]
+        highs = [high[k] for k in free]
+        buckets: list[list] = [[] for _ in free]  # by level: (slot, coeff) filed there
+        touches: list[list] = [[] for _ in free]  # by level: (slot, coeff) filed later
+        partial: list[int] = []  # by slot: const plus the terms of the positions set so far
+        for const, inside in rows:
+            k, a = inside.pop()
+            slot = len(partial)
+            partial.append(const)
+            buckets[level[k]].append((slot, a))
+            for p, c in inside:
+                touches[level[p]].append((slot, c))
+        # the nonzero pins, merged into the carried coords just before each free
+        # level; the extra last entry holds those past the last free position
+        before: list[tuple] = [() for _ in range(len(free) + 1)]
+        for k in sorted(pins):
+            if pins[k]:
+                before[bisect_left(free, k)] += ((k, pins[k]),)
+        tail = before.pop()
+        if not free:
+            return {ZVector(tail, lam)}
 
         found: set[ZVector] = set()
-        x = [0] * (window + 1)
+        add = found.add
+        last = len(free) - 1
 
-        def rec(k: int, remaining: int):
-            if k > window:
-                found.add(ZVector(tuple((p, v) for p, v in enumerate(x) if v), lam))
-                return
-            lo, hi = low[k], min(high[k], remaining)
-            for slot, a in buckets[k]:
+        def rec(n: int, remaining: int, coords: tuple):
+            lo, hi = lows[n], highs[n]
+            if remaining < hi:
+                hi = remaining
+            for slot, a in buckets[n]:
                 if a > 0:
                     bound = -(partial[slot] // a)
                     if bound > lo:
@@ -425,20 +468,29 @@ class FormSet:
                         hi = bound
             if lo > hi:
                 return
-            moves = touches[k]
+            if before[n]:
+                coords += before[n]
+            k = free[n]
+            if n == last:
+                if not lo:
+                    add(ZVector(coords + tail, lam))
+                    lo = 1
+                for val in range(lo, hi + 1):
+                    add(ZVector(coords + ((k, val),) + tail, lam))
+                return
+            moves = touches[n]
             if lo:
                 for slot, c in moves:
                     partial[slot] += c * lo
+            n += 1
             for val in range(lo, hi + 1):
-                x[k] = val
-                rec(k + 1, remaining - val)
+                rec(n, remaining - val, coords + ((k, val),) if val else coords)
                 for slot, c in moves:
                     partial[slot] += c
             for slot, c in moves:  # the lo shift and the hi - lo + 1 steps
                 partial[slot] -= c * (hi + 1)
-            x[k] = 0
 
-        rec(1, budget)
+        rec(0, budget, ())
         return found
 
     def _require(self, mode_binf: bool):

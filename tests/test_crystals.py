@@ -123,6 +123,13 @@ def test_json_letters_must_be_integers(obj):
         TensorWord.from_json_obj(A2, obj)
 
 
+@pytest.mark.parametrize("letter", [Letter(1, 0.5), Letter(2, True), Letter(True, 0), Letter(1.0, 0)],
+                         ids=["fractional-value", "bool-value", "bool-index", "float-index"])
+def test_constructor_letters_must_be_integers(letter):
+    with pytest.raises(ValueError, match="must be integers"):
+        TensorWord(A2, [Letter(1, 0), letter])
+
+
 def test_identity_is_strict():
     sample = [word(A2, (1, a), (2, b)) for a in (-1, 0, 2) for b in (-2, 1)]
     assert check_strict_morphism(lambda b: b, sample, A2.indices) == []

@@ -319,6 +319,47 @@ def test_running_partials_match_brute_force(fs):
         assert fs.enumerate_points(budget) == brute_force_points(fs, budget)
 
 
+def _pin(k, v):
+    """The pair x_k - v >= 0 and v - x_k >= 0."""
+    return [F(-v, {k: 1}), F(v, {k: -1})]
+
+
+@st.composite
+def presolve_systems(draw):
+    """Pinned positions (possibly every one) with values up to 3, so their sum
+    can pass the budget; pairs x_j - x_k = u that become new pins once x_k is
+    substituted; a form over pinned positions only, whose constant after
+    substitution can be negative; and a few forms over the rest."""
+    window = draw(st.integers(0, 6))
+    positions = list(range(1, window + 1))
+    pinned = draw(st.lists(st.sampled_from(positions), unique=True)) if positions else []
+    pins = {k: draw(st.integers(0, 3)) for k in pinned}
+    forms = [form for k, v in pins.items() for form in _pin(k, v)]
+    for k in pinned:
+        if draw(st.booleans()):  # x_j - x_k = u: a new pin at j after substitution
+            j = draw(st.sampled_from(positions))
+            u = draw(st.integers(-1, 2))
+            forms += [F(-u, {j: 1, k: -1}), F(u, {j: -1, k: 1})]
+        if draw(st.booleans()):  # c - a*x_j + b*x_k >= 0: a new upper or lower bound at j
+            j = draw(st.sampled_from(positions))
+            forms.append(F(draw(st.integers(-2, 4)), {j: draw(COEFFS), k: draw(COEFFS)}))
+    if len(pinned) >= 2 and draw(st.booleans()):  # only pinned support: a constant check
+        k, j = pinned[:2]
+        a, b = draw(COEFFS), draw(COEFFS)
+        slack = draw(st.integers(-2, 2))  # negative: the substituted constant is negative
+        forms.append(F(slack - a * pins[k] - b * pins[j], {k: a, j: b}))
+    support = st.integers(1, window + 1)
+    for _ in range(draw(st.integers(0, 3))):
+        forms.append(F(draw(st.integers(-2, 4)), draw(st.dictionaries(support, COEFFS, max_size=3))))
+    return FormSet(forms=tuple(forms), window=window)
+
+
+@settings(max_examples=200, deadline=None)
+@given(presolve_systems(), st.integers(0, 7))
+def test_presolve_matches_brute_force(fs, budget):
+    assert fs.enumerate_points(budget) == brute_force_points(fs, budget)
+
+
 def _descent(name, lam, bound, seq=None):
     builtin = get_builtin(name)
     mode = None if lam is None else weight(*lam)
@@ -349,6 +390,32 @@ def test_running_partials_match_the_resumming_search(build, budget, count):
     points = fs.enumerate_points(budget)
     assert points == resumming_points(fs, budget)
     assert len(points) == count
+
+
+def _nonzero_pin_system():
+    """Pins x1 = 1, x4 = 2 and, through x3 - x1 = 1, x3 = 2; free x2, x5 and
+    x6 under a form filed at x6; x7 = 1 is a pin past the last free position."""
+    forms = _pin(1, 1) + _pin(4, 2) + _pin(7, 1) + [
+        F(-1, {1: -1, 3: 1}), F(1, {1: 1, 3: -1}),
+        F(3, {2: -1, 5: 1, 6: -1}), F(2, {4: 1, 5: -1}),
+    ]
+    return FormSet(forms=tuple(forms), window=7)
+
+
+@pytest.mark.parametrize(
+    "build, budget",
+    [case[1:3] for case in LARGE_SYSTEMS] + [(_nonzero_pin_system, 11)],
+    ids=[case[0] for case in LARGE_SYSTEMS] + ["nonzero-pins"])
+def test_enumerated_points_are_canonical(build, budget):
+    fs = build()
+    points = fs.enumerate_points(budget)
+    assert points
+    for p in points:
+        assert p.coords == tuple(sorted(p.coords))
+        assert p == ZVector.from_dict(dict(p.coords), p.lam)
+    if build is _nonzero_pin_system:
+        assert points == brute_force_points(fs, budget)
+        assert all(dict(p.coords).items() >= {(1, 1), (3, 2), (4, 2), (7, 1)} for p in points)
 
 
 # The systems `crystalpoly verify` builds on the benchmark grid: (method,
