@@ -70,7 +70,7 @@ def _resolve_cartan(args) -> tuple[CartanData, IndexSequence | None, object]:
 def _resolve_inputs(args):
     """Cartan datum, index sequence, weight (None in free mode), builtin record."""
     cartan, seq, builtin = _resolve_cartan(args)
-    if args.iota:
+    if args.iota is not None:
         seq = IndexSequence.from_string(args.iota, cartan.rank)
     elif seq is None:
         raise ConfigError("--iota is required for file-based Cartan data")
@@ -85,8 +85,11 @@ def _resolve_inputs(args):
 
 def _write(text: str, args):
     if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
+        try:
+            with open(args.output, "w") as fh:
+                fh.write(text if text.endswith("\n") else text + "\n")
+        except OSError as exc:
+            raise ConfigError(f"cannot write --output: {exc}") from exc
     else:
         print(text)
 
@@ -113,9 +116,9 @@ def cmd_graph(args) -> int:
     return 0
 
 
-def _check_system_options(args, cartan, lam):
+def _check_system_options(args, cartan, seq, lam):
     """Reject a round cap or a window below 1, or a closed-form method the
-    datum and weight do not fit, before any work starts."""
+    datum, sequence and weight do not fit, before any work starts."""
     if args.max_rounds < 1:
         raise ConfigError("--max-rounds must be >= 1")
     if args.window is not None and args.window < 1:
@@ -129,6 +132,12 @@ def _check_system_options(args, cartan, lam):
             raise ConfigError("this method needs a rank-2 Cartan datum")
     elif cartan.matrix != an_cartan(cartan.rank).matrix:
         raise ConfigError("the an method needs a simply laced chain datum")
+    # both closed forms are for the sequence 1 2 .. n repeated; a period of the
+    # same infinite sequence repeats that one, as 1 .. n has distinct entries
+    own = tuple(range(1, cartan.rank + 1))
+    if seq.period != own * (len(seq) // len(own)):
+        iota = " ".join(map(str, own))
+        raise ConfigError(f'the {args.method} method is for --iota "{iota}" only')
 
 
 def _build_system(args, cartan, seq, lam, default_bound):
@@ -148,7 +157,7 @@ def _build_system(args, cartan, seq, lam, default_bound):
 
 def cmd_inequalities(args) -> int:
     cartan, seq, lam, builtin = _resolve_inputs(args)
-    _check_system_options(args, cartan, lam)
+    _check_system_options(args, cartan, seq, lam)
     system = _build_system(args, cartan, seq, lam, builtin.longest_len if builtin else None)
     report = []
     if len(system.forms) > MAX_FORMS:
@@ -192,7 +201,7 @@ def cmd_verify(args) -> int:
     cartan, seq, lam, builtin = _resolve_inputs(args)
     if args.depth < 0:
         raise ConfigError("--depth must be >= 0")
-    _check_system_options(args, cartan, lam)
+    _check_system_options(args, cartan, seq, lam)
     floor = max(args.depth, 1)
     if args.method == "generate" and args.support_bound is not None and args.support_bound < floor:
         raise ConfigError("--support-bound must be at least max(depth, 1)")
@@ -282,7 +291,7 @@ def cmd_braid(args) -> int:
     if not (1 <= args.i <= cartan.rank and 1 <= args.j <= cartan.rank):
         raise ConfigError(f"--i and --j must lie in 1..{cartan.rank}")
     ctx = BraidContext.from_cartan(cartan, args.i, args.j)
-    if args.iota:
+    if args.iota is not None:
         seq = IndexSequence.from_string(args.iota, cartan.rank)
     window = tuple(int(t) for t in args.window.replace(",", " ").split())
     if not window:

@@ -100,17 +100,6 @@ class TensorWord:
             parts.append("r" + ",".join(str(c) for c in self.unit.weight.coeffs))
         return " ".join(parts) if parts else "()"
 
-    def _factor_data(self, m: int, i: int):
-        """(eps_i, phi_i, <h_i, wt>) of the m-th factor (0-based)."""
-        if m < len(self.values):
-            index, value = self.indices[m], self.values[m]
-            wtp = value * self.cartan.a(i, index)
-            if index == i:
-                return -value, value, wtp
-            return NEG_INF, NEG_INF, wtp
-        lam = self.unit.weight.pairing(i)
-        return -lam, 0, lam
-
     def _fold(self, i: int):
         """(eps, phi, <h_i, wt>, f target, e target) in one left-to-right pass.
 

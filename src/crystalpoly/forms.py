@@ -1,9 +1,9 @@
 """Exact affine forms and the piecewise-linear generation of inequality systems.
 
-A LinearForm is c + sum phi_k x_k with exact rational coefficients on a
-sparse, finitely supported set of positions; a value is kept as an int when
-it is integral and as a Fraction only when it is not, so the integer forms
-that Cartan data produce are rewritten in machine integers.  DescentSystem
+A LinearForm is c + sum phi_k x_k with an integer constant and integer
+coefficients on a sparse, finitely supported set of positions: Cartan
+pairings and weights make every form integral, so forms are rewritten,
+evaluated and enumerated in machine integers.  DescentSystem
 extends the SequenceCrystal of a Cartan datum, an index sequence and an optional
 highest weight with the sign-split update that rewrites a form against
 the local bracket form at a position; iterating those updates from the
@@ -22,43 +22,33 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from fractions import Fraction
-from math import lcm
 
-from .cartan import CartanData, IndexSequence, Weight
+from .cartan import CartanData, IndexSequence, Weight, exact_int
 from .zvectors import SequenceCrystal, ZVector
 
 MAX_FORMS = 5000  # admitted forms before generation gives up unsaturated
 
 
-def _exact(value) -> int | Fraction:
-    """`value` as an int when it is integral, otherwise as a Fraction."""
-    if type(value) is int:
-        return value
-    value = Fraction(value)
-    return value.numerator if value.denominator == 1 else value
-
-
 @dataclass(frozen=True)
 class LinearForm:
-    """Affine form: constant plus sparse rational coefficients by position.
+    """Affine form: integer constant plus sparse integer coefficients by position.
 
-    Every value is an int unless it is non-integral; since Fraction(n) == n
-    and hash(Fraction(n)) == hash(n), equality and hashing do not see the
-    difference.
+    `make`, `scale` and `add_scaled` take a value that equals an int, such
+    as 2.0, as that int, and refuse one that does not, such as 0.5, with
+    ValueError.
     """
 
-    const: int | Fraction
-    coeffs: tuple[tuple[int, int | Fraction], ...]  # sorted, no zero coefficients
+    const: int
+    coeffs: tuple[tuple[int, int], ...]  # sorted, no zero coefficients
 
     @classmethod
     def make(cls, const=0, coeffs=None) -> "LinearForm":
         items = []
         for pos, val in (coeffs or {}).items():
-            v = _exact(val)
+            v = val if type(val) is int else exact_int(val)
             if v:
                 items.append((int(pos), v))
-        return cls(_exact(const), tuple(sorted(items)))
+        return cls(const if type(const) is int else exact_int(const), tuple(sorted(items)))
 
     @classmethod
     def x(cls, k: int) -> "LinearForm":
@@ -69,7 +59,7 @@ class LinearForm:
     def zero(cls) -> "LinearForm":
         return cls(0, ())
 
-    def coeff(self, k: int) -> int | Fraction:
+    def coeff(self, k: int) -> int:
         for pos, val in self.coeffs:
             if pos == k:
                 return val
@@ -82,11 +72,10 @@ class LinearForm:
     def add_scaled(self, other: "LinearForm", factor) -> "LinearForm":
         """self + factor * other, in one merge of the two sorted coefficient tuples.
 
-        Zero sums are dropped; an int result is kept as it is and any other
-        value goes through `_exact`, so the result is normalised like `make`.
+        Zero sums are dropped, so the result is normalised like `make`.
         """
         if type(factor) is not int:
-            factor = _exact(factor)
+            factor = exact_int(factor)
         a, b = self.coeffs, other.coeffs
         na, nb = len(a), len(b)
         out = []
@@ -99,21 +88,20 @@ class LinearForm:
             elif pb < pa:
                 v = b[y][1] * factor
                 if v:
-                    out.append((pb, v if type(v) is int else _exact(v)))
+                    out.append((pb, v))
                 y += 1
             else:
                 v = a[x][1] + b[y][1] * factor
                 if v:
-                    out.append((pa, v if type(v) is int else _exact(v)))
+                    out.append((pa, v))
                 x += 1
                 y += 1
         out += a[x:]
         for pb, vb in b[y:]:
             v = vb * factor
             if v:
-                out.append((pb, v if type(v) is int else _exact(v)))
-        const = self.const + other.const * factor
-        return LinearForm(const if type(const) is int else _exact(const), tuple(out))
+                out.append((pb, v))
+        return LinearForm(self.const + other.const * factor, tuple(out))
 
     def __add__(self, other: "LinearForm") -> "LinearForm":
         return self.add_scaled(other, 1)
@@ -124,7 +112,7 @@ class LinearForm:
     def scale(self, factor) -> "LinearForm":
         return LinearForm.zero().add_scaled(self, factor)
 
-    def evaluate(self, x) -> int | Fraction:
+    def evaluate(self, x) -> int:
         """Value at a ZVector or a {position: value} mapping."""
         if isinstance(x, dict):
             get = lambda k: x.get(k, 0)
@@ -136,16 +124,13 @@ class LinearForm:
         return total
 
     def render(self) -> str:
-        def num(v):
-            return str(v) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
-
         parts = []
         if self.const:
-            parts.append(num(self.const))
+            parts.append(str(self.const))
         for pos, val in self.coeffs:
             sign = "-" if val < 0 else "+"
             mag = abs(val)
-            term = f"x{pos}" if mag == 1 else f"{num(mag)}*x{pos}"
+            term = f"x{pos}" if mag == 1 else f"{mag}*x{pos}"
             if not parts:
                 parts.append(term if sign == "+" else f"-{term}")
             else:
@@ -163,10 +148,13 @@ class LinearForm:
 
     @classmethod
     def from_json_obj(cls, obj) -> "LinearForm":
-        return cls.make(
-            Fraction(obj["const"]),
-            {int(k): Fraction(v) for k, v in obj["coeffs"].items()},
-        )
+        """The form `to_json_obj` wrote, its values as decimal integer strings
+        or numbers; a value that is not an integer raises ValueError."""
+
+        def num(v):
+            return int(v) if type(v) is str else v
+
+        return cls.make(num(obj["const"]), {int(k): num(v) for k, v in obj["coeffs"].items()})
 
 
 class GenerationError(RuntimeError):
@@ -337,36 +325,12 @@ class FormSet:
                 raise ValueError("vector support exceeds the system window")
         return all(f.evaluate(x) >= 0 for f in self.forms)
 
-    def _int_rows(self):
-        """(const, ((pos, coeff), ...)) rows in machine ints.
-
-        An all-int form passes through as its own (const, coeffs).  A form
-        holding a Fraction is multiplied by the lcm of its denominators,
-        which is positive, so the sign of every value stays.
-        """
-        rows = []
-        for f in self.forms:
-            const, coeffs = f.const, f.coeffs
-            if type(const) is int:
-                for _, v in coeffs:
-                    if type(v) is not int:
-                        break
-                else:
-                    rows.append((const, coeffs))
-                    continue
-            scale = lcm(const.denominator, *(v.denominator for _, v in coeffs))
-            rows.append((
-                const.numerator * (scale // const.denominator),
-                tuple((p, v.numerator * (scale // v.denominator)) for p, v in coeffs),
-            ))
-        return rows
-
     def enumerate_points(self, budget: int) -> set[ZVector]:
         """Nonnegative window-supported lattice points with coordinate sum <= budget
         satisfying every form.
 
-        Positions outside the window are 0, and every form is taken in exact
-        integers (`_int_rows`).  A presolve comes first.  Forms in a single
+        Positions outside the window are 0, and each form is read as its
+        integer row (const, coeffs).  A presolve comes first.  Forms in a single
         coordinate (the zero pins and the weight bounds `lambda_i - x_k >= 0`)
         become fixed bounds on that coordinate, and a form with no support in
         the window is just its constant.  A position whose bounds meet is
@@ -392,7 +356,7 @@ class FormSet:
         low = [0] * (window + 1)
         high = [budget] * (window + 1)
         pins: dict[int, int] = {}
-        rows = self._int_rows()
+        rows = [(f.const, f.coeffs) for f in self.forms]
         while True:
             multi = []  # (const, ((pos, coeff), ...)) with two or more free positions
             for const, coeffs in rows:

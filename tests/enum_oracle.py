@@ -2,10 +2,11 @@
 
 The depth-first search over the window positions as it ran before forms
 kept running partial values: every form filed at a position re-sums its
-whole earlier support at every node.  The filing, the one-variable bounds
-and the integer rows are the ones `enumerate_points` uses, so this oracle
-pins the bookkeeping of the running values, not the pruning; it reaches
-systems far too big for `brute_enum`.
+whole earlier support at every node.  The rows are the forms' own integer
+(const, coeffs), and the filing and the one-variable bounds are the ones
+`enumerate_points` uses, so this oracle pins the bookkeeping of the
+running values, not the pruning; it reaches systems far too big for
+`brute_enum`.
 """
 
 from crystalpoly import ZVector
@@ -14,7 +15,7 @@ from crystalpoly import ZVector
 def resumming_points(system, budget: int) -> set:
     lam = system.lam
     window = system.window
-    rows = system._int_rows()
+    rows = [(f.const, f.coeffs) for f in system.forms]
     low = [0] * (window + 1)
     high = [budget] * (window + 1)
     buckets: list[list] = [[] for _ in range(window + 1)]

@@ -1,7 +1,7 @@
 """Per-factor tensor folds: the test oracle for TensorWord's single fold.
 
 The statistics and the operator targets are folded separately, one
-`_factor_data` call per factor, with NEG_INF arithmetic throughout, as
+`factor_data` call per factor, with NEG_INF arithmetic throughout, as
 TensorWord computed them before the fold was shared.  Nothing is kept
 between calls.  `connected_component` is the breadth-first closure of a
 word under its lowering operators, for the tests that need tensor crystals.
@@ -16,13 +16,25 @@ from crystalpoly import NEG_INF, SequenceCrystal, ZVector, apply_at
 from crystalpoly.crystals import Letter, TensorWord, UnitLetter, bfs_graph
 
 
+def factor_data(word, m, i):
+    """(eps_i, phi_i, <h_i, wt>) of the m-th factor (0-based) of a tensor word."""
+    if m < len(word.values):
+        index, value = word.indices[m], word.values[m]
+        wtp = value * word.cartan.a(i, index)
+        if index == i:
+            return -value, value, wtp
+        return NEG_INF, NEG_INF, wtp
+    lam = word.unit.weight.pairing(i)
+    return -lam, 0, lam
+
+
 def eps_phi_wt(word, i):
     """String statistics and the i-pairing of the weight, in one fold."""
     eps = NEG_INF
     phi = NEG_INF
     wtp = 0
     for m in range(len(word)):
-        le, lp, lw = word._factor_data(m, i)
+        le, lp, lw = factor_data(word, m, i)
         cand = le - wtp
         if eps < cand:
             eps = cand
@@ -37,7 +49,7 @@ def action_target(word, i, lowering):
     target = 0
     phi = NEG_INF  # phi_i of the factors before m
     for m in range(len(word)):
-        le, lp, lw = word._factor_data(m, i)
+        le, lp, lw = factor_data(word, m, i)
         # at m = 0 this can only set the default target 0
         if phi <= le if lowering else phi < le:
             target = m

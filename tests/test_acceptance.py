@@ -312,6 +312,7 @@ def test_criterion_10_axioms_on_every_graph():
         import random
 
         from crystalpoly import Letter, TensorWord, rank2_cartan
+        from tensor_oracle import factor_data
 
         rng = random.Random(77)
         for c1, c2 in ((1, 1), (2, 1), (3, 1)):
@@ -324,7 +325,7 @@ def test_criterion_10_axioms_on_every_graph():
                 w = TensorWord(cartan, letters)
                 for i in (1, 2):
                     le, lp, lw = w.eps_phi_wt(i)
-                    data = [w._factor_data(m, i) for m in range(len(w))]
+                    data = [factor_data(w, m, i) for m in range(len(w))]
                     re_, rp, rw = data[-1]
                     for fe, fp, fw in reversed(data[:-1]):
                         re_ = max(fe, re_ - fw)

@@ -324,6 +324,30 @@ def test_braid_map_set_coordinate_encoding(tmp_path, capsys):
     assert mapped == other
 
 
+@pytest.mark.parametrize("argv", [
+    ("graph", "--builtin", "a2", "--lambda", "1,0", "--depth", "2"),
+    ("inequalities", "--builtin", "a2", "--lambda", "1,0"),
+    ("braid", "--builtin", "a3", "--window", "4,5,6", "--map-set", "MAP_SET"),
+], ids=["graph", "inequalities", "braid"])
+def test_unwritable_output_is_a_config_error(tmp_path, capsys, argv):
+    src = tmp_path / "im.json"
+    src.write_text(json.dumps([[[1, 0], [2, 0], [1, 0], [3, 0], [2, 0], [1, 0]]]))
+    dest = tmp_path / "absent" / "out.txt"
+    argv = [str(src) if a == "MAP_SET" else a for a in argv]
+    code, out, err = run(capsys, *argv, "--output", str(dest))
+    assert code == 2 and out == ""
+    assert err.startswith("config error: cannot write --output: ") and str(dest) in err
+    assert not dest.parent.exists()
+
+
+def test_braid_map_set_refuses_an_empty_iota(tmp_path, capsys):
+    src = tmp_path / "nodes.json"
+    src.write_text(json.dumps([{"coords": {"1": 1}, "mode": "binf"}]))
+    code, out, err = run(capsys, "braid", "--builtin", "a3", "--iota", "", "--window", "4,5,6",
+                         "--map-set", str(src))
+    assert code == 2 and out == "" and err == "config error: empty index sequence\n"
+
+
 def test_braid_map_set_missing_file(tmp_path, capsys):
     code, _, err = run(
         capsys, "braid", "--builtin", "a3", "--window", "4,5,6",
@@ -412,6 +436,23 @@ def test_inequalities_an_method(capsys):
          "--support-bound must be at least max(depth, 1)"),
         (("verify", "--builtin", "a2", "--binf", "--depth", "3", "--method", "an"),
          "the an method needs --lambda"),
+        # the closed forms are for 1 2 .. n repeated, whatever the period's length
+        (("verify", "--builtin", "b2", "--lambda", "1,0", "--depth", "4",
+          "--method", "rank2", "--iota", "2 1"),
+         'the rank2 method is for --iota "1 2" only'),
+        (("verify", "--builtin", "a2", "--lambda", "1,0", "--depth", "4",
+          "--method", "an", "--iota", "2 1"),
+         'the an method is for --iota "1 2" only'),
+        (("inequalities", "--builtin", "a2", "--lambda", "1,0", "--method", "an",
+          "--iota", "2 1"),
+         'the an method is for --iota "1 2" only'),
+        (("inequalities", "--builtin", "a3", "--lambda", "1,0,1", "--method", "an",
+          "--iota", "1 2 3 1 2"),
+         'the an method is for --iota "1 2 3" only'),
+        (("verify", "--builtin", "a2", "--lambda", "1,0", "--depth", "3", "--iota", ""),
+         "empty index sequence"),
+        (("inequalities", "--builtin", "a2", "--binf", "--iota", ""),
+         "empty index sequence"),
     ],
 )
 def test_method_dispatch_errors(capsys, argv, message):
@@ -428,6 +469,16 @@ def test_verify_rejects_method_before_bfs(capsys, monkeypatch, method):
     code, _, err = run(capsys, "verify", "--builtin", "a2", "--binf", "--depth", "12",
                        "--method", method)
     assert code == 2 and err.strip() == f"config error: the {method} method needs --lambda"
+
+
+@pytest.mark.parametrize("builtin, method, iota, count", [
+    ("b2", "rank2", "1 2 1 2", 5),
+    ("a2", "an", "1 2 1 2 1 2", 3),
+])
+def test_closed_forms_take_a_longer_period_of_their_sequence(capsys, builtin, method, iota, count):
+    code, out, _ = run(capsys, "verify", "--builtin", builtin, "--lambda", "1,0",
+                       "--depth", "4", "--method", method, "--iota", iota)
+    assert code == 0 and out == f"equal: {count} elements (depth 4)\n"
 
 
 def test_generate_from_file_needs_support_bound(tmp_path, capsys):

@@ -30,7 +30,7 @@ def rightassoc_eps_phi(w, i):
     """Independent oracle: fold the two-factor rules right to left."""
     data = []
     for m in range(len(w)):
-        data.append(w._factor_data(m, i))
+        data.append(tensor_oracle.factor_data(w, m, i))
     eps, phi, wtp = data[-1]
     for le, lp, lw in reversed(data[:-1]):
         eps = max(le, eps - lw)

@@ -1,7 +1,6 @@
 import itertools
 import json
 from fractions import Fraction
-from math import lcm
 from unittest import mock
 
 import pytest
@@ -20,6 +19,7 @@ from crystalpoly import (
     rank2_system,
     weight,
 )
+from crystalpoly.cli import main
 
 import descent_oracle
 from brute_enum import brute_force_points
@@ -36,12 +36,16 @@ def F(const, coeffs=None):
     return LinearForm.make(const, coeffs or {})
 
 
+def all_int(form):
+    return all(type(v) is int for v in (form.const, *(c for _, c in form.coeffs)))
+
+
 def test_linear_form_canonicalization():
     f = LinearForm.make(1, {3: 2, 5: 0, 1: -1})
-    assert f.coeffs == ((1, Fraction(-1)), (3, Fraction(2)))
+    assert f.coeffs == ((1, -1), (3, 2))
     assert f.coeff(5) == 0
     assert f - f == LinearForm.zero()
-    assert f.scale(Fraction(1, 2)).coeff(3) == 1
+    assert f.scale(-2) == F(-2, {1: 2, 3: -4})
     assert f.render() == "1 - x1 + 2*x3"
     assert LinearForm.from_json_obj(f.to_json_obj()) == f
 
@@ -258,10 +262,7 @@ def test_generated_forms_are_invariant_under_descent():
 
 # -- pruned enumeration against the brute-force oracle --------------------
 
-COEFFS = st.one_of(
-    st.integers(-3, 3),
-    st.fractions(min_value=-3, max_value=3, max_denominator=3),
-).filter(bool)
+COEFFS = st.one_of(st.integers(-3, 3), st.integers(-18, 18)).filter(bool)
 
 
 @st.composite
@@ -488,52 +489,14 @@ def test_generation_matches_fraction_oracle(inputs):
     assert (fs.rounds, fs.saturated, fs.window) == (
         expected["rounds"], expected["saturated"], expected["window"]
     )
-    # ints unless a coefficient is non-integral, which Cartan data never make
-    assert all(
-        type(v) is int for f in fs.forms for v in (f.const, *(c for _, c in f.coeffs))
-    )
+    assert all(all_int(f) for f in fs.forms)
 
 
-# -- int coefficients, Fraction only when non-integral ----------------------
-
-def test_integral_values_are_stored_as_ints():
-    half = Fraction(1, 2)
-    f = F(Fraction(4, 2), {1: Fraction(6, 3), 2: half})
-    assert type(f.const) is int and f.const == 2
-    assert f.coeffs == ((1, 2), (2, half)) and type(f.coeff(1)) is int
-    assert type(f.coeff(2)) is Fraction
-    g = F(2, {1: 2, 2: half})
-    assert f == g and hash(f) == hash(g)
-    assert F(Fraction(4, 2)) == F(2) and hash(F(Fraction(4, 2))) == hash(F(2))
-    assert type(LinearForm.x(3).coeff(3)) is int and type(LinearForm.zero().const) is int
-    assert type(f.coeff(9)) is int
-
-
-def test_sums_and_scales_normalise():
-    even = F(4, {1: 2, 3: -6})
-    halved = even.scale(Fraction(1, 2))
-    assert halved == F(2, {1: 1, 3: -3})
-    assert all(type(v) is int for v in (halved.const, *(c for _, c in halved.coeffs)))
-    odd = even.scale(Fraction(1, 4))
-    assert odd.const == 1 and odd.coeff(1) == Fraction(1, 2) and type(odd.coeff(1)) is Fraction
-    total = F(0, {1: Fraction(1, 2)}) + F(Fraction(1, 2), {1: Fraction(1, 2)})
-    assert total.coeffs == ((1, 1),) and type(total.coeff(1)) is int
-    assert type(total.const) is Fraction
-    assert F(0, {1: Fraction(1, 2)}) - F(0, {1: Fraction(1, 2)}) == LinearForm.zero()
-
-
-def test_rational_forms_render_and_round_trip():
-    f = F(Fraction(-3, 2), {2: Fraction(1, 2), 4: 3})
-    assert f.render() == "-3/2 + 1/2*x2 + 3*x4"
-    obj = f.to_json_obj()
-    assert obj == {"const": "-3/2", "coeffs": {"2": "1/2", "4": "3"}}
-    back = LinearForm.from_json_obj(json.loads(json.dumps(obj)))
-    assert back == f and type(back.coeff(4)) is int and type(back.coeff(2)) is Fraction
-
+# -- integer values only ---------------------------------------------------
 
 def test_evaluate_and_member_stay_exact():
-    f = F(Fraction(-1, 3), {1: Fraction(1, 3), 2: 1})
-    assert f.evaluate({1: 1}) == 0 and f.evaluate({}) == Fraction(-1, 3)
+    f = F(-1, {1: 1, 2: 3})
+    assert f.evaluate({1: 1}) == 0 and f.evaluate({}) == -1
     fs = FormSet(forms=(f, F(1, {1: -1})), window=2)
     assert fs.member({1: 1}) and not fs.member({})
     assert fs.member({2: 1})
@@ -548,25 +511,16 @@ def dict_add(f, g, factor=1):
     return LinearForm.make(f.const + factor * g.const, d)
 
 
-exact_values = st.one_of(
-    st.integers(-4, 4),
-    st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 2, 3, 4])),
-)
+exact_values = st.integers(-6, 6)
 made_forms = st.builds(
     F, exact_values, st.dictionaries(st.integers(1, 9), exact_values, max_size=6)
 )
-factors = st.one_of(
-    st.sampled_from([0, 1, -1]),
-    st.integers(-5, 5),
-    st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 2, 3, 4])),
-)
+factors = st.one_of(st.sampled_from([0, 1, -1]), st.integers(-6, 6))
 
 
 def assert_same_form(total, ref):
-    assert total == ref and hash(total) == hash(ref)
-    # normalised like `make`: sorted, no zero coefficient, an int unless non-integral
-    assert type(total.const) is type(ref.const)
-    assert [(p, type(v)) for p, v in total.coeffs] == [(p, type(v)) for p, v in ref.coeffs]
+    # normalised like `make`: sorted, no zero coefficient, every value an int
+    assert total == ref and hash(total) == hash(ref) and all_int(total)
 
 
 @settings(max_examples=200, deadline=None)
@@ -588,22 +542,40 @@ def test_s_returns_the_form_itself_when_unchanged():
     assert rewritten.coeff(1) == 0 and rewritten != F(0, {1: 1})
 
 
-def lcm_rows(forms):
-    """_int_rows's lcm route, taken on every form."""
-    rows = []
-    for f in forms:
-        scale = lcm(f.const.denominator, *(v.denominator for _, v in f.coeffs))
-        rows.append((
-            f.const.numerator * (scale // f.const.denominator),
-            tuple((p, v.numerator * (scale // v.denominator)) for p, v in f.coeffs),
-        ))
-    return rows
+@pytest.mark.parametrize("value", [Fraction(1, 2), 0.5, "1/2"], ids=["fraction", "float", "str"])
+def test_non_integral_values_are_refused(value):
+    form = F(1, {1: 2})
+    for build in (
+        lambda: LinearForm.make(value),
+        lambda: LinearForm.make(0, {1: value}),
+        lambda: form.scale(value),
+        lambda: form.add_scaled(F(0, {2: 1}), value),
+        lambda: LinearForm.from_json_obj({"const": value, "coeffs": {}}),
+        lambda: LinearForm.from_json_obj({"const": "0", "coeffs": {"1": value}}),
+    ):
+        with pytest.raises(ValueError):
+            build()
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.lists(made_forms, max_size=8))
-def test_int_rows_match_the_lcm_route(forms):
-    fs = FormSet(forms=tuple(forms), window=9)
-    rows = fs._int_rows()
-    assert rows == lcm_rows(fs.forms)
-    assert all(type(v) is int for const, coeffs in rows for v in (const, *(c for _, c in coeffs)))
+def test_integral_values_are_taken_as_ints():
+    two = Fraction(4, 2)
+    form = F(1, {1: 3})
+    for built, expected in (
+        (LinearForm.make(two, {1: two}), F(2, {1: 2})),
+        (form.scale(two), F(2, {1: 6})),
+        (form.add_scaled(F(1, {2: 1}), two), F(3, {1: 3, 2: 2})),
+        (LinearForm.from_json_obj({"const": two, "coeffs": {"1": two}}), F(2, {1: 2})),
+    ):
+        assert built == expected and all_int(built)
+
+
+@pytest.mark.parametrize("lam", [(0, 1, 0), None], ids=["010", "free"])
+def test_cli_json_forms_round_trip(capsys, lam):
+    argv = ["inequalities", "--builtin", "a3", "--iota", "1 2 3 2 1 2", "--format", "json"]
+    argv += ["--binf"] if lam is None else ["--lambda", ",".join(map(str, lam))]
+    assert main(argv) == 0
+    listed = json.loads(capsys.readouterr().out)["forms"]
+    rebuilt = [LinearForm.from_json_obj(obj) for obj in listed]
+    assert all(all_int(f) for f in rebuilt)
+    expected = _descent("a3", lam, 6, IOTA0)
+    assert len(set(rebuilt)) == len(listed) and set(rebuilt) == set(expected.forms)
