@@ -198,6 +198,7 @@ def cmd_inequalities(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    """BFS closure of 0 == lattice points, as coords tuples; vectors only label a MISMATCH."""
     cartan, seq, lam, builtin = _resolve_inputs(args)
     if args.depth < 0:
         raise ConfigError("--depth must be >= 0")
@@ -207,11 +208,10 @@ def cmd_verify(args) -> int:
         raise ConfigError("--support-bound must be at least max(depth, 1)")
     longest = builtin.longest_len if builtin else None
     graph = SequenceCrystal(cartan, seq, lam).bfs(args.depth)
-    bfs_nodes = graph.node_set()
     bound = max(floor, longest or 0)
     if args.method == "generate" and args.support_bound is None:
         # raise the default bound only as far as the smallest whose window covers the BFS
-        top = max(n.max_pos for n in bfs_nodes)
+        top = max(n.max_pos for n in graph.nodes)
         descent = DescentSystem(cartan, seq, lam)
         while descent.window_for(bound) < top:
             bound += 1
@@ -224,12 +224,13 @@ def cmd_verify(args) -> int:
     if over:
         print(f"BFS leaves the window: {over[0].label()} beyond {system.window}")
         return 4
-    points = system.enumerate_points(args.depth)
-    if bfs_nodes == points:
+    bfs_coords = {n.coords for n in graph.nodes}
+    points = system.lattice_coords(args.depth)
+    if bfs_coords == points:
         print(f"equal: {len(points)} elements (depth {args.depth})")
         return 0
-    missing = sorted(n.label() for n in bfs_nodes - points)
-    extra = sorted(n.label() for n in points - bfs_nodes)
+    missing = sorted(ZVector(c).label() for c in bfs_coords - points)
+    extra = sorted(ZVector(c).label() for c in points - bfs_coords)
     print(f"MISMATCH: bfs-only={missing} lattice-only={extra}")
     return 4
 
@@ -243,11 +244,11 @@ def cmd_braid(args) -> int:
     if args.fuzz:
         if args.c1 is None or args.c2 is None:
             raise ConfigError("--fuzz needs --c1 and --c2")
-        # the fuzz reads only --c1/--c2/--n/--seed/--jobs; say so rather than drop the rest
+        # the fuzz reads only --c1/--c2/--n/--seed/--jobs; refuse the rest, even empty
         ignored = [flag for flag, value in (
             ("--builtin", args.builtin), ("--cartan-file", args.cartan_file),
-            ("--iota", args.iota), ("--map-set", args.map_set), ("--window", args.window.strip()),
-        ) if value]
+            ("--iota", args.iota), ("--map-set", args.map_set),
+        ) if value is not None] + (["--window"] if args.window.strip() else [])
         if ignored:
             raise ConfigError(f"--fuzz does not take {', '.join(ignored)}")
         if args.n < 1:

@@ -9,7 +9,6 @@ rules left to right; the absorbing element 0 is represented by None.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from operator import add, sub
 
@@ -232,36 +231,6 @@ class CrystalGraph:
             lines.append(f'  n{s} -> n{d} [label="{i}"];')
         lines.append("}")
         return "\n".join(lines)
-
-
-def bfs_graph(seed, indices, lower, depth: int) -> CrystalGraph:
-    """Close `seed` under the lowering maps, up to `depth` applications."""
-    if seed is None:
-        raise ValueError("seed must be a crystal element, not the absorbing 0")
-    if depth < 0:
-        raise ValueError("depth must be >= 0")
-    nodes = [seed]
-    index = {seed: 0}
-    depths = [0]
-    edges = []
-    queue = deque([0])
-    while queue:
-        src = queue.popleft()
-        if depths[src] >= depth:
-            continue
-        for i in indices:
-            child = lower(nodes[src], i)
-            if child is None:
-                continue
-            dst = index.get(child)
-            if dst is None:
-                dst = len(nodes)
-                index[child] = dst
-                nodes.append(child)
-                depths.append(depths[src] + 1)
-                queue.append(dst)
-            edges.append((src, i, dst))
-    return CrystalGraph(nodes, edges, depths)
 
 
 def check_strict_morphism(map_fn, sample, indices) -> list[dict]:

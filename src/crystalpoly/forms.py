@@ -24,7 +24,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 
 from .cartan import CartanData, IndexSequence, Weight, exact_int
-from .zvectors import SequenceCrystal, ZVector
+from .zvectors import Coords, SequenceCrystal, ZVector
 
 MAX_FORMS = 5000  # admitted forms before generation gives up unsaturated
 
@@ -326,8 +326,12 @@ class FormSet:
         return all(f.evaluate(x) >= 0 for f in self.forms)
 
     def enumerate_points(self, budget: int) -> set[ZVector]:
+        """The points of `lattice_coords`, as vectors in this system's mode."""
+        return {ZVector(coords, self.lam) for coords in self.lattice_coords(budget)}
+
+    def lattice_coords(self, budget: int) -> set[Coords]:
         """Nonnegative window-supported lattice points with coordinate sum <= budget
-        satisfying every form.
+        satisfying every form, as ZVector coords tuples.
 
         Positions outside the window are 0, and each form is read as its
         integer row (const, coeffs).  A presolve comes first.  Forms in a single
@@ -351,7 +355,6 @@ class FormSet:
         value) pairs set so far, with the nonzero pins merged in position
         order, and the last free level adds its points directly.
         """
-        lam = self.lam
         window = self.window
         low = [0] * (window + 1)
         high = [budget] * (window + 1)
@@ -411,9 +414,9 @@ class FormSet:
                 before[bisect_left(free, k)] += ((k, pins[k]),)
         tail = before.pop()
         if not free:
-            return {ZVector(tail, lam)}
+            return {tail}
 
-        found: set[ZVector] = set()
+        found: set[Coords] = set()
         add = found.add
         last = len(free) - 1
 
@@ -437,10 +440,10 @@ class FormSet:
             k = free[n]
             if n == last:
                 if not lo:
-                    add(ZVector(coords + tail, lam))
+                    add(coords + tail)
                     lo = 1
                 for val in range(lo, hi + 1):
-                    add(ZVector(coords + ((k, val),) + tail, lam))
+                    add(coords + ((k, val),) + tail)
                 return
             moves = touches[n]
             if lo:

@@ -16,19 +16,32 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .cartan import CartanData, IndexSequence, Weight, exact_int
-from .crystals import CrystalGraph, bfs_graph
+from .crystals import CrystalGraph
+
+Coords = tuple[tuple[int, int], ...]  # sorted (position >= 1, value), values nonzero
+
+
+def _bumped(coords: Coords, k: int, delta: int) -> Coords:
+    """coords with x_k += delta, spliced in place; a coordinate that reaches 0 drops."""
+    n = bisect_left(coords, (k,))  # (k,) sorts before every (k, value)
+    if n < len(coords) and coords[n][0] == k:
+        val = coords[n][1] + delta
+        return coords[:n] + (((k, val),) if val else ()) + coords[n + 1 :]
+    if not delta:
+        return coords
+    return coords[:n] + ((k, delta),) + coords[n:]
 
 
 @dataclass(frozen=True, slots=True, init=False)
 class ZVector:
     """Finitely supported integer vector plus the highest weight of its crystal."""
 
-    coords: tuple[tuple[int, int], ...]  # sorted (position >= 1, value), values nonzero
+    coords: Coords
     lam: Weight | None = None  # None in free mode
     # hash((coords, lam)), computed on first use
     _hash: int | None = field(default=None, init=False, repr=False, compare=False)
 
-    def __init__(self, coords: tuple[tuple[int, int], ...], lam: Weight | None = None):
+    def __init__(self, coords: Coords, lam: Weight | None = None):
         _set_coords(self, coords)
         _set_lam(self, lam)
         _set_hash(self, None)
@@ -67,14 +80,8 @@ class ZVector:
 
     def bumped(self, k: int, delta: int) -> "ZVector":
         """x_k += delta, splicing the sorted coords; a coordinate that reaches 0 drops."""
-        coords = self.coords
-        n = bisect_left(coords, (k,))  # (k,) sorts before every (k, value)
-        if n < len(coords) and coords[n][0] == k:
-            val = coords[n][1] + delta
-            return ZVector(coords[:n] + (((k, val),) if val else ()) + coords[n + 1 :], self.lam)
-        if not delta:
-            return self
-        return ZVector(coords[:n] + ((k, delta),) + coords[n:], self.lam)
+        coords = _bumped(self.coords, k, delta)
+        return self if coords is self.coords else ZVector(coords, self.lam)
 
     def label(self) -> str:
         if not self.coords:
@@ -154,6 +161,19 @@ class SequenceCrystal:
         return total
 
     def _scan(self, x: ZVector, i: int) -> tuple[int, int, int | None, int]:
+        """`_scan_coords` of a checked vector.  The latest result is kept, so the
+        operators and statistics asked about the same (x, i) in a row share one
+        pass; the kept reference also stops the vector's identity from being reused.
+        """
+        last = self._last_scan
+        if last is not None and last[0] is x and last[1] == i:
+            return last[2]
+        self._check(x)
+        result = self._scan_coords(x.coords, i)
+        self._last_scan = (x, i, result)
+        return result
+
+    def _scan_coords(self, coords: Coords, i: int) -> tuple[int, int, int | None, int]:
         """(sigma, min_pos, max_pos) of m_set(x, i) and sigma_0, one pass over the support.
 
         sigma(x, k) is x_k plus the running pairing-weighted sum over the
@@ -163,21 +183,13 @@ class SequenceCrystal:
         equal to that sum, so only the lowest and the highest one count.
         Beyond the support every sigma is 0, so the max is >= 0;
         max_pos=None flags the infinite attaining set of a max of 0.
-
-        The latest result is kept with its vector, so the operators and
-        statistics asked about the same (x, i) in a row share one pass; the
-        kept reference also stops the vector's identity from being reused.
         """
-        last = self._last_scan
-        if last is not None and last[0] is x and last[1] == i:
-            return last[2]
-        self._check(x)
         period = self.seq.period
         m = len(period)
         pairs, next_of, last_of, lam_i = self._per_index[i - 1]
         tail = best = upper = 0  # upper: the coordinate visited last, 0 above the top
         lo = hi = None
-        for pos, v in reversed(x.coords):
+        for pos, v in reversed(coords):
             first = pos + next_of[pos % m]
             if first < upper:  # the zero run strictly between pos and upper
                 if tail > best:
@@ -200,11 +212,9 @@ class SequenceCrystal:
             elif tail == best:
                 lo = first
         if lo is None:  # no position up to the top attains the max 0
-            top = x.max_pos
+            top = coords[-1][0] if coords else 0
             lo = top + next_of[top % m]
-        result = best, lo, hi, tail - lam_i
-        self._last_scan = (x, i, result)
-        return result
+        return best, lo, hi, tail - lam_i
 
     def sigma_0(self, x: ZVector, i: int) -> int:
         """Affine companion of sigma carrying the highest-weight data."""
@@ -251,5 +261,34 @@ class SequenceCrystal:
         return (best if self.lam is None or best >= sigma_0 else sigma_0) - sigma_0
 
     def bfs(self, depth: int) -> CrystalGraph:
-        """All lowering descendants of the zero vector, to the given depth."""
-        return bfs_graph(self.zero(), self.cartan.indices, self.f, depth)
+        """All lowering descendants of the zero vector, to the given depth.
+
+        The closure runs on coords tuples, lowered by `_scan_coords` and
+        `_bumped` as `f` does; a node's index is its place in the FIFO queue,
+        and one ZVector per node is made for the graph.
+        """
+        if depth < 0:
+            raise ValueError("depth must be >= 0")
+        scan = self._scan_coords
+        gated = self.lam is not None
+        indices = self.cartan.indices
+        keys: list[Coords] = [()]
+        index = {(): 0}
+        depths = [0]
+        edges = []
+        for src, coords in enumerate(keys):  # the loop reaches the keys it appends
+            child_depth = depths[src] + 1
+            if child_depth > depth:  # depths never fall along the queue
+                break
+            for i in indices:
+                best, lo, _, sigma_0 = scan(coords, i)
+                if gated and best <= sigma_0:
+                    continue
+                child = _bumped(coords, lo, +1)
+                dst = index.get(child)
+                if dst is None:
+                    dst = index[child] = len(keys)
+                    keys.append(child)
+                    depths.append(child_depth)
+                edges.append((src, i, dst))
+        return CrystalGraph([ZVector(c, self.lam) for c in keys], edges, depths)

@@ -3,8 +3,10 @@
 The statistics and the operator targets are folded separately, one
 `factor_data` call per factor, with NEG_INF arithmetic throughout, as
 TensorWord computed them before the fold was shared.  Nothing is kept
-between calls.  `connected_component` is the breadth-first closure of a
-word under its lowering operators, for the tests that need tensor crystals.
+between calls.  `bfs_graph` is the generic breadth-first closure of a seed
+under any lowering map: the oracle for `SequenceCrystal.bfs`, and through
+`connected_component` the closure of a word for the tests that need tensor
+crystals.
 
 `to_tensor_word`, `from_tensor_word` and `tensor_transport` are the tensor
 route across a braid window: truncate a vector to a word, apply the map
@@ -12,8 +14,10 @@ with `apply_at`, and read the coordinates back.  They are the oracle for
 `transport` and for the vector operators.
 """
 
+from collections import deque
+
 from crystalpoly import NEG_INF, SequenceCrystal, ZVector, apply_at
-from crystalpoly.crystals import Letter, TensorWord, UnitLetter, bfs_graph
+from crystalpoly.crystals import CrystalGraph, Letter, TensorWord, UnitLetter
 
 
 def factor_data(word, m, i):
@@ -68,6 +72,36 @@ def e(word, i):
     if len(word) == 0:
         return None
     return word._apply(i, action_target(word, i, lowering=False), +1)
+
+
+def bfs_graph(seed, indices, lower, depth: int) -> CrystalGraph:
+    """Close `seed` under the lowering maps, up to `depth` applications."""
+    if seed is None:
+        raise ValueError("seed must be a crystal element, not the absorbing 0")
+    if depth < 0:
+        raise ValueError("depth must be >= 0")
+    nodes = [seed]
+    index = {seed: 0}
+    depths = [0]
+    edges = []
+    queue = deque([0])
+    while queue:
+        src = queue.popleft()
+        if depths[src] >= depth:
+            continue
+        for i in indices:
+            child = lower(nodes[src], i)
+            if child is None:
+                continue
+            dst = index.get(child)
+            if dst is None:
+                dst = len(nodes)
+                index[child] = dst
+                nodes.append(child)
+                depths.append(depths[src] + 1)
+                queue.append(dst)
+            edges.append((src, i, dst))
+    return CrystalGraph(nodes, edges, depths)
 
 
 def connected_component(seed, depth):

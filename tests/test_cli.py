@@ -267,7 +267,12 @@ def test_braid_fuzz_jobs_caps_processes(capsys, monkeypatch):
     (["--iota", "1 2 1"], "--iota"),
     (["--map-set", "missing.json", "--window", "1,2,3"], "--map-set, --window"),
     (["--window", "1,2,3"], "--window"),
-], ids=["builtin", "cartan-file", "iota", "map-set-window", "window"])
+    (["--builtin", ""], "--builtin"),
+    (["--cartan-file", ""], "--cartan-file"),
+    (["--iota", ""], "--iota"),
+    (["--map-set", ""], "--map-set"),
+], ids=["builtin", "cartan-file", "iota", "map-set-window", "window",
+        "empty-builtin", "empty-cartan-file", "empty-iota", "empty-map-set"])
 def test_braid_fuzz_refuses_options_it_would_ignore(capsys, extra, named):
     code, out, err = run(capsys, "braid", "--fuzz", "--c1", "1", "--c2", "2", "--n", "5", *extra)
     assert code == 2 and out == ""

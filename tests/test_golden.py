@@ -41,6 +41,8 @@ GOLDEN = [
      "1781efa68cd9ce81fa6e626581aac18fa15e774a75fe9ab48a9017293064ea30"),
     (("verify", *IOTA0, "--lambda", "0,1,0", "--depth", "6"), 4,
      "14e30e2b2e98d42713787766d14a797e34db6de371df027ddde30304430cb659"),
+    (("verify", *IOTA0, "--binf", "--depth", "6"), 4,
+     "c747994fe9a9f8cf247defebe983cfff739fb3ea9d8a26046a32a29d9a914b8e"),
     (("verify", "--builtin", "a3", "--lambda", "1,1,0", "--depth", "6"), 0,
      "24bcf3a64b4a05792499cfa51d0668819de48fad49717a4864cb8f046e47865e"),
     (("verify", "--builtin", "g2", "--lambda", "1,1", "--depth", "8", "--method", "rank2"), 0,

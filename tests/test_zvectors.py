@@ -13,7 +13,7 @@ from crystalpoly import (
     transport,
     weight,
 )
-from tensor_oracle import from_tensor_word, to_tensor_word
+from tensor_oracle import bfs_graph, from_tensor_word, to_tensor_word
 
 SL2 = get_builtin("a1")
 A2 = get_builtin("a2")
@@ -126,6 +126,46 @@ def test_bfs_counts():
     graph = c.bfs(5)
     assert {n.label() for n in graph.nodes} == {"0", "x1=1", "x1=1,x2=1"}
     assert len(SequenceCrystal(A2.cartan, A2.iota).bfs(0)) == 1
+
+
+# (builtin, iota or None for its own, two weights); free mode is run for each too
+BFS_PARITY = [
+    ("a2", None, ((1, 0), (1, 1))),
+    ("b2", None, ((1, 0), (1, 1))),
+    ("c2", None, ((0, 1), (1, 1))),
+    ("g2", None, ((1, 0), (0, 1))),
+    ("a1tilde", None, ((1, 1), (2, 0))),
+    ("a3", None, ((0, 1, 0), (1, 1, 0))),
+    ("a3", (1, 2, 3, 2, 1, 2), ((0, 1, 0), (1, 0, 1))),
+    ("a4", None, ((1, 0, 0, 1), (0, 1, 1, 0))),
+]
+
+
+def _parity_crystals():
+    for name, iota, lams in BFS_PARITY:
+        builtin = get_builtin(name)
+        cartan, seq, tag = builtin.cartan, builtin.iota, name
+        if iota:
+            seq = IndexSequence(iota, cartan.rank)
+            tag += "-" + "".join(map(str, iota))
+        yield pytest.param(SequenceCrystal(cartan, seq), id=f"{tag}-free")
+        for c in lams:
+            yield pytest.param(SequenceCrystal(cartan, seq, weight(*c)),
+                               id=f"{tag}-{''.join(map(str, c))}")
+
+
+@pytest.mark.parametrize("crystal", _parity_crystals())
+def test_bfs_matches_the_generic_closure(crystal):
+    def oracle(depth):
+        return bfs_graph(crystal.zero(), crystal.cartan.indices, crystal.f, depth)
+
+    for depth in range(7):
+        got, want = crystal.bfs(depth), oracle(depth)
+        assert got.nodes == want.nodes
+        assert (got.edges, got.depths, got.root) == (want.edges, want.depths, want.root)
+    for closure in (crystal.bfs, oracle):
+        with pytest.raises(ValueError, match=r"^depth must be >= 0$"):
+            closure(-1)
 
 
 def test_bfs_nodes_stay_nonnegative_with_bounded_support():
