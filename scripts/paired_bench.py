@@ -1,0 +1,103 @@
+#!/usr/bin/env python3
+"""Paired benchmark runs of two checkouts: per-pair change and medians.
+
+Usage: python scripts/paired_bench.py TREE_A TREE_B --workload W [--seeds 1-10]
+       [--seconds 30] [--dry-run]
+
+For each seed, both trees run `perfbench/run.py --trace 0` with that seed,
+one after the other; the tree that runs first alternates from seed to
+seed, and every `__pycache__` directory in both trees is deleted before
+every run.  The script prints, for each end-to-end metric, every pair's
+change from A to B and the median of each tree.  It only reads what
+`perfbench/run.py` prints; `--dry-run` prints the schedule and runs nothing.
+"""
+
+import argparse
+import json
+import shutil
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+
+def seed_list(text):
+    """Seeds from "1-10", "3,5,8" or a mix of both."""
+    seeds = []
+    for part in text.split(","):
+        lo, _, hi = part.partition("-")
+        seeds += range(int(lo), int(hi or lo) + 1)
+    return seeds
+
+
+def schedule(seeds):
+    """(seed, first tree, second tree) per pair; "A" runs first on even pairs."""
+    return [(seed, *(("A", "B") if n % 2 == 0 else ("B", "A"))) for n, seed in enumerate(seeds)]
+
+
+def clear_pycache(tree):
+    for path in sorted(tree.rglob("__pycache__")):
+        shutil.rmtree(path, ignore_errors=True)
+
+
+def run_once(tree, workload, seed, seconds):
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
+           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+    proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise SystemExit(f"{tree}: perfbench/run.py exited {proc.returncode}\n{proc.stderr}")
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def change(a, b):
+    return f"{(b - a) / a:+.1%}" if a else "n/a"
+
+
+def spread(values):
+    """The distance between the quartiles (0 for fewer than two values)."""
+    if len(values) < 2:
+        return 0.0
+    q1, _, q3 = statistics.quantiles(values, n=4)
+    return q3 - q1
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("tree_a", type=Path)
+    parser.add_argument("tree_b", type=Path)
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--seeds", type=seed_list, default=seed_list("1-10"))
+    parser.add_argument("--seconds", type=int, default=30)
+    parser.add_argument("--dry-run", action="store_true")
+    args = parser.parse_args(argv)
+    trees = {"A": args.tree_a.resolve(), "B": args.tree_b.resolve()}
+
+    plan = schedule(args.seeds)
+    for seed, first, second in plan:
+        print(f"seed {seed}: {first} then {second}")
+    if args.dry_run:
+        return 0
+
+    results = {"A": [], "B": []}
+    for seed, *order in plan:
+        for side in order:
+            for tree in trees.values():
+                clear_pycache(tree)
+            result = run_once(trees[side], args.workload, seed, args.seconds)
+            results[side].append(result)
+            print(f"seed {seed} {side}: attempted {result['attempted']} "
+                  f"failed {result['failed']}", flush=True)
+
+    print(f"\n{args.workload}: A = {trees['A']}, B = {trees['B']}")
+    for name in results["A"][0]["metrics"]:
+        a = [r["metrics"][name]["value"] for r in results["A"]]
+        b = [r["metrics"][name]["value"] for r in results["B"]]
+        ma, mb = statistics.median(a), statistics.median(b)
+        print(f"{name:14s} median {ma:.6g} -> {mb:.6g} ({change(ma, mb)}),"
+              f" A quartile spread {spread(a):.3g}")
+        print(f"{'':14s} per pair {' '.join(map(change, a, b))}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -270,14 +270,15 @@ def check_crystal_axioms(crystal, elements) -> list[dict]:
     tuple, f(b, i) and e(b, i), with None playing the role of 0: a
     SequenceCrystal as it is, tensor words through a small adapter.
 
-    `elements` is a sequence (it is read twice) of hashable elements, to
+    `elements` is any iterable (it is read once) of hashable elements, to
     which the accessors give equal answers whenever they are equal; an
     element may repeat, and each occurrence is reported.
     A first pass evaluates the accessors once per distinct element and
     index, and checks each image outside the elements on the spot.  The
-    second pass reports in element order, then index order, and checks an
-    image that is one of the elements against that element's row: its
-    weight, and whether its e (or f) leads back.
+    weight one i-arrow down and up is read from a table built once per
+    distinct weight.  The second pass reports in element order, then index
+    order, and checks an image that is one of the elements against that
+    element's row: its weight, and whether its e (or f) leads back.
     """
     cartan = crystal.cartan
     eps, phi, weight = crystal.epsilon, crystal.phi, crystal.weight_pairings
@@ -286,38 +287,38 @@ def check_crystal_axioms(crystal, elements) -> list[dict]:
     # column i - 1 holds <h_j, alpha_i> for every j: the weight shift of an i-arrow
     columns = tuple(zip(*cartan.matrix))
 
-    # every distinct element at the position of its first occurrence, with its weight
+    elements = tuple(elements)
+    # every distinct element at the position of its first occurrence
     position = dict.fromkeys(elements)
     for k, b in enumerate(position):
         position[b] = k
-    shared = {}  # one tuple per distinct weight
-    weights = [shared.setdefault(w, w) for w in map(weight, position)]
-
-    def slot(image, b, wb, i, shift, back, kinds):
-        """The position of an image among the elements or, for an image
-        outside them, the kinds of its weight and back checks that fail."""
-        if image is None:
-            return None
-        k = position.get(image)
-        if k is not None:
-            return k
-        wrong_weight, no_way_back = kinds
-        failed = ()
-        if weight(image) != tuple(map(shift, wb, columns[i - 1])):
-            failed += (wrong_weight,)
-        if back(image, i) != b:
-            failed += (no_way_back,)
-        return failed
+    at = position.get
+    # a row per distinct weight w: w, then w one i-arrow down and up for each i in turn
+    table = {}
+    shifts = []  # each distinct element's weight row
 
     # pass 1: the row of element k holds, for each index i in turn, (eps, phi,
-    # f slot, e slot); one flat list, so the e slot sits at width * k + 4 * i - 1
+    # f slot, e slot); one flat list, so the e slot sits at width * k + 4 * i - 1.
+    # A slot is None for no image, the image's position among the elements, or,
+    # for an image outside them, the kinds of its weight and back checks that fail.
     width = 4 * len(indices)
     rows = []
-    for b, wb in zip(position, weights):
+    for b in position:
+        wb = weight(b)
+        ws = table.get(wb)
+        if ws is None:
+            ws = table[wb] = (wb, *(tuple(map(op, wb, c)) for c in columns for op in (sub, add)))
+        shifts.append(ws)
         for i in indices:
             ev, pv, fb, eb = eps(b, i), phi(b, i), f(b, i), e(b, i)
-            rows += (ev, pv, slot(fb, b, wb, i, sub, e, ("wt-shift-f", "ef-adjoint")),
-                     slot(eb, b, wb, i, add, f, ("wt-shift-e", "fe-adjoint")))
+            fk = ek = None
+            if fb is not None and (fk := at(fb)) is None:
+                fk = (("wt-shift-f",) * (weight(fb) != ws[2 * i - 1])
+                      + ("ef-adjoint",) * (e(fb, i) != b))
+            if eb is not None and (ek := at(eb)) is None:
+                ek = (("wt-shift-e",) * (weight(eb) != ws[2 * i])
+                      + ("fe-adjoint",) * (f(eb, i) != b))
+            rows += (ev, pv, fk, ek)
 
     violations = []
 
@@ -327,7 +328,8 @@ def check_crystal_axioms(crystal, elements) -> list[dict]:
     # pass 2
     for b in elements:
         k = position[b]
-        wb = weights[k]
+        ws = shifts[k]
+        wb = ws[0]
         stats = iter(rows[width * k : width * (k + 1)])
         for i, ev, pv, fk, ek in zip(indices, stats, stats, stats, stats):
             if (ev == NEG_INF) != (pv == NEG_INF):
@@ -337,7 +339,7 @@ def check_crystal_axioms(crystal, elements) -> list[dict]:
             if ev == NEG_INF and (fk is not None or ek is not None):
                 bad("neginf-kills", b, i)
             if isinstance(fk, int):
-                if weights[fk] != tuple(map(sub, wb, columns[i - 1])):
+                if shifts[fk][0] != ws[2 * i - 1]:
                     bad("wt-shift-f", b, i)
                 if rows[width * fk + 4 * i - 1] != k:
                     bad("ef-adjoint", b, i)
@@ -345,7 +347,7 @@ def check_crystal_axioms(crystal, elements) -> list[dict]:
                 for kind in fk:
                     bad(kind, b, i)
             if isinstance(ek, int):
-                if weights[ek] != tuple(map(add, wb, columns[i - 1])):
+                if shifts[ek][0] != ws[2 * i]:
                     bad("wt-shift-e", b, i)
                 if rows[width * ek + 4 * i - 2] != k:
                     bad("fe-adjoint", b, i)

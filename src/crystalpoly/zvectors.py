@@ -135,21 +135,16 @@ class SequenceCrystal:
         self.lam = lam
         # <h_i, alpha_{i_k}> for every index i (rows) and period slot k (columns)
         pairs = tuple(tuple(row[ik - 1] for ik in seq.period) for row in cartan.matrix)
-        self._columns = tuple(zip(*pairs))
         # per index i: its pairings per slot, the offsets from p to the first
         # position of index i after p and to the last one up to p, and lambda_i
         lams = (0,) * cartan.rank if lam is None else lam.coeffs
         self._per_index = tuple(zip(pairs, seq._next_of, seq._last_of, lams))
         self._last_scan = None  # (vector, i, result) of the latest _scan
+        self._index, self._nodes = {}, ()  # coords -> node index, and nodes, of the latest bfs
+        self._columns = None  # per slot k, the nonzero <h_j, alpha_{i_k}> with their 0-based j
 
     def zero(self) -> ZVector:
         return ZVector((), self.lam)
-
-    def _check(self, x: ZVector):
-        if x.lam is not self.lam and x.lam != self.lam:
-            raise ValueError("vector weight does not match this crystal")
-        if x.coords and x.coords[0][0] < 1:
-            raise ValueError("positions are 1-based")
 
     def sigma(self, x: ZVector, k: int) -> int:
         """x_k plus the pairing-weighted tail sum over positions above k."""
@@ -168,7 +163,10 @@ class SequenceCrystal:
         last = self._last_scan
         if last is not None and last[0] is x and last[1] == i:
             return last[2]
-        self._check(x)
+        if x.lam is not self.lam and x.lam != self.lam:
+            raise ValueError("vector weight does not match this crystal")
+        if x.coords and x.coords[0][0] < 1:
+            raise ValueError("positions are 1-based")
         result = self._scan_coords(x.coords, i)
         self._last_scan = (x, i, result)
         return result
@@ -227,29 +225,37 @@ class SequenceCrystal:
         return MSet(*self._scan(x, i)[:3])
 
     def f(self, x: ZVector, i: int) -> ZVector | None:
-        """Lowering: add 1 at the first position attaining the sigma max."""
+        """Lowering: add 1 at the first position attaining the sigma max.
+        An image that is a node of the latest `bfs` is that node object."""
         best, lo, _, sigma_0 = self._scan(x, i)
         if self.lam is not None and best <= sigma_0:
             return None
-        return x.bumped(lo, +1)
+        coords = _bumped(x.coords, lo, +1)
+        k = self._index.get(coords)
+        return ZVector(coords, self.lam) if k is None else self._nodes[k]
 
     def e(self, x: ZVector, i: int) -> ZVector | None:
-        """Raising: subtract 1 at the last position attaining the sigma max."""
+        """Raising: subtract 1 at the last position attaining the sigma max.
+        An image that is a node of the latest `bfs` is that node object."""
         best, _, hi, sigma_0 = self._scan(x, i)
         if best <= 0 or self.lam is not None and best < sigma_0:
             return None
-        return x.bumped(hi, -1)
+        coords = _bumped(x.coords, hi, -1)
+        k = self._index.get(coords)
+        return ZVector(coords, self.lam) if k is None else self._nodes[k]
 
     def weight_pairings(self, x: ZVector) -> tuple[int, ...]:
         """<h_j, wt(x)> for every j, with wt = lambda minus the step roots."""
         out = list(self.lam.coeffs) if self.lam is not None else [0] * self.cartan.rank
         columns = self._columns
+        if columns is None:  # made on first use: only the axiom checker asks for weights
+            columns = self._columns = tuple(
+                tuple((j, row[ik - 1]) for j, row in enumerate(self.cartan.matrix) if row[ik - 1])
+                for ik in self.seq.period)
         m = len(columns)
         for pos, val in x.coords:
-            j = 0  # a running index: cheaper than enumerate's tuple per pairing
-            for a in columns[(pos - 1) % m]:
+            for j, a in columns[(pos - 1) % m]:
                 out[j] -= a * val
-                j += 1
         return tuple(out)
 
     def epsilon(self, x: ZVector, i: int) -> int:
@@ -265,7 +271,8 @@ class SequenceCrystal:
 
         The closure runs on coords tuples, lowered by `_scan_coords` and
         `_bumped` as `f` does; a node's index is its place in the FIFO queue,
-        and one ZVector per node is made for the graph.
+        and one ZVector per node is made for the graph.  The crystal keeps the
+        coords index and the nodes, so `f` and `e` return a node, not a copy.
         """
         if depth < 0:
             raise ValueError("depth must be >= 0")
@@ -291,4 +298,5 @@ class SequenceCrystal:
                     keys.append(child)
                     depths.append(child_depth)
                 edges.append((src, i, dst))
-        return CrystalGraph([ZVector(c, self.lam) for c in keys], edges, depths)
+        self._index, self._nodes = index, tuple([ZVector(c, self.lam) for c in keys])
+        return CrystalGraph(self._nodes, edges, depths)

@@ -111,7 +111,10 @@ def connected_component(seed, depth):
 
 def to_tensor_word(crystal, x, length):
     """Truncate to a finite tensor word; coordinate x_k becomes (-x_k)_{i_k}."""
-    crystal._check(x)
+    if x.lam != crystal.lam:
+        raise ValueError("vector weight does not match this crystal")
+    if x.coords and x.coords[0][0] < 1:
+        raise ValueError("positions are 1-based")
     if x.max_pos > length:
         raise ValueError("truncation length does not cover the support")
     letters = [Letter(crystal.seq.index_at(k), -x.get(k)) for k in range(length, 0, -1)]

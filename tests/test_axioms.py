@@ -169,6 +169,95 @@ def test_graph_exits_1_on_a_faulty_crystal(capsys, monkeypatch):
     )
 
 
+def test_elements_are_read_once():
+    """A generator of the elements gives what their list gives."""
+    base = SequenceCrystal(A3.cartan, A3.iota)
+    crystal = SimpleNamespace(
+        cartan=base.cartan, epsilon=base.epsilon, phi=lambda x, i: base.phi(x, i) + 1,
+        weight_pairings=base.weight_pairings, f=base.f, e=base.e,
+    )
+    nodes = list(base.bfs(3).nodes)
+    listed = check_crystal_axioms(crystal, nodes)
+    assert len(listed) == 87
+    assert check_crystal_axioms(crystal, (b for b in nodes)) == listed
+    assert axiom_oracle.check_crystal_axioms(crystal, iter(nodes)) == listed
+
+
+def _last_layer_weight(c, depth):
+    def weight_pairings(x):
+        w = c.weight_pairings(x)
+        return (w[0] + 1,) + w[1:] if x.total == depth + 1 else w
+    return weight_pairings
+
+
+def _last_layer_e(c, depth):
+    return lambda x, i: None if i == 2 and x.total == depth + 1 else c.e(x, i)
+
+
+# case -> (builtin, weight, depth, the BFS node count)
+GRAPH_SCALE = {
+    "a4-rho-8": ("a4", weight(1, 1, 1, 1), 8, 351),
+    "a3-free-6": ("a3", None, 6, 217),
+}
+# (case, accessor) -> (violation count, first violation's kind, element label, index),
+# recorded before the checker read weight shifts from a table
+LAST_LAYER = {
+    ("a4-rho-8", "weight_pairings"): (238, "wt-shift-f", "x1=1,x2=2,x3=3,x5=1,x6=1", 2),
+    ("a4-rho-8", "e"): (60, "ef-adjoint", "x1=1,x2=2,x3=3,x5=1,x6=1", 2),
+    ("a3-free-6", "weight_pairings"): (291, "wt-shift-f", "x1=6", 1),
+    ("a3-free-6", "e"): (97, "ef-adjoint", "x1=6", 2),
+}
+
+
+@pytest.mark.parametrize("case, accessor", sorted(LAST_LAYER))
+def test_last_layer_fault_at_graph_scale(case, accessor):
+    """A fault on the children of the last BFS layer only, which lie outside
+    the nodes: only the checks of images outside the elements can see it."""
+    name, lam, depth, size = GRAPH_SCALE[case]
+    builtin = get_builtin(name)
+    base = SequenceCrystal(builtin.cartan, builtin.iota, lam)
+    nodes = base.bfs(depth).nodes
+    assert len(nodes) == size and max(b.total for b in nodes) == depth
+    fault = {"weight_pairings": _last_layer_weight, "e": _last_layer_e}[accessor]
+    crystal = SimpleNamespace(
+        cartan=base.cartan, epsilon=base.epsilon, phi=base.phi,
+        weight_pairings=base.weight_pairings, f=base.f, e=base.e,
+    )
+    setattr(crystal, accessor, fault(base, depth))
+    found = assert_parity(crystal, nodes)
+    count, kind, label, index = LAST_LAYER[case, accessor]
+    assert len(found) == count
+    assert (found[0]["kind"], found[0]["element"].label(), found[0]["index"]) == (kind, label, index)
+    assert {v["kind"] for v in found} == {kind}
+    assert all(v["element"].total == depth for v in found)
+
+
+def _e_dies_at_total_2(e):
+    return lambda self, x, i: None if i == 2 and x.total == 2 else e(self, x, i)
+
+
+def _weight_off_past_depth_2(weight_pairings):
+    def faulty(self, x):
+        w = weight_pairings(self, x)
+        return (w[0] + 1,) + w[1:] if x.total == 3 else w
+    return faulty
+
+
+@pytest.mark.parametrize("accessor, fault, first", [
+    ("e", _e_dies_at_total_2,
+     "{'kind': 'ef-adjoint', 'element': ZVector(x1=1), 'index': 2, 'detail': ''}"),
+    ("weight_pairings", _weight_off_past_depth_2,
+     "{'kind': 'wt-shift-f', 'element': ZVector(x1=2), 'index': 1, 'detail': ''}"),
+], ids=["e", "weight_pairings"])
+def test_graph_exits_1_on_a_faulty_operator_or_weight(capsys, monkeypatch, accessor, fault,
+                                                      first):
+    monkeypatch.setattr(SequenceCrystal, accessor, fault(getattr(SequenceCrystal, accessor)))
+    code = main(["graph", "--builtin", "a2", "--binf", "--depth", "2"])
+    out = capsys.readouterr()
+    assert code == 1 and out.out == ""
+    assert out.err == f"internal inconsistency: {first}\n"
+
+
 def test_package_imports_only_the_standard_library():
     """The package has no runtime dependencies beyond the standard library."""
     for path in sorted(SRC.glob("*.py")):

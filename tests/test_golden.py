@@ -57,6 +57,10 @@ GOLDEN = [
      "ece63094281dddce6f125812e52c40fb56f3234e89ad530f6012b62e46a6181a"),
     (("graph", "--builtin", "a1tilde", "--binf", "--depth", "5"), 0,
      "f5e2e9f6cd9cab160575d01e328bf82f60ab03c7d648c6c7c01b02886c683bad"),
+    (("graph", "--builtin", "a4", "--lambda", "1,1,1,1", "--depth", "8"), 0,
+     "cae4fa597e1e42c25f62e6af6ca9d8aca4e0095465848bd4caee1ae69b40c22c"),
+    (("graph", "--builtin", "a5", "--binf", "--depth", "4"), 0,
+     "dfc55201467fe270bae0e51fc4287798c77cbb3bcc7fc737ddb0af90dfa3f262"),
 ]
 
 

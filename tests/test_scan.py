@@ -1,5 +1,6 @@
 """The one-pass sigma scan of SequenceCrystal against the per-position oracle,
-with the table-driven weight, the spliced bump and the kept last scan."""
+with the table-driven weight, the spliced bump, the kept last scan, and the
+node objects `f` and `e` return for images that are nodes of the latest BFS."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -162,3 +163,69 @@ def test_interleaved_calls_match_oracle(data):
         name = data.draw(st.sampled_from(("f", "e", "epsilon", "phi", "m_set")))
         calls.append((crystal, name, x, data.draw(st.integers(1, 3))))
     _check_calls(calls)
+
+
+# builtin crystals whose lowering and raising images are checked against the
+# oracle after a BFS; (builtin, weight or None for free mode, depth)
+CANONICAL = [
+    ("a3", None, 4), ("a3", (0, 1, 1), 5), ("a1tilde", None, 5),
+    ("g2", (1, 1), 5), ("a4", None, 3),
+]
+
+
+def _images(crystal, nodes):
+    """Every (operator, node, index, image) of the operators on the nodes,
+    each image checked against the oracle."""
+    out = []
+    for x in nodes:
+        for i in crystal.cartan.indices:
+            for name in ("f", "e"):
+                y = getattr(crystal, name)(x, i)
+                assert y == getattr(scan_oracle, name)(crystal, x, i), (name, x, i)
+                out.append((name, x, i, y))
+    return out
+
+
+def _assert_canonical(images, nodes):
+    """An image whose coords are one of the nodes' is that node object; any
+    other image is none of them."""
+    by_coords = {n.coords: n for n in nodes}
+    ids = {id(n) for n in nodes}
+    for name, x, i, y in images:
+        if y is None:
+            continue
+        node = by_coords.get(y.coords)
+        assert (y is node) if node is not None else id(y) not in ids, (name, x, i)
+
+
+@pytest.mark.parametrize("name, lam, depth", CANONICAL)
+def test_images_of_bfs_nodes_are_the_nodes(name, lam, depth):
+    builtin = get_builtin(name)
+    lam = None if lam is None else weight(*lam)
+    crystal = SequenceCrystal(builtin.cartan, builtin.iota, lam)
+    deep = crystal.bfs(depth).nodes
+    deep_ids = {id(n) for n in deep}
+    images = _images(crystal, deep)
+    _assert_canonical(images, deep)
+    assert any(y is not None and y not in deep for *_, y in images)  # some leave the graph
+    # after a second, shallower closure its nodes are returned, the deeper ones no more
+    shallow = crystal.bfs(depth - 2).nodes
+    images = _images(crystal, deep)
+    _assert_canonical(images, shallow)
+    assert not any(id(y) in deep_ids for *_, y in images)
+    # a crystal that never ran bfs returns equal images, none of them a node
+    fresh = SequenceCrystal(builtin.cartan, builtin.iota, lam)
+    assert not any(id(y) in deep_ids for *_, y in _images(fresh, deep))
+
+
+@pytest.mark.parametrize("name, lam", [("a3", (1, 1, 0)), ("g2", (0, 1))])
+def test_free_and_weighted_crystals_keep_their_own_nodes(name, lam):
+    builtin = get_builtin(name)
+    free = SequenceCrystal(builtin.cartan, builtin.iota)
+    weighted = SequenceCrystal(builtin.cartan, builtin.iota, weight(*lam))
+    graphs = {c: c.bfs(4).nodes for c in (free, weighted)}
+    for crystal, other in ((free, weighted), (weighted, free)):
+        images = _images(crystal, graphs[crystal])
+        _assert_canonical(images, graphs[crystal])
+        theirs = {id(n) for n in graphs[other]}
+        assert not any(id(y) in theirs for *_, y in images)

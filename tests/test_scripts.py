@@ -23,3 +23,16 @@ def test_script_runs(script, line):
     )
     assert proc.returncode == 0, proc.stderr
     assert line in proc.stdout.splitlines()
+
+
+def test_paired_bench_dry_run_alternates_the_first_tree(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "paired_bench.py"), str(tmp_path / "a"),
+         str(tmp_path / "b"), "--workload", "closure", "--seeds", "1-4,9", "--dry-run"],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "seed 1: A then B", "seed 2: B then A", "seed 3: A then B",
+        "seed 4: B then A", "seed 9: A then B",
+    ]
