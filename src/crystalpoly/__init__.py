@@ -22,11 +22,8 @@ from .cartan import (
     weight,
 )
 from .closed_forms import (
-    a_prime,
     a_sequence,
-    an_flat,
     an_system,
-    chebyshev,
     get_builtin,
     l_max,
     rank2_system,
@@ -61,13 +58,10 @@ __all__ = [
     "UnitLetter",
     "Weight",
     "ZVector",
-    "a_prime",
     "a_sequence",
-    "an_flat",
     "an_system",
     "apply_at",
     "cartan_from_matrix",
-    "chebyshev",
     "check_crystal_axioms",
     "check_strict_morphism",
     "get_builtin",

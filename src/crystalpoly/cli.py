@@ -253,8 +253,9 @@ def cmd_braid(args) -> int:
             raise ConfigError(f"--fuzz does not take {', '.join(ignored)}")
         if args.n < 1:
             raise ConfigError("--n must be >= 1")
-        jobs = max(1, args.jobs)
-        chunk = (args.n + jobs - 1) // jobs
+        if args.jobs < 1:
+            raise ConfigError("--jobs must be >= 1")
+        chunk = (args.n + args.jobs - 1) // args.jobs
         payloads = [
             (args.c1, args.c2, min(chunk, args.n - start), args.seed + worker)
             for worker, start in enumerate(range(0, args.n, chunk))

@@ -1,11 +1,11 @@
 """Closed-form inequality systems and finite-type support predicates.
 
-The rank-2 system is driven by an integer coefficient sequence built
-from Chebyshev-style polynomials of the product of the two negated
-pairings; it truncates at the first sign change (l_max), which is finite
-exactly for the five finite rank-2 types.  The A_n system lives on a
-doubly-indexed triangle of coordinates.  Both are cross-checked against
-the breadth-first oracle elsewhere; this module only writes them down.
+The rank-2 system is driven by an integer coefficient sequence whose
+three-term recurrence alternates the two negated pairings; it truncates
+at the first sign change (l_max), which is finite exactly for the five
+finite rank-2 types.  The A_n system lives on a doubly-indexed triangle
+of coordinates.  Both are cross-checked against the breadth-first oracle
+elsewhere; this module only writes them down.
 """
 
 from __future__ import annotations
@@ -19,31 +19,15 @@ from .forms import FormSet, LinearForm
 from .zvectors import SequenceCrystal
 
 
-def chebyshev(k: int, x: int) -> int:
-    """P_k(x) with P_0 = 1, P_1 = x, P_k = x*P_{k-1} - P_{k-2}."""
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    prev, cur = 1, x
-    if k == 0:
-        return 1
-    for _ in range(k - 1):
-        prev, cur = cur, x * cur - prev
-    return cur
-
-
 def a_sequence(c1: int, c2: int, l: int) -> int:
-    """Coefficient a_l: 0, 1, then Chebyshev combinations split by parity."""
+    """Coefficient a_l of a_{-1} = -1, a_0 = 0, a_{m+1} = c a_m - a_{m-1},
+    where c is c2 at even m and c1 at odd m."""
     if l < 0:
         raise ValueError("l must be >= 0")
-    if l == 0:
-        return 0
-    if l == 1:
-        return 1
-    x = c1 * c2 - 2
-    k, odd = divmod(l, 2)
-    if odd:
-        return chebyshev(k, x) + chebyshev(k - 1, x)
-    return c1 * chebyshev(k - 1, x)
+    prev, cur = -1, 0
+    for m in range(l):
+        prev, cur = cur, (c1 if m % 2 else c2) * cur - prev
+    return cur
 
 
 def a_prime(c1: int, c2: int, l: int) -> int:

@@ -204,11 +204,12 @@ class TensorWord:
 class CrystalGraph:
     """Nodes plus i-labelled lowering edges reachable from a root."""
 
-    def __init__(self, nodes, edges, depths, root: int = 0):
+    root = 0  # the index of the root node: a graph lists its root first
+
+    def __init__(self, nodes, edges, depths):
         self.nodes = tuple(nodes)
         self.edges = tuple(edges)  # (src_idx, i, dst_idx)
         self.depths = tuple(depths)
-        self.root = root
 
     def __len__(self):
         return len(self.nodes)

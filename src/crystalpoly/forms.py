@@ -20,7 +20,6 @@ wild Cartan data can double the form set every round.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass, field
 
 from .cartan import CartanData, IndexSequence, Weight, exact_int
@@ -339,10 +338,11 @@ class FormSet:
         become fixed bounds on that coordinate, and a form with no support in
         the window is just its constant.  A position whose bounds meet is
         pinned: its value is substituted into the other forms, which can
-        leave new one-coordinate bounds and so new pins, until none appears;
-        the pinned values come off the budget.
-        Then a depth-first search assigns the free positions in increasing
-        order.  Each form left with two or more free coordinates is filed
+        leave new one-coordinate bounds and so new pins, until none appears.
+        Then a depth-first search assigns the positions in increasing order;
+        a position pinned to 0 is left out, and one pinned to a nonzero value
+        is a level whose bounds meet, so the budget counts it as it counts
+        any other.  Each form left with two or more free coordinates is filed
         under the largest and solved for it once the earlier ones are set:
         the rest of the form leaves an interval of admissible values, so a
         value is skipped exactly when it would make a fully assigned form
@@ -352,8 +352,7 @@ class FormSet:
         coefficient per step of its value loop, and backtracking takes the
         steps back out, so a form filed at k reads one integer.
         Each level hands the next the sorted tuple of nonzero (position,
-        value) pairs set so far, with the nonzero pins merged in position
-        order, and the last free level adds its points directly.
+        value) pairs set so far, and the last level adds its points directly.
         """
         window = self.window
         low = [0] * (window + 1)
@@ -388,16 +387,14 @@ class FormSet:
                 if low[k] > high[k]:
                     return set()
                 pins[k] = low[k]
-        budget -= sum(pins.values())
-        if budget < 0:
-            return set()
 
-        free = [k for k in range(1, window + 1) if k not in pins]
-        level = {k: n for n, k in enumerate(free)}
-        lows = [low[k] for k in free]
-        highs = [high[k] for k in free]
-        buckets: list[list] = [[] for _ in free]  # by level: (slot, coeff) filed there
-        touches: list[list] = [[] for _ in free]  # by level: (slot, coeff) filed later
+        # the search levels: every position not pinned to 0, a nonzero pin as lo == hi
+        searched = [k for k in range(1, window + 1) if pins.get(k) != 0]
+        level = {k: n for n, k in enumerate(searched)}
+        lows = [low[k] for k in searched]
+        highs = [high[k] for k in searched]
+        buckets: list[list] = [[] for _ in searched]  # by level: (slot, coeff) filed there
+        touches: list[list] = [[] for _ in searched]  # by level: (slot, coeff) filed later
         partial: list[int] = []  # by slot: const plus the terms of the positions set so far
         for const, inside in rows:
             k, a = inside.pop()
@@ -406,19 +403,12 @@ class FormSet:
             buckets[level[k]].append((slot, a))
             for p, c in inside:
                 touches[level[p]].append((slot, c))
-        # the nonzero pins, merged into the carried coords just before each free
-        # level; the extra last entry holds those past the last free position
-        before: list[tuple] = [() for _ in range(len(free) + 1)]
-        for k in sorted(pins):
-            if pins[k]:
-                before[bisect_left(free, k)] += ((k, pins[k]),)
-        tail = before.pop()
-        if not free:
-            return {tail}
+        if not searched:
+            return {()} if budget >= 0 else set()
 
         found: set[Coords] = set()
         add = found.add
-        last = len(free) - 1
+        last = len(searched) - 1
 
         def rec(n: int, remaining: int, coords: tuple):
             lo, hi = lows[n], highs[n]
@@ -435,15 +425,13 @@ class FormSet:
                         hi = bound
             if lo > hi:
                 return
-            if before[n]:
-                coords += before[n]
-            k = free[n]
+            k = searched[n]
             if n == last:
                 if not lo:
-                    add(coords + tail)
+                    add(coords)
                     lo = 1
                 for val in range(lo, hi + 1):
-                    add(coords + ((k, val),) + tail)
+                    add(coords + ((k, val),))
                 return
             moves = touches[n]
             if lo:

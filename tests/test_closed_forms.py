@@ -6,37 +6,17 @@ import pytest
 from crystalpoly import (
     LinearForm,
     SequenceCrystal,
-    a_prime,
     a_sequence,
-    an_flat,
     an_system,
-    chebyshev,
     get_builtin,
     l_max,
     rank2_system,
     truncation_check,
     weight,
 )
+from crystalpoly.closed_forms import a_prime, an_flat
 
-
-def cheb_by_series(k, x, terms=12):
-    """Oracle: coefficient of z^k in the power series of 1/(1 - x z + z^2)."""
-    # multiply out (1 - x z + z^2) * sum(p_m z^m) = 1 term by term
-    p = [1]
-    for m in range(1, terms):
-        val = x * p[m - 1] - (p[m - 2] if m >= 2 else 0)
-        p.append(val)
-    return p[k]
-
-
-def test_chebyshev_examples():
-    assert chebyshev(0, 17) == 1
-    assert chebyshev(2, 2) == 3
-    for k in range(9):
-        assert chebyshev(k, 2) == k + 1
-    for k in range(8):
-        for x in range(-3, 5):
-            assert chebyshev(k, x) == cheb_by_series(k, x)
+import chebyshev_oracle
 
 
 def test_a_sequence_closed_forms():
@@ -51,6 +31,15 @@ def test_a_sequence_closed_forms():
         assert a_sequence(c1, c2, 6) == c1 * (p - 1) * (p - 3)
         assert a_sequence(c1, c2, 7) == p * (p - 2) * (p - 3) - 1
         assert a_prime(c1, c2, 4) == c2 * (p - 2)
+
+
+def test_a_sequence_matches_the_chebyshev_oracle():
+    for c1, c2 in itertools.product(range(7), repeat=2):
+        for l in range(41):
+            assert a_sequence(c1, c2, l) == chebyshev_oracle.a_sequence(c1, c2, l)
+        first_negative = next(
+            (l for l in range(8) if chebyshev_oracle.a_sequence(c1, c2, l + 1) < 0), None)
+        assert l_max(c1, c2) == (None if c1 * c2 >= 4 else first_negative)
 
 
 def test_a_sequence_affine_is_linear():

@@ -419,6 +419,40 @@ def test_enumerated_points_are_canonical(build, budget):
         assert all(dict(p.coords).items() >= {(1, 1), (3, 2), (4, 2), (7, 1)} for p in points)
 
 
+def _all_pinned_system():
+    """x1 = 2 and x2 = 0 pinned by their bounds, and x3 = 1 through
+    x3 - x1 = -1: no position is left free."""
+    forms = _pin(1, 2) + _pin(2, 0) + [F(1, {1: -1, 3: 1}), F(-1, {1: 1, 3: -1})]
+    return FormSet(forms=tuple(forms), window=3)
+
+
+def _two_pin_system():
+    """x2 = 2 and x4 = 2 pinned, x1 and x3 free under x1 + x3 <= 1."""
+    forms = _pin(2, 2) + _pin(4, 2) + [F(1, {1: -1, 3: -1})]
+    return FormSet(forms=tuple(forms), window=4)
+
+
+def _first_position_pin_system():
+    """x1 = 1 pinned, x2 and x3 free under x3 <= x2 + x1."""
+    forms = _pin(1, 1) + [F(0, {1: 1, 2: 1, 3: -1})]
+    return FormSet(forms=tuple(forms), window=3)
+
+
+@pytest.mark.parametrize("build, budget, count", [
+    (_all_pinned_system, 5, 1),
+    (_all_pinned_system, 2, 0),  # the pins alone pass the budget
+    (_two_pin_system, 5, 3),
+    (_two_pin_system, 3, 0),  # the pins alone pass the budget
+    (_first_position_pin_system, 4, 8),
+], ids=["all-pinned", "all-pinned-past-budget", "two-pins", "two-pins-past-budget",
+        "first-position-pin"])
+def test_nonzero_pins_match_brute_force(build, budget, count):
+    fs = build()
+    coords = fs.lattice_coords(budget)
+    assert coords == {p.coords for p in brute_force_points(fs, budget)}
+    assert len(coords) == count
+
+
 # The systems `crystalpoly verify` builds on the benchmark grid: (method,
 # builtin, weight or None for free mode, budget).
 VERIFY_GRID = (

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -36,3 +37,16 @@ def test_paired_bench_dry_run_alternates_the_first_tree(tmp_path):
         "seed 1: A then B", "seed 2: B then A", "seed 3: A then B",
         "seed 4: B then A", "seed 9: A then B",
     ]
+
+
+def test_traffic_lists_what_the_verify_grid_never_enters():
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "traffic.py"), "--workload", "verify"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    listed = [line.split() for line in proc.stdout.splitlines()]
+    assert all(re.fullmatch(r"crystalpoly(\.\w+)?:\d+", where) for where, _ in listed)
+    names = {name for _, name in listed}
+    assert "truncation_check" in names
+    assert "lattice_coords" not in names
