@@ -2,7 +2,7 @@
 """Paired benchmark runs of two checkouts: per-pair change and medians.
 
 Usage: python scripts/paired_bench.py TREE_A TREE_B --workload W [--seeds 1-10]
-       [--seconds 30] [--dry-run]
+       [--seconds 30] [--json PATH] [--dry-run]
 
 For each seed, both trees run `perfbench/run.py --trace 0` with that seed,
 one after the other; the tree that runs first alternates from seed to
@@ -10,6 +10,12 @@ seed, and every `__pycache__` directory in both trees is deleted before
 every run.  The script prints, for each end-to-end metric, every pair's
 change from A to B and the median of each tree.  It only reads what
 `perfbench/run.py` prints; `--dry-run` prints the schedule and runs nothing.
+
+`--json PATH` also writes the workload's figures into PATH under the
+workload's name, keeping the other workloads already there: each run's
+seed, tree, attempted and failed counts and correctness, and per metric
+its unit, both trees' values in pair order, both medians, the per-pair
+changes and tree A's quartile spread.  Tree A is read as the parent.
 """
 
 import argparse
@@ -68,6 +74,7 @@ def main(argv=None):
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seeds", type=seed_list, default=seed_list("1-10"))
     parser.add_argument("--seconds", type=int, default=30)
+    parser.add_argument("--json", type=Path, metavar="PATH")
     parser.add_argument("--dry-run", action="store_true")
     args = parser.parse_args(argv)
     trees = {"A": args.tree_a.resolve(), "B": args.tree_b.resolve()}
@@ -79,23 +86,35 @@ def main(argv=None):
         return 0
 
     results = {"A": [], "B": []}
+    runs = []
     for seed, *order in plan:
         for side in order:
             for tree in trees.values():
                 clear_pycache(tree)
             result = run_once(trees[side], args.workload, seed, args.seconds)
             results[side].append(result)
+            runs.append({"seed": seed, "tree": side, "attempted": result["attempted"],
+                         "failed": result["failed"], "correct": result["correct"]})
             print(f"seed {seed} {side}: attempted {result['attempted']} "
                   f"failed {result['failed']}", flush=True)
 
     print(f"\n{args.workload}: A = {trees['A']}, B = {trees['B']}")
-    for name in results["A"][0]["metrics"]:
+    metrics = {}
+    for name, first in results["A"][0]["metrics"].items():
         a = [r["metrics"][name]["value"] for r in results["A"]]
         b = [r["metrics"][name]["value"] for r in results["B"]]
         ma, mb = statistics.median(a), statistics.median(b)
+        pairs = list(map(change, a, b))
         print(f"{name:14s} median {ma:.6g} -> {mb:.6g} ({change(ma, mb)}),"
               f" A quartile spread {spread(a):.3g}")
-        print(f"{'':14s} per pair {' '.join(map(change, a, b))}")
+        print(f"{'':14s} per pair {' '.join(pairs)}")
+        metrics[name] = {"unit": first["unit"], "A": a, "B": b, "median_A": ma, "median_B": mb,
+                         "change": change(ma, mb), "per_pair": pairs, "spread_A": spread(a)}
+    if args.json:
+        data = json.loads(args.json.read_text()) if args.json.exists() else {}
+        data[args.workload] = {"seeds": args.seeds, "seconds": args.seconds,
+                               "runs": runs, "metrics": metrics}
+        args.json.write_text(json.dumps(data, indent=1) + "\n")
     return 0
 
 

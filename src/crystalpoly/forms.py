@@ -3,12 +3,15 @@
 A LinearForm is c + sum phi_k x_k with an integer constant and integer
 coefficients on a sparse, finitely supported set of positions: Cartan
 pairings and weights make every form integral, so forms are rewritten,
-evaluated and enumerated in machine integers.  DescentSystem
+evaluated and enumerated in machine integers.  A form is the plain tuple
+(const, coeffs) with a few methods, so it hashes, compares and unpacks as
+that tuple.  DescentSystem
 extends the SequenceCrystal of a Cartan datum, an index sequence and an optional
 highest weight with the sign-split update that rewrites a form against
-the local bracket form at a position; iterating those updates from the
+the local bracket form at a position; the brackets are read from the
+crystal's pairing table, and iterating those updates from the
 coordinate seeds (plus the weight seeds in highest-weight mode) closes
-the system.
+the system, merging coefficient tuples directly.
 
 Generation is truncated: operators act at positions 1..K and every
 produced form provably lives inside the window 1..W where W is the
@@ -21,24 +24,68 @@ wild Cartan data can double the form set every round.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from .cartan import CartanData, IndexSequence, Weight, exact_int
 from .zvectors import Coords, SequenceCrystal, ZVector
 
 MAX_FORMS = 5000  # admitted forms before generation gives up unsaturated
 
+Coeffs = tuple[tuple[int, int], ...]  # sorted (position, value), values nonzero
 
-@dataclass(frozen=True)
-class LinearForm:
+
+def _merged(a: Coeffs, b: Coeffs, factor: int) -> Coeffs:
+    """a + factor * b, in one merge of the two sorted coefficient tuples; zero sums drop."""
+    na, nb = len(a), len(b)
+    out = []
+    x = y = 0
+    while x < na and y < nb:
+        pa, pb = a[x][0], b[y][0]
+        if pa < pb:
+            out.append(a[x])
+            x += 1
+        elif pb < pa:
+            v = b[y][1] * factor
+            if v:
+                out.append((pb, v))
+            y += 1
+        else:
+            v = a[x][1] + b[y][1] * factor
+            if v:
+                out.append((pa, v))
+            x += 1
+            y += 1
+    out += a[x:]
+    for pb, vb in b[y:]:
+        v = vb * factor
+        if v:
+            out.append((pb, v))
+    return tuple(out)
+
+
+class LinearForm(tuple):
     """Affine form: integer constant plus sparse integer coefficients by position.
 
+    A form is the tuple (const, coeffs), with coeffs sorted by position and
+    free of zero values: it equals, hashes and unpacks as that plain tuple.
     `make`, `scale` and `add_scaled` take a value that equals an int, such
     as 2.0, as that int, and refuse one that does not, such as 0.5, with
     ValueError.
     """
 
-    const: int
-    coeffs: tuple[tuple[int, int], ...]  # sorted, no zero coefficients
+    __slots__ = ()
+
+    const = property(itemgetter(0), doc="The integer constant.")
+    coeffs = property(itemgetter(1), doc="Sorted (position, value) pairs, no zero value.")
+
+    def __new__(cls, const: int, coeffs: Coeffs):
+        return tuple.__new__(cls, (const, coeffs))
+
+    def __getnewargs__(self):
+        return tuple(self)  # pickle and copy rebuild through the two-argument __new__
+
+    def __repr__(self):
+        return f"LinearForm(const={self[0]!r}, coeffs={self[1]!r})"
 
     @classmethod
     def make(cls, const=0, coeffs=None) -> "LinearForm":
@@ -59,48 +106,16 @@ class LinearForm:
         return cls(0, ())
 
     def coeff(self, k: int) -> int:
-        for pos, val in self.coeffs:
+        for pos, val in self[1]:
             if pos == k:
                 return val
         return 0
 
-    @property
-    def support_max(self) -> int:
-        return self.coeffs[-1][0] if self.coeffs else 0
-
     def add_scaled(self, other: "LinearForm", factor) -> "LinearForm":
-        """self + factor * other, in one merge of the two sorted coefficient tuples.
-
-        Zero sums are dropped, so the result is normalised like `make`.
-        """
+        """self + factor * other, normalised like `make`."""
         if type(factor) is not int:
             factor = exact_int(factor)
-        a, b = self.coeffs, other.coeffs
-        na, nb = len(a), len(b)
-        out = []
-        x = y = 0
-        while x < na and y < nb:
-            pa, pb = a[x][0], b[y][0]
-            if pa < pb:
-                out.append(a[x])
-                x += 1
-            elif pb < pa:
-                v = b[y][1] * factor
-                if v:
-                    out.append((pb, v))
-                y += 1
-            else:
-                v = a[x][1] + b[y][1] * factor
-                if v:
-                    out.append((pa, v))
-                x += 1
-                y += 1
-        out += a[x:]
-        for pb, vb in b[y:]:
-            v = vb * factor
-            if v:
-                out.append((pb, v))
-        return LinearForm(self.const + other.const * factor, tuple(out))
+        return LinearForm(self[0] + other[0] * factor, _merged(self[1], other[1], factor))
 
     def __add__(self, other: "LinearForm") -> "LinearForm":
         return self.add_scaled(other, 1)
@@ -117,8 +132,8 @@ class LinearForm:
             get = lambda k: x.get(k, 0)
         else:
             get = x.get
-        total = self.const
-        for pos, val in self.coeffs:
+        total, coeffs = self
+        for pos, val in coeffs:
             total += val * get(pos)
         return total
 
@@ -135,9 +150,6 @@ class LinearForm:
             else:
                 parts.append(f"{sign} {term}")
         return " ".join(parts) if parts else "0"
-
-    def sort_key(self):
-        return (self.coeffs, self.const)
 
     def to_json_obj(self) -> dict:
         return {
@@ -167,17 +179,19 @@ class DescentSystem(SequenceCrystal):
         super().__init__(cartan, seq, lam)
         self._brackets: dict[tuple[int, bool], LinearForm] = {}  # (k, upward) -> bracket
 
-    def _pairings(self, i: int, lo: int, hi: int) -> dict[int, int]:
-        """<h_i, alpha_{i_j}> at each position lo <= j < hi."""
-        return {j: self.cartan.a(i, self.seq.index_at(j)) for j in range(lo, hi)}
+    def _middle(self, i: int, lo: int, hi: int) -> Coeffs:
+        """(j, <h_i, alpha_{i_j}>) for lo <= j < hi, read from the pairing table;
+        zero pairings are left out."""
+        pairs = self._per_index[i - 1][0]
+        m = len(pairs)
+        return tuple((j, a) for j in range(lo, hi) if (a := pairs[(j - 1) % m]))
 
     def beta_plus(self, k: int) -> LinearForm:
         """x_k + pairing-weighted middle + x at the next occurrence of i_k."""
         kept = self._brackets.get((k, True))
         if kept is None:
-            ik = self.seq.index_at(k)
             kp = self.seq.next_occurrence(k)
-            kept = LinearForm.make(0, {k: 1, **self._pairings(ik, k + 1, kp), kp: 1})
+            kept = LinearForm(0, ((k, 1), *self._middle(self.seq.index_at(k), k + 1, kp), (kp, 1)))
             self._brackets[k, True] = kept
         return kept
 
@@ -197,7 +211,7 @@ class DescentSystem(SequenceCrystal):
                 kept = LinearForm.zero()
             else:
                 ik = self.seq.index_at(k)
-                kept = LinearForm.make(-self.lam.pairing(ik), {**self._pairings(ik, 1, k), k: 1})
+                kept = LinearForm(-self.lam.pairing(ik), (*self._middle(ik, 1, k), (k, 1)))
             self._brackets[k, False] = kept
         return kept
 
@@ -212,7 +226,8 @@ class DescentSystem(SequenceCrystal):
 
         Returns `form` itself when phi_k is 0 or the bracket is the zero form;
         any other bracket has coefficient 1 at k, so the rewrite clears phi_k
-        and returns a different form.
+        and returns a different form.  `generate` makes the same rewrite
+        inline on the form's tuples.
         """
         c = form.coeff(k)
         if c > 0:
@@ -237,12 +252,20 @@ class DescentSystem(SequenceCrystal):
 
         A form is rewritten only at its own support positions up to the
         bound, in ascending order: at any other position s returns it
-        unchanged.  Stops unsaturated after `max_rounds` rounds, or in the
-        round whose admitted forms pass MAX_FORMS.
+        unchanged.  The loop rewrites as `s` does, on the tuples directly:
+        each (k, phi_k) of the form's coefficients picks the bracket at k
+        by the sign of phi_k (none for the zero bracket), one `_merged`
+        call gives the new coefficients, and the new form is admitted
+        unless it is already traced.  Stops unsaturated after `max_rounds`
+        rounds, or in the round whose admitted forms pass MAX_FORMS.
         """
         if support_bound < 1:
             raise ValueError("support bound must be >= 1")
         window = self.window_for(support_bound)
+        positions = range(1, support_bound + 1)
+        zero = LinearForm.zero()
+        up = [None] + [self.beta_plus(k) for k in positions]  # by position
+        down = [None] + [None if b == zero else b for b in map(self.beta_minus, positions)]
         trace: dict[LinearForm, tuple] = {}
         frontier: list[LinearForm] = []
 
@@ -251,12 +274,13 @@ class DescentSystem(SequenceCrystal):
                 trace[form] = origin
                 frontier.append(form)
 
-        for j in range(1, support_bound + 1):
+        for j in positions:
             admit(LinearForm.x(j), ("x", j, ()))
         if self.lam is not None:
             for i in self.cartan.indices:
                 admit(self.weight_seed(i), ("wt", i, ()))
 
+        new_form = tuple.__new__
         rounds = 0
         saturated = True
         while frontier and saturated:
@@ -267,17 +291,22 @@ class DescentSystem(SequenceCrystal):
             layer, frontier = frontier, []
             for form in layer:
                 kind, seed, word = trace[form]
-                for k, _ in form.coeffs:
+                const, coeffs = form
+                for k, c in coeffs:
                     if k > support_bound:
                         break
-                    new = self.s(form, k)
-                    if new is form:
+                    bracket = up[k] if c > 0 else down[k]
+                    if bracket is None:
                         continue
-                    if new.support_max > window:
+                    merged = _merged(coeffs, bracket[1], -c)
+                    if merged and merged[-1][0] > window:
                         raise GenerationError(
-                            f"support overflow at position {new.support_max} > window {window}"
+                            f"support overflow at position {merged[-1][0]} > window {window}"
                         )
-                    admit(new, (kind, seed, word + (k,)))
+                    new = new_form(LinearForm, (const - c * bracket[0], merged))
+                    if new not in trace:
+                        trace[new] = (kind, seed, word + (k,))
+                        frontier.append(new)
                 if len(trace) > MAX_FORMS:
                     saturated = False
                     break
@@ -308,7 +337,7 @@ class FormSet:
 
     def __post_init__(self):
         self._members = frozenset(self.forms)
-        self.forms = tuple(sorted(self._members, key=LinearForm.sort_key))
+        self.forms = tuple(sorted(self._members, key=itemgetter(1, 0)))  # by coeffs, then const
 
     def __contains__(self, form: LinearForm) -> bool:
         return form in self._members

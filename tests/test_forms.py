@@ -1,5 +1,7 @@
+import copy
 import itertools
 import json
+import pickle
 from fractions import Fraction
 from unittest import mock
 
@@ -48,6 +50,20 @@ def test_linear_form_canonicalization():
     assert f.scale(-2) == F(-2, {1: 2, 3: -4})
     assert f.render() == "1 - x1 + 2*x3"
     assert LinearForm.from_json_obj(f.to_json_obj()) == f
+
+
+def test_linear_form_value_contract():
+    f = LinearForm(2, ((1, -1), (3, 2)))
+    assert repr(f) == "LinearForm(const=2, coeffs=((1, -1), (3, 2)))"
+    assert f == LinearForm.make(2, {3: 2, 1: -1}) == (2, ((1, -1), (3, 2)))
+    assert hash(f) == hash((f.const, f.coeffs))
+    const, coeffs = f
+    assert (const, coeffs) == (2, ((1, -1), (3, 2)))
+    for copied in (pickle.loads(pickle.dumps(f)), copy.copy(f), copy.deepcopy(f)):
+        assert type(copied) is LinearForm and copied == f and hash(copied) == hash(f)
+        assert copied.render() == "2 - x1 + 2*x3"
+    with pytest.raises(AttributeError):
+        f.const = 3
 
 
 def test_beta_plus_examples():
@@ -518,12 +534,54 @@ def test_generation_matches_fraction_oracle(inputs):
     with mock.patch.object(forms_module, "MAX_FORMS", 300):
         expected = descent_oracle.generate(cartan, seq, lam, bound, max_rounds)
         fs = DescentSystem(cartan, seq, lam).generate(bound, max_rounds=max_rounds)
+    assert_matches_oracle(fs, expected)
+
+
+def assert_matches_oracle(fs, expected):
     assert set(fs.forms) == expected["forms"]
     assert list(fs.trace.items()) == expected["trace"]
     assert (fs.rounds, fs.saturated, fs.window) == (
         expected["rounds"], expected["saturated"], expected["window"]
     )
     assert all(all_int(f) for f in fs.forms)
+
+
+# every system the closure workload generates (its default support bound
+# is the longest length), free and at one weight
+CLOSURE_SYSTEMS = [
+    *((name, None, None, lam) for name in ("a3", "a4", "a5", "a6", "b2", "c2", "g2")
+      for lam in (None, "rho")),
+    *(("a1tilde", None, bound, lam) for bound in (6, 12) for lam in (None, "rho")),
+    ("a3", IOTA0.period, 6, None),
+    ("a3", IOTA0.period, 6, (0, 1, 0)),
+]
+
+
+@pytest.mark.parametrize(
+    "name, period, bound, lam", CLOSURE_SYSTEMS,
+    ids=lambda v: "".join(map(str, v)) if isinstance(v, tuple) else str(v),
+)
+def test_generation_matches_oracle_on_closure_systems(name, period, bound, lam):
+    builtin = get_builtin(name)
+    rank = builtin.cartan.rank
+    seq = builtin.iota if period is None else IndexSequence(period, rank)
+    bound = bound or builtin.longest_len
+    mode = None if lam is None else weight(*((1,) * rank if lam == "rho" else lam))
+    expected = descent_oracle.generate(builtin.cartan, seq, mode, bound)
+    assert_matches_oracle(DescentSystem(builtin.cartan, seq, mode).generate(bound), expected)
+
+
+@pytest.mark.parametrize("name, lam, window, top", [
+    ("a3", None, 6, 7), ("a3", (1, 1, 1), 7, 8), ("a1tilde", None, 6, 7),
+], ids=lambda v: "".join(map(str, v)) if isinstance(v, tuple) else str(v))
+def test_generation_refuses_a_form_past_the_window(name, lam, window, top):
+    # the true window covers every bracket, so only a narrowed one reaches the guard
+    builtin = get_builtin(name)
+    system = DescentSystem(builtin.cartan, builtin.iota, None if lam is None else weight(*lam))
+    with mock.patch.object(DescentSystem, "window_for", return_value=window):
+        with pytest.raises(forms_module.GenerationError) as err:
+            system.generate(6)
+    assert str(err.value) == f"support overflow at position {top} > window {window}"
 
 
 # -- integer values only ---------------------------------------------------

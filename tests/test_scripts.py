@@ -1,3 +1,5 @@
+import importlib.util
+import json
 import os
 import re
 import subprocess
@@ -37,6 +39,48 @@ def test_paired_bench_dry_run_alternates_the_first_tree(tmp_path):
         "seed 1: A then B", "seed 2: B then A", "seed 3: A then B",
         "seed 4: B then A", "seed 9: A then B",
     ]
+
+
+def _paired_bench():
+    spec = importlib.util.spec_from_file_location("paired_bench", ROOT / "scripts" / "paired_bench.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_paired_bench_json_keeps_pairs_medians_spread_and_runs(tmp_path, monkeypatch, capsys):
+    bench = _paired_bench()
+    trees = {"A": tmp_path / "a", "B": tmp_path / "b"}
+    for tree in trees.values():
+        tree.mkdir()
+
+    def run_once(tree, workload, seed, seconds):
+        side = "A" if tree == trees["A"].resolve() else "B"
+        p50 = 10.0 * seed if side == "A" else 9.0 * seed
+        return {"correct": True, "attempted": 100 + seed, "failed": seed % 2,
+                "metrics": {"case_ms_p50": {"value": p50, "unit": "ms"}}}
+
+    monkeypatch.setattr(bench, "run_once", run_once)
+    out = tmp_path / "BENCH.json"
+    out.write_text(json.dumps({"closure": {"kept": True}}))
+    argv = [str(trees["A"]), str(trees["B"]), "--workload", "verify", "--seeds", "1-4",
+            "--seconds", "5", "--json", str(out)]
+    assert bench.main(argv) == 0
+    assert "case_ms_p50    median 25 -> 22.5 (-10.0%)" in capsys.readouterr().out
+    data = json.loads(out.read_text())
+    assert data["closure"] == {"kept": True}
+    verify = data["verify"]
+    assert (verify["seeds"], verify["seconds"]) == ([1, 2, 3, 4], 5)
+    assert [(r["seed"], r["tree"], r["attempted"], r["failed"]) for r in verify["runs"]] == [
+        (1, "A", 101, 1), (1, "B", 101, 1), (2, "B", 102, 0), (2, "A", 102, 0),
+        (3, "A", 103, 1), (3, "B", 103, 1), (4, "B", 104, 0), (4, "A", 104, 0),
+    ]
+    p50 = verify["metrics"]["case_ms_p50"]
+    assert p50["unit"] == "ms"
+    assert p50["A"] == [10.0, 20.0, 30.0, 40.0] and p50["B"] == [9.0, 18.0, 27.0, 36.0]
+    assert (p50["median_A"], p50["median_B"], p50["change"]) == (25.0, 22.5, "-10.0%")
+    assert p50["per_pair"] == ["-10.0%"] * 4
+    assert p50["spread_A"] == bench.spread([10.0, 20.0, 30.0, 40.0]) == 25.0
 
 
 def test_traffic_lists_what_the_verify_grid_never_enters():
