@@ -10,6 +10,8 @@ seed, and every `__pycache__` directory in both trees is deleted before
 every run.  The script prints, for each end-to-end metric, every pair's
 change from A to B and the median of each tree.  It only reads what
 `perfbench/run.py` prints; `--dry-run` prints the schedule and runs nothing.
+Each run's line shows whether every answer matched the recorded ones; the
+script exits 1, after printing and writing everything, if any run's did not.
 
 `--json PATH` also writes the workload's figures into PATH under the
 workload's name, keeping the other workloads already there: each run's
@@ -96,7 +98,7 @@ def main(argv=None):
             runs.append({"seed": seed, "tree": side, "attempted": result["attempted"],
                          "failed": result["failed"], "correct": result["correct"]})
             print(f"seed {seed} {side}: attempted {result['attempted']} "
-                  f"failed {result['failed']}", flush=True)
+                  f"failed {result['failed']} correct {result['correct']}", flush=True)
 
     print(f"\n{args.workload}: A = {trees['A']}, B = {trees['B']}")
     metrics = {}
@@ -115,6 +117,10 @@ def main(argv=None):
         data[args.workload] = {"seeds": args.seeds, "seconds": args.seconds,
                                "runs": runs, "metrics": metrics}
         args.json.write_text(json.dumps(data, indent=1) + "\n")
+    wrong = [f"seed {r['seed']} {r['tree']}" for r in runs if r["correct"] is not True]
+    if wrong:
+        print(f"wrong answers in {len(wrong)} runs: {', '.join(wrong)}")
+        return 1
     return 0
 
 

@@ -160,7 +160,7 @@ def cmd_inequalities(args) -> int:
     _check_system_options(args, cartan, seq, lam)
     system = _build_system(args, cartan, seq, lam, builtin.longest_len if builtin else None)
     report = []
-    if len(system.forms) > MAX_FORMS:
+    if not system.saturated and len(system.forms) > MAX_FORMS:
         report.append(
             f"WARNING: generation passed the cap of {MAX_FORMS} forms in round "
             f"{system.rounds} with {len(system.forms)} forms; the listing below is partial"

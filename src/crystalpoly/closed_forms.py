@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import cache
 
 from .cartan import CartanData, CartanError, IndexSequence, Weight, an_cartan, rank2_cartan
-from .forms import FormSet, LinearForm
+from .forms import MAX_FORMS, FormSet, LinearForm
 from .zvectors import SequenceCrystal
 
 
@@ -24,14 +24,17 @@ def a_sequence(c1: int, c2: int, l: int) -> int:
     where c is c2 at even m and c1 at odd m."""
     if l < 0:
         raise ValueError("l must be >= 0")
+    return _a_terms(c1, c2, l + 1)[l]
+
+
+def _a_terms(c1: int, c2: int, count: int) -> list[int]:
+    """a_0 .. a_{count-1} of `a_sequence`, in one walk of the recurrence."""
+    terms = []
     prev, cur = -1, 0
-    for m in range(l):
+    for m in range(count):
+        terms.append(cur)
         prev, cur = cur, (c1 if m % 2 else c2) * cur - prev
-    return cur
-
-
-def a_prime(c1: int, c2: int, l: int) -> int:
-    return a_sequence(c2, c1, l)
+    return terms
 
 
 def l_max(c1: int, c2: int) -> int | None:
@@ -62,16 +65,15 @@ def rank2_system(c1: int, c2: int, lam: Weight, window: int | None = None) -> Fo
         raise ValueError("infinite-type system needs an explicit window")
     if window is not None and window < 1:
         raise ValueError("window must be >= 1")
+    if window is not None and window > MAX_FORMS:  # a window builds two forms per position
+        raise ValueError(f"window must be <= {MAX_FORMS}")
     win = lm if window is None else window
     cutoff = min(lm, win) if lm is not None else win
+    a, a_prime = _a_terms(c1, c2, cutoff), _a_terms(c2, c1, cutoff + 1)
     forms = [LinearForm.make(lam.pairing(1), {1: -1})]
     for l in range(1, cutoff):
-        forms.append(
-            LinearForm.make(0, {l: a_sequence(c1, c2, l), l + 1: -a_sequence(c1, c2, l - 1)})
-        )
-        forms.append(
-            LinearForm.make(lam.pairing(2), {l: a_prime(c1, c2, l + 1), l + 1: -a_prime(c1, c2, l)})
-        )
+        forms.append(LinearForm.make(0, {l: a[l], l + 1: -a[l - 1]}))
+        forms.append(LinearForm.make(lam.pairing(2), {l: a_prime[l + 1], l + 1: -a_prime[l]}))
     if lm is not None:
         for k in range(lm + 1, win + 1):
             forms.append(LinearForm.x(k))

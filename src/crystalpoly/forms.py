@@ -23,6 +23,7 @@ wild Cartan data can double the form set every round.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from operator import itemgetter
 
@@ -31,10 +32,8 @@ from .zvectors import Coords, SequenceCrystal, ZVector
 
 MAX_FORMS = 5000  # admitted forms before generation gives up unsaturated
 
-Coeffs = tuple[tuple[int, int], ...]  # sorted (position, value), values nonzero
 
-
-def _merged(a: Coeffs, b: Coeffs, factor: int) -> Coeffs:
+def _merged(a: Coords, b: Coords, factor: int) -> Coords:
     """a + factor * b, in one merge of the two sorted coefficient tuples; zero sums drop."""
     na, nb = len(a), len(b)
     out = []
@@ -78,7 +77,7 @@ class LinearForm(tuple):
     const = property(itemgetter(0), doc="The integer constant.")
     coeffs = property(itemgetter(1), doc="Sorted (position, value) pairs, no zero value.")
 
-    def __new__(cls, const: int, coeffs: Coeffs):
+    def __new__(cls, const: int, coeffs: Coords):
         return tuple.__new__(cls, (const, coeffs))
 
     def __getnewargs__(self):
@@ -179,7 +178,7 @@ class DescentSystem(SequenceCrystal):
         super().__init__(cartan, seq, lam)
         self._brackets: dict[tuple[int, bool], LinearForm] = {}  # (k, upward) -> bracket
 
-    def _middle(self, i: int, lo: int, hi: int) -> Coeffs:
+    def _middle(self, i: int, lo: int, hi: int) -> Coords:
         """(j, <h_i, alpha_{i_j}>) for lo <= j < hi, read from the pairing table;
         zero pairings are left out."""
         pairs = self._per_index[i - 1][0]
@@ -261,6 +260,8 @@ class DescentSystem(SequenceCrystal):
         """
         if support_bound < 1:
             raise ValueError("support bound must be >= 1")
+        if support_bound > MAX_FORMS:  # its coordinate seeds alone would pass the cap
+            raise ValueError(f"support bound must be <= {MAX_FORMS}")
         window = self.window_for(support_bound)
         positions = range(1, support_bound + 1)
         zero = LinearForm.zero()
@@ -474,7 +475,12 @@ class FormSet:
             for slot, c in moves:  # the lo shift and the hi - lo + 1 steps
                 partial[slot] -= c * (hi + 1)
 
-        rec(0, budget, ())
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(limit + len(searched))  # rec nests one frame per level
+        try:
+            rec(0, budget, ())
+        finally:
+            sys.setrecursionlimit(limit)
         return found
 
     def _require(self, mode_binf: bool):

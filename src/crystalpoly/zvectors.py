@@ -12,13 +12,13 @@ inequality systems are checked against.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import NamedTuple
 
 from .cartan import CartanData, IndexSequence, Weight, exact_int
 from .crystals import CrystalGraph
 
-Coords = tuple[tuple[int, int], ...]  # sorted (position >= 1, value), values nonzero
+Coords = tuple[tuple[int, int], ...]  # sorted (position, value), values nonzero; vectors from 1
 
 
 def _bumped(coords: Coords, k: int, delta: int) -> Coords:
@@ -32,33 +32,23 @@ def _bumped(coords: Coords, k: int, delta: int) -> Coords:
     return coords[:n] + ((k, delta),) + coords[n:]
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class ZVector:
-    """Finitely supported integer vector plus the highest weight of its crystal."""
+class ZVector(tuple):
+    """Finitely supported integer vector plus the highest weight of its crystal.
 
-    coords: Coords
-    lam: Weight | None = None  # None in free mode
-    # hash((coords, lam)), computed on first use
-    _hash: int | None = field(default=None, init=False, repr=False, compare=False)
+    A vector is the tuple (coords, lam), lam None in free mode: it equals,
+    hashes and unpacks as that plain tuple.
+    """
 
-    def __init__(self, coords: Coords, lam: Weight | None = None):
-        _set_coords(self, coords)
-        _set_lam(self, lam)
-        _set_hash(self, None)
+    __slots__ = ()
 
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if other.__class__ is not ZVector:
-            return NotImplemented
-        return self.coords == other.coords and (self.lam is other.lam or self.lam == other.lam)
+    coords = property(itemgetter(0), doc="Sorted (position >= 1, value) pairs, no zero value.")
+    lam = property(itemgetter(1), doc="The highest weight, None in free mode.")
 
-    def __hash__(self):
-        h = self._hash
-        if h is None:
-            h = hash((self.coords, self.lam))
-            _set_hash(self, h)
-        return h
+    def __new__(cls, coords: Coords, lam: Weight | None = None):
+        return tuple.__new__(cls, (coords, lam))
+
+    def __getnewargs__(self):
+        return tuple(self)  # pickle and copy rebuild through the two-argument __new__
 
     def get(self, k: int) -> int:
         for pos, val in self.coords:
@@ -109,11 +99,6 @@ class ZVector:
         if any(k < 1 for k in d):
             raise ValueError("positions are 1-based")
         return cls(tuple(sorted((k, v) for k, v in d.items() if v)), lam)
-
-
-# the slot descriptors fill a frozen instance without going through its __setattr__
-_set_coords, _set_lam, _set_hash = (
-    ZVector.coords.__set__, ZVector.lam.__set__, ZVector._hash.__set__)
 
 
 class MSet(NamedTuple):

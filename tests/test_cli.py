@@ -140,12 +140,41 @@ def test_inequalities_form_cap(tmp_path, capsys):
           "--window", "-5"), "--window must be >= 1"),
         (("verify", "--builtin", "a2", "--lambda", "1,0", "--depth", "3", "--max-rounds", "0"),
          "--max-rounds must be >= 1"),
+        # past the form cap: the coordinate seeds or the rank-2 rows alone would pass it
+        (("inequalities", "--builtin", "a2", "--binf", "--support-bound", "5001"),
+         f"support bound must be <= {MAX_FORMS}"),
+        (("inequalities", "--builtin", "a2", "--binf", "--support-bound", "1000000"),
+         f"support bound must be <= {MAX_FORMS}"),
+        (("verify", "--builtin", "a2", "--lambda", "1,0", "--depth", "3",
+          "--support-bound", "5001"), f"support bound must be <= {MAX_FORMS}"),
+        (("inequalities", "--builtin", "a2", "--lambda", "1,0", "--method", "rank2",
+          "--window", "5001"), f"window must be <= {MAX_FORMS}"),
+        (("verify", "--builtin", "a1tilde", "--lambda", "1,1", "--depth", "3",
+          "--method", "rank2", "--window", "100000000"), f"window must be <= {MAX_FORMS}"),
     ],
 )
 def test_bad_round_cap_or_window_exits_2(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert err.strip() == f"config error: {message}"
+
+
+def test_saturated_closed_form_past_the_cap_prints_no_warning(capsys):
+    code, out, _ = run(capsys, "inequalities", "--builtin", "a2", "--lambda", "1,0",
+                       "--method", "rank2", "--window", "3000")
+    assert code == 0 and "WARNING" not in out
+    assert out.splitlines()[:2] == ["forms: 5999  window: 3000  saturated: True", "report: ample"]
+
+
+@pytest.mark.parametrize("argv, verdict", [
+    # an enumeration search one level per free position, about a thousand deep or more
+    (("--builtin", "a64", "--lambda", ",".join(["1"] * 64), "--method", "an", "--depth", "1"),
+     "equal: 65 elements (depth 1)"),
+    (("--builtin", "a1tilde", "--lambda", "1,1", "--method", "rank2", "--window", "1200",
+      "--depth", "2"), "equal: 5 elements (depth 2)"),
+])
+def test_verify_on_a_large_window(capsys, argv, verdict):
+    assert run(capsys, "verify", *argv) == (0, verdict + "\n", "")
 
 
 def test_verify_equal_cases(capsys):

@@ -14,7 +14,7 @@ from crystalpoly import (
     truncation_check,
     weight,
 )
-from crystalpoly.closed_forms import a_prime, an_flat
+from crystalpoly.closed_forms import an_flat
 
 import chebyshev_oracle
 
@@ -30,7 +30,7 @@ def test_a_sequence_closed_forms():
         assert a_sequence(c1, c2, 5) == (p - 1) * (p - 2) - 1
         assert a_sequence(c1, c2, 6) == c1 * (p - 1) * (p - 3)
         assert a_sequence(c1, c2, 7) == p * (p - 2) * (p - 3) - 1
-        assert a_prime(c1, c2, 4) == c2 * (p - 2)
+        assert a_sequence(c2, c1, 4) == c2 * (p - 2)
 
 
 def test_a_sequence_matches_the_chebyshev_oracle():
@@ -81,6 +81,36 @@ def test_rank2_system_requires_dominant_and_window():
         rank2_system(2, 2, weight(1, 1))
     with pytest.raises(ValueError, match="window must be >= 1"):
         rank2_system(2, 2, weight(1, 1), window=0)
+    with pytest.raises(ValueError, match="window must be <= 5000"):
+        rank2_system(1, 1, weight(1, 1), window=5001)
+    assert len(rank2_system(1, 1, weight(1, 1), window=5000).forms) == 2 * 5000 - 1
+
+
+def _rank2_rows(c1, c2, lam, cutoff):
+    """The rank2_system rows for 1 <= l < cutoff, each coefficient from its own
+    a_sequence walk."""
+    rows = {LinearForm.make(lam.pairing(1), {1: -1})}
+    for l in range(1, cutoff):
+        rows.add(LinearForm.make(0, {l: a_sequence(c1, c2, l), l + 1: -a_sequence(c1, c2, l - 1)}))
+        rows.add(LinearForm.make(
+            lam.pairing(2), {l: a_sequence(c2, c1, l + 1), l + 1: -a_sequence(c2, c1, l)}))
+    return rows
+
+
+def test_rank2_rows_match_the_per_row_coefficients():
+    lam = weight(2, 1)
+    for name in ("a1xa1", "a2", "b2", "c2", "g2"):
+        cartan = get_builtin(name).cartan
+        c1, c2 = -cartan.a(1, 2), -cartan.a(2, 1)
+        lm = l_max(c1, c2)
+        for window in (None, 1, lm, lm + 3):
+            forms = set(rank2_system(c1, c2, lam, window).forms)
+            win = lm if window is None else window
+            pins = {LinearForm.x(k) for k in range(lm + 1, win + 1)}
+            pins |= {f.scale(-1) for f in pins}
+            assert forms == _rank2_rows(c1, c2, lam, min(lm, win)) | pins
+    for window in range(1, 41):
+        assert set(rank2_system(2, 2, lam, window).forms) == _rank2_rows(2, 2, lam, window)
 
 
 def test_rank2_zero_weight_is_origin_only():

@@ -66,7 +66,9 @@ def test_paired_bench_json_keeps_pairs_medians_spread_and_runs(tmp_path, monkeyp
     argv = [str(trees["A"]), str(trees["B"]), "--workload", "verify", "--seeds", "1-4",
             "--seconds", "5", "--json", str(out)]
     assert bench.main(argv) == 0
-    assert "case_ms_p50    median 25 -> 22.5 (-10.0%)" in capsys.readouterr().out
+    printed = capsys.readouterr().out
+    assert "seed 1 A: attempted 101 failed 1 correct True" in printed.splitlines()
+    assert "case_ms_p50    median 25 -> 22.5 (-10.0%)" in printed
     data = json.loads(out.read_text())
     assert data["closure"] == {"kept": True}
     verify = data["verify"]
@@ -81,6 +83,30 @@ def test_paired_bench_json_keeps_pairs_medians_spread_and_runs(tmp_path, monkeyp
     assert (p50["median_A"], p50["median_B"], p50["change"]) == (25.0, 22.5, "-10.0%")
     assert p50["per_pair"] == ["-10.0%"] * 4
     assert p50["spread_A"] == bench.spread([10.0, 20.0, 30.0, 40.0]) == 25.0
+
+
+def test_paired_bench_exits_1_after_its_report_when_a_run_is_wrong(tmp_path, monkeypatch, capsys):
+    bench = _paired_bench()
+    trees = {"A": tmp_path / "a", "B": tmp_path / "b"}
+    for tree in trees.values():
+        tree.mkdir()
+
+    def run_once(tree, workload, seed, seconds):
+        wrong = tree == trees["B"].resolve() and seed == 2
+        return {"correct": not wrong, "attempted": 10, "failed": int(wrong),
+                "metrics": {"cases_per_s": {"value": 100.0 + seed, "unit": "1/s"}}}
+
+    monkeypatch.setattr(bench, "run_once", run_once)
+    out = tmp_path / "BENCH.json"
+    argv = [str(trees["A"]), str(trees["B"]), "--workload", "verify", "--seeds", "1-3",
+            "--seconds", "5", "--json", str(out)]
+    assert bench.main(argv) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert "seed 2 B: attempted 10 failed 1 correct False" in lines
+    assert any(line.startswith("cases_per_s    median 102 -> 102") for line in lines)
+    assert lines[-1] == "wrong answers in 1 runs: seed 2 B"
+    runs = json.loads(out.read_text())["verify"]["runs"]
+    assert [r["correct"] for r in runs] == [True, True, False, True, True, True]
 
 
 def test_traffic_lists_what_the_verify_grid_never_enters():

@@ -1,4 +1,5 @@
-import dataclasses
+import copy
+import pickle
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -311,19 +312,22 @@ def test_crystal_refuses_a_vector_below_position_one(lam):
         transport(BraidContext.from_cartan(A2.cartan, 1, 2), A2.iota, x, (1, 2, 3))
 
 
-def test_vectors_are_slotted_frozen_values_with_a_kept_hash():
+def test_vector_value_contract():
     lam = weight(1, 0)
     x = ZVector(((1, 2), (4, -1)), lam)
     assert not hasattr(x, "__dict__")
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         x.coords = ()
-    assert hash(x) == hash((((1, 2), (4, -1)), lam)) == x._hash
+    assert hash(x) == hash((((1, 2), (4, -1)), lam))
     twin = ZVector(((1, 2), (4, -1)), weight(1, 0))  # equal weight, another object
     assert x == twin and hash(x) == hash(twin) and not x != twin
     assert x != ZVector(((1, 2), (4, -1))) and x != ZVector(((1, 2),), lam)
     assert x != x.coords and ZVector(()) != ()
+    assert x == (((1, 2), (4, -1)), lam)
     assert repr(x) == "ZVector(x1=2,x4=-1)"
-    assert dataclasses.replace(x, coords=((3, 1),)) == ZVector(((3, 1),), lam)
+    for copied in (pickle.loads(pickle.dumps(x)), copy.copy(x), copy.deepcopy(x)):
+        assert type(copied) is ZVector and copied == x and hash(copied) == hash(x)
+        assert repr(copied) == "ZVector(x1=2,x4=-1)" and copied.lam == lam
 
 
 def test_bfs_enumerates_small_representation():
