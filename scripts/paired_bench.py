@@ -18,6 +18,14 @@ workload's name, keeping the other workloads already there: each run's
 seed, tree, attempted and failed counts and correctness, and per metric
 its unit, both trees' values in pair order, both medians, the per-pair
 changes and tree A's quartile spread.  Tree A is read as the parent.
+
+For each end-to-end metric that tree A's `BENCHMARK.json` lists, the
+script also prints, and writes, how many pairs B won (ties count for
+neither tree) and a no-regression verdict against the metric's bound:
+`unresolved` when A's quartile spread exceeds the bound relative to A's
+median and not every B run beats every A run, else `worse than bound`
+when B's median is worse than A's by more than the bound, else `within
+bound`.  The verdicts do not change the exit code.
 """
 
 import argparse
@@ -69,6 +77,16 @@ def spread(values):
     return q3 - q1
 
 
+def verdict(a, b, better, bound):
+    """(pairs B won, verdict) for one metric's A and B values in pair order."""
+    sign = 1 if better == "higher" else -1
+    wins = sum(sign * (y - x) > 0 for x, y in zip(a, b))
+    ma, mb = statistics.median(a), statistics.median(b)
+    if spread(a) > bound * abs(ma) and not all(sign * (y - x) > 0 for x in a for y in b):
+        return wins, "unresolved"
+    return wins, "worse than bound" if sign * (ma - mb) > bound * abs(ma) else "within bound"
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("tree_a", type=Path)
@@ -101,6 +119,9 @@ def main(argv=None):
                   f"failed {result['failed']} correct {result['correct']}", flush=True)
 
     print(f"\n{args.workload}: A = {trees['A']}, B = {trees['B']}")
+    spec = trees["A"] / "BENCHMARK.json"  # a tree without one gets no verdicts
+    listed = json.loads(spec.read_text())["end_to_end"] if spec.exists() else []
+    bounds = {m["name"]: m for m in listed}
     metrics = {}
     for name, first in results["A"][0]["metrics"].items():
         a = [r["metrics"][name]["value"] for r in results["A"]]
@@ -112,6 +133,12 @@ def main(argv=None):
         print(f"{'':14s} per pair {' '.join(pairs)}")
         metrics[name] = {"unit": first["unit"], "A": a, "B": b, "median_A": ma, "median_B": mb,
                          "change": change(ma, mb), "per_pair": pairs, "spread_A": spread(a)}
+        if name in bounds:
+            better, bound = bounds[name]["better"], bounds[name]["bound"]
+            wins, says = verdict(a, b, better, bound)
+            print(f"{'':14s} B won {wins} of {len(a)} pairs; {says} ({better} is better,"
+                  f" bound {bound:g})")
+            metrics[name].update(better=better, bound=bound, wins_B=wins, verdict=says)
     if args.json:
         data = json.loads(args.json.read_text()) if args.json.exists() else {}
         data[args.workload] = {"seeds": args.seeds, "seconds": args.seconds,

@@ -33,7 +33,6 @@ from .crystals import (
     NEG_INF,
     Letter,
     TensorWord,
-    UnitLetter,
     check_crystal_axioms,
     check_strict_morphism,
 )
@@ -55,7 +54,6 @@ __all__ = [
     "NEG_INF",
     "SequenceCrystal",
     "TensorWord",
-    "UnitLetter",
     "Weight",
     "ZVector",
     "a_sequence",

@@ -83,13 +83,16 @@ def exact_int(value) -> int:
 
 def cartan_from_matrix(matrix, labels=None) -> CartanData:
     """Validate an integer matrix and wrap it as CartanData."""
+    if labels is not None and not (
+            isinstance(labels, (list, tuple)) and all(isinstance(x, str) for x in labels)):
+        raise CartanError("labels must be a list of strings")
     try:
         rows = tuple(tuple(exact_int(v) for v in row) for row in matrix)
-        lab = tuple(str(x) for x in labels) if labels is not None else None
     except TypeError as exc:
-        raise CartanError("matrix must be a list of integer rows and labels a list") from exc
+        raise CartanError("matrix must be a list of integer rows") from exc
     except ValueError as exc:
         raise CartanError("matrix entries must be integers") from exc
+    lab = None if labels is None else tuple(labels)
     return CartanData(rank=len(rows), matrix=rows, labels=lab)
 
 
@@ -110,30 +113,29 @@ def load_cartan(path) -> CartanData:
         return CartanData.from_json_dict(json.load(fh))
 
 
-@dataclass(frozen=True)
-class Weight:
-    """Integral weight stored in pairing coordinates (<h_1,.>, .., <h_n,.>)."""
+class Weight(tuple):
+    """Integral weight as the tuple of its pairings (<h_1,.>, .., <h_n,.>);
+    it equals and hashes as that plain tuple, each entry through `exact_int`."""
 
-    coeffs: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if any(not isinstance(v, int) for v in self.coeffs):
-            raise CartanError("weight coordinates must be integers")
+    def __new__(cls, pairings):
+        return tuple.__new__(cls, map(exact_int, pairings))
 
     def pairing(self, i: int) -> int:
-        return self.coeffs[i - 1]
+        return self[i - 1]
 
     @property
     def rank(self) -> int:
-        return len(self.coeffs)
+        return len(self)
 
     @property
     def dominant(self) -> bool:
-        return all(c >= 0 for c in self.coeffs)
+        return all(c >= 0 for c in self)
 
 
-def weight(*coeffs: int) -> Weight:
-    return Weight(tuple(int(c) for c in coeffs))
+def weight(*pairings: int) -> Weight:
+    return Weight(pairings)
 
 
 @dataclass(frozen=True)

@@ -117,12 +117,20 @@ def cmd_graph(args) -> int:
 
 
 def _check_system_options(args, cartan, seq, lam):
-    """Reject a round cap or a window below 1, or a closed-form method the
-    datum, sequence and weight do not fit, before any work starts."""
-    if args.max_rounds < 1:
+    """Reject a round cap or a window below 1, an option the method does not
+    read, or a closed-form method the datum, sequence and weight do not fit,
+    before any work starts."""
+    if args.max_rounds is not None and args.max_rounds < 1:
         raise ConfigError("--max-rounds must be >= 1")
     if args.window is not None and args.window < 1:
         raise ConfigError("--window must be >= 1")
+    ignored = [flag for flag, value, method in (
+        ("--support-bound", args.support_bound, "generate"),
+        ("--max-rounds", args.max_rounds, "generate"),
+        ("--window", args.window, "rank2"),
+    ) if value is not None and method != args.method]
+    if ignored:
+        raise ConfigError(f"--method {args.method} does not take {', '.join(ignored)}")
     if args.method == "generate":
         return
     if lam is None:
@@ -149,7 +157,8 @@ def _build_system(args, cartan, seq, lam, default_bound):
         bound = default_bound if args.support_bound is None else args.support_bound
         if bound is None:
             raise ConfigError("--support-bound is required here")
-        return DescentSystem(cartan, seq, lam).generate(bound, max_rounds=args.max_rounds)
+        rounds = {} if args.max_rounds is None else {"max_rounds": args.max_rounds}
+        return DescentSystem(cartan, seq, lam).generate(bound, **rounds)
     if args.method == "rank2":
         return rank2_system(-cartan.a(1, 2), -cartan.a(2, 1), lam, window=args.window)
     return an_system(cartan.rank, lam)
@@ -343,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     def system_options(p):
         p.add_argument("--method", choices=("generate", "rank2", "an"), default="generate")
         p.add_argument("--support-bound", type=int)
-        p.add_argument("--max-rounds", type=int, default=60)
+        p.add_argument("--max-rounds", type=int)
         p.add_argument("--window", type=int, help="window for the rank2 method")
 
     g = sub.add_parser("graph", help="breadth-first crystal graph")

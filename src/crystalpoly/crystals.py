@@ -1,10 +1,11 @@
 """Elementary crystals, tensor words, crystal graphs, and axiom checkers.
 
 A tensor word is a finite ordered product of integer-labelled letters
-(x)_i, optionally terminated by a one-element unit letter carrying a
-highest weight.  The raising/lowering operators, the string statistics
-epsilon/phi, and weights are computed by folding the two-factor tensor
-rules left to right; the absorbing element 0 is represented by None.
+(x)_i, optionally terminated by the unit letter r_lambda of the
+one-element crystal of a highest weight, stored as that `Weight`.  The
+raising/lowering operators, the string statistics epsilon/phi, and
+weights are computed by folding the two-factor tensor rules left to
+right; the absorbing element 0 is represented by None.
 """
 
 from __future__ import annotations
@@ -26,20 +27,13 @@ class Letter:
     value: int
 
 
-@dataclass(frozen=True)
-class UnitLetter:
-    """The single element of the one-point crystal attached to a weight."""
-
-    weight: Weight
-
-
 class TensorWord:
     """A finite tensor product of letters, leftmost factor first, kept as
     two int tuples; the `Letter` tuple `letters` is built on demand."""
 
     __slots__ = ("cartan", "indices", "values", "unit", "_hash", "_folds")
 
-    def __init__(self, cartan: CartanData, letters, unit: UnitLetter | None = None):
+    def __init__(self, cartan: CartanData, letters, unit: Weight | None = None):
         letters = tuple(letters)
         self.indices = tuple(letter.index for letter in letters)
         self.values = tuple(letter.value for letter in letters)
@@ -50,7 +44,7 @@ class TensorWord:
         for index in self.indices:
             if not 1 <= index <= cartan.rank:
                 raise ValueError("letter index out of range")
-        if unit is not None and unit.weight.rank != cartan.rank:
+        if unit is not None and unit.rank != cartan.rank:
             raise ValueError("unit weight rank mismatch")
         self.cartan = cartan
         self.unit = unit
@@ -58,7 +52,7 @@ class TensorWord:
         self._folds = {}  # index -> _fold result; a word never changes, so none goes stale
 
     @classmethod
-    def _checked(cls, cartan: CartanData, indices, values, unit: UnitLetter | None = None):
+    def _checked(cls, cartan: CartanData, indices, values, unit: Weight | None = None):
         """A word from index and value tuples whose indices are known to be in range.
 
         For words derived from a checked word: `_apply` shares the indices
@@ -96,7 +90,7 @@ class TensorWord:
     def label(self) -> str:
         parts = [f"({v}){i}" for i, v in zip(self.indices, self.values)]
         if self.unit is not None:
-            parts.append("r" + ",".join(str(c) for c in self.unit.weight.coeffs))
+            parts.append("r" + ",".join(map(str, self.unit)))
         return " ".join(parts) if parts else "()"
 
     def _fold(self, i: int):
@@ -138,7 +132,7 @@ class TensorWord:
                 phi += lw
             wtp += lw
         if self.unit is not None:
-            lam = self.unit.weight.coeffs[i - 1]
+            lam = self.unit[i - 1]
             m = len(self.values)
             if phi is None or phi <= -lam:
                 f_target = m
@@ -186,16 +180,20 @@ class TensorWord:
     def to_json_obj(self):
         out = [[i, v] for i, v in zip(self.indices, self.values)]
         if self.unit is not None:
-            out.append(["r", list(self.unit.weight.coeffs)])
+            out.append(["r", list(self.unit)])
         return out
 
     @classmethod
     def from_json_obj(cls, cartan: CartanData, obj) -> "TensorWord":
+        """The word of `to_json_obj`'s list: [index, value] letters, then at
+        most one ["r", pairings] unit letter, which must come last."""
         letters = []
         unit = None
         for entry in obj:
+            if unit is not None:
+                raise ValueError('a unit letter ["r", ...] must be the last entry')
             if entry[0] == "r":
-                unit = UnitLetter(Weight(tuple(map(exact_int, entry[1]))))
+                unit = Weight(entry[1])
             else:
                 letters.append(Letter(exact_int(entry[0]), exact_int(entry[1])))
         return cls(cartan, letters, unit)

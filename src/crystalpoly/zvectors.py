@@ -82,13 +82,13 @@ class ZVector(tuple):
         return f"ZVector({self.label()})"
 
     def to_json_obj(self) -> dict:
-        mode = "binf" if self.lam is None else {"lambda": list(self.lam.coeffs)}
+        mode = "binf" if self.lam is None else {"lambda": list(self.lam)}
         return {"coords": {str(pos): val for pos, val in self.coords}, "mode": mode}
 
     @classmethod
     def from_json_obj(cls, obj) -> "ZVector":
         mode = obj.get("mode", "binf")
-        lam = None if mode == "binf" else Weight(tuple(map(exact_int, mode["lambda"])))
+        lam = None if mode == "binf" else Weight(mode["lambda"])
         coords = obj["coords"]
         if not isinstance(coords, dict):
             raise TypeError("coords must map positions to values")
@@ -122,7 +122,7 @@ class SequenceCrystal:
         pairs = tuple(tuple(row[ik - 1] for ik in seq.period) for row in cartan.matrix)
         # per index i: its pairings per slot, the offsets from p to the first
         # position of index i after p and to the last one up to p, and lambda_i
-        lams = (0,) * cartan.rank if lam is None else lam.coeffs
+        lams = (0,) * cartan.rank if lam is None else lam
         self._per_index = tuple(zip(pairs, seq._next_of, seq._last_of, lams))
         self._last_scan = None  # (vector, i, result) of the latest _scan
         self._index, self._nodes = {}, ()  # coords -> node index, and nodes, of the latest bfs
@@ -231,7 +231,7 @@ class SequenceCrystal:
 
     def weight_pairings(self, x: ZVector) -> tuple[int, ...]:
         """<h_j, wt(x)> for every j, with wt = lambda minus the step roots."""
-        out = list(self.lam.coeffs) if self.lam is not None else [0] * self.cartan.rank
+        out = list(self.lam) if self.lam is not None else [0] * self.cartan.rank
         columns = self._columns
         if columns is None:  # made on first use: only the axiom checker asks for weights
             columns = self._columns = tuple(

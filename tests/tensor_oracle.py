@@ -17,7 +17,7 @@ with `apply_at`, and read the coordinates back.  They are the oracle for
 from collections import deque
 
 from crystalpoly import NEG_INF, SequenceCrystal, ZVector, apply_at
-from crystalpoly.crystals import CrystalGraph, Letter, TensorWord, UnitLetter
+from crystalpoly.crystals import CrystalGraph, Letter, TensorWord
 
 
 def factor_data(word, m, i):
@@ -28,7 +28,7 @@ def factor_data(word, m, i):
         if index == i:
             return -value, value, wtp
         return NEG_INF, NEG_INF, wtp
-    lam = word.unit.weight.pairing(i)
+    lam = word.unit.pairing(i)
     return -lam, 0, lam
 
 
@@ -118,8 +118,7 @@ def to_tensor_word(crystal, x, length):
     if x.max_pos > length:
         raise ValueError("truncation length does not cover the support")
     letters = [Letter(crystal.seq.index_at(k), -x.get(k)) for k in range(length, 0, -1)]
-    unit = None if crystal.lam is None else UnitLetter(crystal.lam)
-    return TensorWord(crystal.cartan, letters, unit)
+    return TensorWord(crystal.cartan, letters, crystal.lam)
 
 
 def from_tensor_word(crystal, word):

@@ -20,7 +20,6 @@ from crystalpoly import (
     Letter,
     SequenceCrystal,
     TensorWord,
-    UnitLetter,
     cartan_from_matrix,
     check_crystal_axioms,
     get_builtin,
@@ -140,7 +139,7 @@ A2 = cartan_from_matrix([[2, -1], [-1, 2]])
 
 @pytest.mark.parametrize("lam", [None, (1, 1)])
 def test_tensor_words_match_oracle(lam):
-    unit = None if lam is None else UnitLetter(weight(*lam))
+    unit = None if lam is None else weight(*lam)
     seed = TensorWord(A2, [Letter(i, 0) for i in (1, 2, 1, 2)], unit)
     nodes = list(connected_component(seed, 4).nodes)
     words = SimpleNamespace(

@@ -26,7 +26,6 @@ from crystalpoly import (
     transport,
     weight,
 )
-from crystalpoly.crystals import UnitLetter
 
 import tensor_oracle
 
@@ -104,7 +103,7 @@ def test_shape_mismatch_rejected():
         phi(ctx, short)
     letters = [Letter(1, 0), Letter(2, 0), Letter(1, 0)]
     with pytest.raises(ValueError, match="pure letter"):
-        phi(ctx, TensorWord(cartan, letters, UnitLetter(weight(1, 0))))
+        phi(ctx, TensorWord(cartan, letters, weight(1, 0)))
 
 
 def test_involution_fuzz():
@@ -224,7 +223,7 @@ def test_apply_at_roundtrip_and_unit_preserved():
     ctx = BraidContext.from_cartan(a3.cartan, 1, 2)
     lam = weight(1, 0, 1)
     letters = [Letter(i, v) for i, v in zip((1, 2, 1, 3, 2, 1), (0, -1, 0, -2, 0, -1))]
-    w = TensorWord(a3.cartan, letters, UnitLetter(lam))
+    w = TensorWord(a3.cartan, letters, lam)
     out = apply_at(ctx, w, (4, 5, 6))
     assert out.unit == w.unit
     assert [l.index for l in out.letters] == [2, 1, 2, 3, 2, 1]
@@ -353,7 +352,7 @@ def test_fast_word_paths_match_public_constructor(pair, data):
     derived = [image, phi_inverse(ctx, image), phi(ctx.swapped(), image)]
     if ctx.degree == 3:
         derived.append(phi3_alt(ctx, w))
-    with_unit = TensorWord(w.cartan, w.letters, UnitLetter(weight(*lam)))
+    with_unit = TensorWord(w.cartan, w.letters, weight(*lam))
     for word in (w, image, with_unit):
         for i in (1, 2):
             derived += [word.f(i), word.e(i)]
@@ -405,7 +404,7 @@ def random_braid_word(rng, cartan, contexts):
             indices.append(rng.randint(1, cartan.rank))
     letters = [Letter(i, rng.randint(-5, 5)) for i in indices[: rng.randint(2, 9)]]
     lam = rng.choice([None, tuple(rng.randint(0, 2) for _ in cartan.indices)])
-    return TensorWord(cartan, letters, None if lam is None else UnitLetter(Weight(lam)))
+    return TensorWord(cartan, letters, None if lam is None else Weight(lam))
 
 
 @pytest.mark.parametrize("datum", ["a3", *(f"rank2-{c1}-{c2}" for c1, c2 in PAIRS)])

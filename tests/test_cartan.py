@@ -1,7 +1,10 @@
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
-from crystalpoly import CartanData, CartanError, IndexSequence, cartan_from_matrix, weight
+from crystalpoly import CartanData, CartanError, IndexSequence, Weight, cartan_from_matrix, weight
 from crystalpoly.cartan import an_cartan, exact_int, rank2_cartan
 
 import sequence_oracle
@@ -38,6 +41,22 @@ def test_weight_dominance():
     assert weight(1, 0).dominant
     assert not weight(1, -1).dominant
     assert weight(2).pairing(1) == 2
+
+
+def test_weight_value_contract():
+    w = weight(2, 0, -1)
+    assert not hasattr(w, "__dict__")
+    assert w == (2, 0, -1) and w == tuple(w) and hash(w) == hash(tuple(w))
+    assert (w.rank, w.pairing(3), w.dominant) == (3, -1, False)
+    for copied in (pickle.loads(pickle.dumps(w)), copy.copy(w), copy.deepcopy(w)):
+        assert type(copied) is Weight and copied == w and hash(copied) == hash(w)
+    assert weight(2.0) == (2,) and type(weight(2.0)[0]) is int
+    assert Weight((True,)) == (1,) and type(Weight((True,))[0]) is int
+    for bad in ((1.5,), ("2",)):
+        with pytest.raises(ValueError, match="expected an integer"):
+            Weight(bad)
+    with pytest.raises(ValueError, match="expected an integer"):
+        weight(1.5)
 
 
 def test_sequence_requires_all_indices():
@@ -155,6 +174,9 @@ def test_shared_builders():
         {"matrix": [[2, 1e400], [-1, 2]]},  # JSON reads 1e400 as inf; int(inf) overflows
         {"matrix": [[2, float("nan")], [-1, 2]]},
         {"matrix": [[2, "-1"], [-1, 2]]},
+        {"matrix": [[2, -1], [-1, 2]], "labels": "ab"},  # str() of each character
+        {"matrix": [[2, -1], [-1, 2]], "labels": {"x": 1, "y": 2}},  # str() of each key
+        {"matrix": [[2, -1], [-1, 2]], "labels": ["a", 2]},
     ],
 )
 def test_malformed_json_is_cartan_error(obj):

@@ -151,6 +151,20 @@ def test_inequalities_form_cap(tmp_path, capsys):
           "--window", "5001"), f"window must be <= {MAX_FORMS}"),
         (("verify", "--builtin", "a1tilde", "--lambda", "1,1", "--depth", "3",
           "--method", "rank2", "--window", "100000000"), f"window must be <= {MAX_FORMS}"),
+        # an option the method does not read
+        (("inequalities", "--builtin", "a2", "--lambda", "1,0", "--window", "5"),
+         "--method generate does not take --window"),
+        (("verify", "--builtin", "a2", "--lambda", "1,0", "--depth", "3", "--method", "an",
+          "--window", "5"), "--method an does not take --window"),
+        (("verify", "--builtin", "a2", "--lambda", "1,0", "--depth", "3", "--method", "rank2",
+          "--support-bound", "1"), "--method rank2 does not take --support-bound"),
+        (("verify", "--builtin", "a2", "--lambda", "1,0", "--method", "an",
+          "--support-bound", "1", "--depth", "3"), "--method an does not take --support-bound"),
+        (("inequalities", "--builtin", "a2", "--lambda", "1,0", "--method", "rank2",
+          "--max-rounds", "60"), "--method rank2 does not take --max-rounds"),
+        (("inequalities", "--builtin", "a3", "--lambda", "1,0,1", "--method", "an",
+          "--support-bound", "6", "--max-rounds", "5"),
+         "--method an does not take --support-bound, --max-rounds"),
     ],
 )
 def test_bad_round_cap_or_window_exits_2(capsys, argv, message):
@@ -544,14 +558,6 @@ def test_generate_from_file_needs_support_bound(tmp_path, capsys):
     assert code == 2 and err.strip() == "config error: --support-bound is required here"
 
 
-def test_verify_rank2_ignores_support_bound(capsys):
-    code, out, _ = run(
-        capsys, "verify", "--builtin", "a2", "--lambda", "1,0", "--depth", "3",
-        "--method", "rank2", "--support-bound", "1",
-    )
-    assert code == 0 and out.strip() == "equal: 3 elements (depth 3)"
-
-
 @pytest.mark.parametrize(
     "content",
     [[1], {"matrix": 5}, {"matrix": [[2, -1.7], [-1, 2]]}, {"matrix": [[2, 1e400], [-1, 2]]}],
@@ -601,8 +607,10 @@ def test_braid_map_set_malformed(tmp_path, capsys, content):
         ({"coords": {"1": 1.5}}, "expected an integer, got 1.5"),
         ([[1, 0], [2, 2.9], [1, 0]], "expected an integer, got 2.9"),
         ({"coords": {"1": 1}, "mode": {"lambda": [1]}}, "weight rank must match the Cartan datum"),
+        ([["r", [1, 0]], [1, 1], [2, 0], [1, -2]],
+         'a unit letter ["r", ...] must be the last entry'),
     ],
-    ids=["fractional-coordinate", "fractional-letter", "short-weight"],
+    ids=["fractional-coordinate", "fractional-letter", "short-weight", "unit-first"],
 )
 def test_braid_map_set_refuses_a_value(tmp_path, capsys, element, message):
     src = tmp_path / "im.json"

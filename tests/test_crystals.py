@@ -7,7 +7,6 @@ from crystalpoly import (
     NEG_INF,
     Letter,
     TensorWord,
-    UnitLetter,
     cartan_from_matrix,
     check_crystal_axioms,
     check_strict_morphism,
@@ -22,8 +21,7 @@ A2 = cartan_from_matrix([[2, -1], [-1, 2]])
 
 
 def word(cartan, *letters, lam=None):
-    unit = UnitLetter(lam) if lam is not None else None
-    return TensorWord(cartan, [Letter(i, x) for i, x in letters], unit)
+    return TensorWord(cartan, [Letter(i, x) for i, x in letters], lam)
 
 
 def rightassoc_eps_phi(w, i):
@@ -57,7 +55,7 @@ def test_two_letter_fold_sl2():
 def test_single_letters():
     assert word(A2, (1, 0)).eps_phi_wt(1) == (0, 0, 0)
     assert word(A2, (1, 3)).epsilon(2) == NEG_INF
-    r = TensorWord(SL2, [], UnitLetter(weight(2)))
+    r = TensorWord(SL2, [], weight(2))
     assert r.eps_phi_wt(1) == (-2, 0, 2)
 
 
@@ -81,7 +79,7 @@ def test_raising_elementary():
     assert word(A2, (1, 0)).e(2) is None
     assert word(SL2, (1, 0), lam=weight(0)).f(1) is None
     # the zero-letter string: a bare unit letter is killed by every operator
-    top = TensorWord(SL2, [], UnitLetter(weight(2)))
+    top = TensorWord(SL2, [], weight(2))
     assert top.e(1) is None and top.f(1) is None
 
 
@@ -120,6 +118,14 @@ def test_graph_exports_roundtrip():
     "obj", [[[1, 2.9]], [[1.5, 0]], [[1, 0], ["r", [1, 0.5]]], [[1, 1e400]]])
 def test_json_letters_must_be_integers(obj):
     with pytest.raises(ValueError, match="expected an integer"):
+        TensorWord.from_json_obj(A2, obj)
+
+
+@pytest.mark.parametrize(
+    "obj", [[["r", [1, 0]], [1, 2]], [[1, 2], ["r", [1, 0]], ["r", [0, 5]]]],
+    ids=["unit-first", "second-unit"])
+def test_json_unit_letter_only_last(obj):
+    with pytest.raises(ValueError, match="must be the last entry"):
         TensorWord.from_json_obj(A2, obj)
 
 
@@ -187,7 +193,7 @@ def pairwise_action(w, i, lowering):
         return w._apply(i, 0, delta)
     if w.unit is not None:
         prefix = TensorWord(w.cartan, w.letters, None)
-        last_eps = -w.unit.weight.pairing(i)
+        last_eps = -w.unit.pairing(i)
     else:
         prefix = TensorWord(w.cartan, w.letters[:-1], None)
         last = w.letters[-1]
@@ -293,7 +299,7 @@ def test_empty_word():
     assert w.indices == w.values == w.letters == () and len(w) == 0
     assert w.label() == "()" and w.to_json_obj() == [] and repr(w) == "TensorWord(())"
     assert w == TensorWord(A2, iter(())) and hash(w) == hash(TensorWord(A2, ()))
-    assert w != TensorWord(A2, [], UnitLetter(weight(0, 0)))
+    assert w != TensorWord(A2, [], weight(0, 0))
     for i in A2.indices:
         assert w.eps_phi_wt(i) == (NEG_INF, NEG_INF, 0) == tensor_oracle.eps_phi_wt(w, i)
         assert w.f(i) is None and w.e(i) is None
@@ -303,12 +309,12 @@ def test_empty_word():
 
 
 def test_unit_only_word():
-    w = TensorWord(A2, [], UnitLetter(weight(2, 1)))
+    w = TensorWord(A2, [], weight(2, 1))
     assert w.indices == w.values == w.letters == () and len(w) == 1
     assert w.label() == "r2,1" and w.to_json_obj() == [["r", [2, 1]]]
-    assert w == TensorWord(A2, (), UnitLetter(weight(2, 1)))
-    assert hash(w) == hash(TensorWord(A2, (), UnitLetter(weight(2, 1))))
-    assert w != TensorWord(A2, [], UnitLetter(weight(1, 2))) and w != TensorWord(A2, [])
+    assert w == TensorWord(A2, (), weight(2, 1))
+    assert hash(w) == hash(TensorWord(A2, (), weight(2, 1)))
+    assert w != TensorWord(A2, [], weight(1, 2)) and w != TensorWord(A2, [])
     assert w.eps_phi_wt(1) == (-2, 0, 2) and w.eps_phi_wt(2) == (-1, 0, 1)
     for i in A2.indices:
         assert w.eps_phi_wt(i) == tensor_oracle.eps_phi_wt(w, i)

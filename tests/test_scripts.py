@@ -109,6 +109,50 @@ def test_paired_bench_exits_1_after_its_report_when_a_run_is_wrong(tmp_path, mon
     assert [r["correct"] for r in runs] == [True, True, False, True, True, True]
 
 
+def test_paired_bench_gives_each_bounded_metric_a_win_count_and_a_verdict(
+        tmp_path, monkeypatch, capsys):
+    bench = _paired_bench()
+    trees = {"A": tmp_path / "a", "B": tmp_path / "b"}
+    for tree in trees.values():
+        tree.mkdir()
+    bounds = [("cases_per_s", "higher", 0.15), ("case_ms_p50", "lower", 0.2),
+              ("case_ms_p90", "lower", 0.25), ("peak_rss_mb", "lower", 0.1),
+              ("pass_ratio", "higher", 0.005)]
+    (trees["A"] / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [
+        {"name": name, "unit": "", "better": better, "bound": bound}
+        for name, better, bound in bounds]}))
+    values = {  # metric: (A by seed, B by seed)
+        "cases_per_s": ([100, 101, 102, 103], [110, 111, 112, 113]),
+        "case_ms_p50": ([10, 10, 10, 10], [13, 13, 13, 13]),  # 30% worse, bound 20%
+        "case_ms_p90": ([10, 20, 30, 40], [9, 45, 29, 39]),  # A spread 100% of its median
+        "peak_rss_mb": ([10, 20, 30, 40], [1, 2, 3, 4]),  # as wide, but every B run better
+        "pass_ratio": ([1, 1, 1, 1], [1, 1, 1, 1]),  # ties count for neither tree
+        "other": ([1, 2, 3, 4], [9, 9, 9, 9]),  # not in BENCHMARK.json
+    }
+
+    def run_once(tree, workload, seed, seconds):
+        side = 0 if tree == trees["A"].resolve() else 1
+        return {"correct": True, "attempted": 10, "failed": 0,
+                "metrics": {name: {"value": float(v[side][seed - 1]), "unit": ""}
+                            for name, v in values.items()}}
+
+    monkeypatch.setattr(bench, "run_once", run_once)
+    out = tmp_path / "BENCH.json"
+    argv = [str(trees["A"]), str(trees["B"]), "--workload", "verify", "--seeds", "1-4",
+            "--seconds", "5", "--json", str(out)]
+    assert bench.main(argv) == 0
+    verdicts = [line.strip() for line in capsys.readouterr().out.splitlines() if "B won" in line]
+    expected = [(4, "within bound"), (0, "worse than bound"), (3, "unresolved"),
+                (4, "within bound"), (0, "within bound")]
+    assert verdicts == [f"B won {wins} of 4 pairs; {says} ({better} is better, bound {bound:g})"
+                        for (name, better, bound), (wins, says) in zip(bounds, expected)]
+    metrics = json.loads(out.read_text())["verify"]["metrics"]
+    for (name, better, bound), (wins, says) in zip(bounds, expected):
+        assert {k: metrics[name][k] for k in ("better", "bound", "wins_B", "verdict")} == {
+            "better": better, "bound": bound, "wins_B": wins, "verdict": says}
+    assert "verdict" not in metrics["other"]
+
+
 def test_traffic_lists_what_the_verify_grid_never_enters():
     proc = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / "traffic.py"), "--workload", "verify"],
