@@ -25,7 +25,10 @@ neither tree) and a no-regression verdict against the metric's bound:
 `unresolved` when A's quartile spread exceeds the bound relative to A's
 median and not every B run beats every A run, else `worse than bound`
 when B's median is worse than A's by more than the bound, else `within
-bound`.  The verdicts do not change the exit code.
+bound`.  It also prints, and writes, a gain verdict: `gain shown` when B
+won at least 9 in 10 of the pairs and B's median is better than A's by
+more than A's quartile spread, else `gain not shown`.  The verdicts do
+not change the exit code.
 """
 
 import argparse
@@ -87,6 +90,14 @@ def verdict(a, b, better, bound):
     return wins, "worse than bound" if sign * (ma - mb) > bound * abs(ma) else "within bound"
 
 
+def gain(a, b, better, wins):
+    """`gain shown` when B won (`wins`) at least 9 in 10 of the pairs and its
+    median beats A's by more than A's quartile spread."""
+    sign = 1 if better == "higher" else -1
+    past = sign * (statistics.median(b) - statistics.median(a)) > spread(a)
+    return "gain shown" if 10 * wins >= 9 * len(a) and past else "gain not shown"
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("tree_a", type=Path)
@@ -136,9 +147,11 @@ def main(argv=None):
         if name in bounds:
             better, bound = bounds[name]["better"], bounds[name]["bound"]
             wins, says = verdict(a, b, better, bound)
+            shown = gain(a, b, better, wins)
             print(f"{'':14s} B won {wins} of {len(a)} pairs; {says} ({better} is better,"
                   f" bound {bound:g})")
-            metrics[name].update(better=better, bound=bound, wins_B=wins, verdict=says)
+            print(f"{'':14s} {shown}")
+            metrics[name].update(better=better, bound=bound, wins_B=wins, verdict=says, gain=shown)
     if args.json:
         data = json.loads(args.json.read_text()) if args.json.exists() else {}
         data[args.workload] = {"seeds": args.seeds, "seconds": args.seconds,

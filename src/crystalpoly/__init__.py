@@ -33,11 +33,10 @@ from .crystals import (
     NEG_INF,
     Letter,
     TensorWord,
-    check_crystal_axioms,
     check_strict_morphism,
 )
 from .forms import DescentSystem, FormSet, LinearForm
-from .zvectors import MSet, SequenceCrystal, ZVector
+from .zvectors import MSet, SequenceCrystal, ZVector, check_crystal_axioms
 
 __version__ = "0.1.0"
 

@@ -16,9 +16,9 @@ from functools import cache
 from .braid import BraidContext, apply_at, run_property_suite, transport
 from .cartan import CartanData, IndexSequence, Weight, an_cartan, load_cartan, rank2_cartan
 from .closed_forms import an_system, get_builtin, rank2_system
-from .crystals import TensorWord, check_crystal_axioms
+from .crystals import TensorWord
 from .forms import MAX_FORMS, DescentSystem
-from .zvectors import SequenceCrystal, ZVector
+from .zvectors import SequenceCrystal, ZVector, check_crystal_axioms
 
 BUILTIN_DIR_ENV = "CRYSTALPOLY_BUILTIN_DIR"
 
@@ -100,7 +100,7 @@ def cmd_graph(args) -> int:
         raise ConfigError("--depth must be >= 0")
     crystal = SequenceCrystal(cartan, seq, lam)
     graph = crystal.bfs(args.depth)
-    bad = check_crystal_axioms(crystal, graph.nodes)
+    bad = check_crystal_axioms(crystal, graph)
     if bad:
         print(f"internal inconsistency: {bad[0]}", file=sys.stderr)
         return 1

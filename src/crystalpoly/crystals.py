@@ -1,4 +1,4 @@
-"""Elementary crystals, tensor words, crystal graphs, and axiom checkers.
+"""Elementary crystals, tensor words, crystal graphs, and the strict-morphism check.
 
 A tensor word is a finite ordered product of integer-labelled letters
 (x)_i, optionally terminated by the unit letter r_lambda of the
@@ -11,7 +11,6 @@ right; the absorbing element 0 is represented by None.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import add, sub
 
 from .cartan import CartanData, Weight, exact_int
 
@@ -258,99 +257,4 @@ def check_strict_morphism(map_fn, sample, indices) -> list[dict]:
             for name in ("e", "f"):
                 if map_fn(getattr(b, name)(i)) != getattr(image, name)(i):
                     violations.append({"kind": f"{name}-commute", "index": i, "element": b})
-    return violations
-
-
-def check_crystal_axioms(crystal, elements) -> list[dict]:
-    """Check the defining crystal axioms on the given elements.
-
-    `crystal` carries its Cartan datum as `crystal.cartan` and the
-    accessors epsilon(b, i), phi(b, i), weight_pairings(b) -> pairing
-    tuple, f(b, i) and e(b, i), with None playing the role of 0: a
-    SequenceCrystal as it is, tensor words through a small adapter.
-
-    `elements` is any iterable (it is read once) of hashable elements, to
-    which the accessors give equal answers whenever they are equal; an
-    element may repeat, and each occurrence is reported.
-    A first pass evaluates the accessors once per distinct element and
-    index, and checks each image outside the elements on the spot.  The
-    weight one i-arrow down and up is read from a table built once per
-    distinct weight.  The second pass reports in element order, then index
-    order, and checks an image that is one of the elements against that
-    element's row: its weight, and whether its e (or f) leads back.
-    """
-    cartan = crystal.cartan
-    eps, phi, weight = crystal.epsilon, crystal.phi, crystal.weight_pairings
-    f, e = crystal.f, crystal.e
-    indices = cartan.indices
-    # column i - 1 holds <h_j, alpha_i> for every j: the weight shift of an i-arrow
-    columns = tuple(zip(*cartan.matrix))
-
-    elements = tuple(elements)
-    # every distinct element at the position of its first occurrence
-    position = dict.fromkeys(elements)
-    for k, b in enumerate(position):
-        position[b] = k
-    at = position.get
-    # a row per distinct weight w: w, then w one i-arrow down and up for each i in turn
-    table = {}
-    shifts = []  # each distinct element's weight row
-
-    # pass 1: the row of element k holds, for each index i in turn, (eps, phi,
-    # f slot, e slot); one flat list, so the e slot sits at width * k + 4 * i - 1.
-    # A slot is None for no image, the image's position among the elements, or,
-    # for an image outside them, the kinds of its weight and back checks that fail.
-    width = 4 * len(indices)
-    rows = []
-    for b in position:
-        wb = weight(b)
-        ws = table.get(wb)
-        if ws is None:
-            ws = table[wb] = (wb, *(tuple(map(op, wb, c)) for c in columns for op in (sub, add)))
-        shifts.append(ws)
-        for i in indices:
-            ev, pv, fb, eb = eps(b, i), phi(b, i), f(b, i), e(b, i)
-            fk = ek = None
-            if fb is not None and (fk := at(fb)) is None:
-                fk = (("wt-shift-f",) * (weight(fb) != ws[2 * i - 1])
-                      + ("ef-adjoint",) * (e(fb, i) != b))
-            if eb is not None and (ek := at(eb)) is None:
-                ek = (("wt-shift-e",) * (weight(eb) != ws[2 * i])
-                      + ("fe-adjoint",) * (f(eb, i) != b))
-            rows += (ev, pv, fk, ek)
-
-    violations = []
-
-    def bad(kind, b, i, detail=""):
-        violations.append({"kind": kind, "element": b, "index": i, "detail": detail})
-
-    # pass 2
-    for b in elements:
-        k = position[b]
-        ws = shifts[k]
-        wb = ws[0]
-        stats = iter(rows[width * k : width * (k + 1)])
-        for i, ev, pv, fk, ek in zip(indices, stats, stats, stats, stats):
-            if (ev == NEG_INF) != (pv == NEG_INF):
-                bad("eps-phi-finiteness", b, i)
-            elif ev != NEG_INF and pv != ev + wb[i - 1]:
-                bad("phi=eps+wt", b, i, f"phi={pv} eps={ev} wtp={wb[i - 1]}")
-            if ev == NEG_INF and (fk is not None or ek is not None):
-                bad("neginf-kills", b, i)
-            if isinstance(fk, int):
-                if shifts[fk][0] != ws[2 * i - 1]:
-                    bad("wt-shift-f", b, i)
-                if rows[width * fk + 4 * i - 1] != k:
-                    bad("ef-adjoint", b, i)
-            elif fk:
-                for kind in fk:
-                    bad(kind, b, i)
-            if isinstance(ek, int):
-                if shifts[ek][0] != ws[2 * i]:
-                    bad("wt-shift-e", b, i)
-                if rows[width * ek + 4 * i - 2] != k:
-                    bad("fe-adjoint", b, i)
-            elif ek:
-                for kind in ek:
-                    bad(kind, b, i)
     return violations

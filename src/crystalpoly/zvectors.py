@@ -12,11 +12,11 @@ inequality systems are checked against.
 from __future__ import annotations
 
 from bisect import bisect_left
-from operator import itemgetter
+from operator import add, itemgetter, sub
 from typing import NamedTuple
 
 from .cartan import CartanData, IndexSequence, Weight, exact_int
-from .crystals import CrystalGraph
+from .crystals import NEG_INF, CrystalGraph
 
 Coords = tuple[tuple[int, int], ...]  # sorted (position, value), values nonzero; vectors from 1
 
@@ -124,7 +124,6 @@ class SequenceCrystal:
         # position of index i after p and to the last one up to p, and lambda_i
         lams = (0,) * cartan.rank if lam is None else lam
         self._per_index = tuple(zip(pairs, seq._next_of, seq._last_of, lams))
-        self._last_scan = None  # (vector, i, result) of the latest _scan
         self._index, self._nodes = {}, ()  # coords -> node index, and nodes, of the latest bfs
         self._columns = None  # per slot k, the nonzero <h_j, alpha_{i_k}> with their 0-based j
 
@@ -141,20 +140,12 @@ class SequenceCrystal:
         return total
 
     def _scan(self, x: ZVector, i: int) -> tuple[int, int, int | None, int]:
-        """`_scan_coords` of a checked vector.  The latest result is kept, so the
-        operators and statistics asked about the same (x, i) in a row share one
-        pass; the kept reference also stops the vector's identity from being reused.
-        """
-        last = self._last_scan
-        if last is not None and last[0] is x and last[1] == i:
-            return last[2]
+        """`_scan_coords` of a checked vector."""
         if x.lam is not self.lam and x.lam != self.lam:
             raise ValueError("vector weight does not match this crystal")
         if x.coords and x.coords[0][0] < 1:
             raise ValueError("positions are 1-based")
-        result = self._scan_coords(x.coords, i)
-        self._last_scan = (x, i, result)
-        return result
+        return self._scan_coords(x.coords, i)
 
     def _scan_coords(self, coords: Coords, i: int) -> tuple[int, int, int | None, int]:
         """(sigma, min_pos, max_pos) of m_set(x, i) and sigma_0, one pass over the support.
@@ -199,6 +190,16 @@ class SequenceCrystal:
             lo = top + next_of[top % m]
         return best, lo, hi, tail - lam_i
 
+    def _gate(self, best: int, sigma_0: int) -> tuple[int, bool, bool]:
+        """(epsilon, whether f acts, whether e acts) from a scan's max and sigma_0;
+        phi is epsilon - sigma_0.  Free: f always acts, e when best > 0.  With
+        a weight: f when best > sigma_0, e when best > 0 and best >= sigma_0."""
+        if self.lam is None:
+            return best, True, best > 0
+        if best >= sigma_0:
+            return best, best > sigma_0, best > 0
+        return sigma_0, False, False
+
     def sigma_0(self, x: ZVector, i: int) -> int:
         """Affine companion of sigma carrying the highest-weight data."""
         if self.lam is None:
@@ -209,25 +210,22 @@ class SequenceCrystal:
         """Max of sigma over positions of index i, with arg-min and arg-max."""
         return MSet(*self._scan(x, i)[:3])
 
+    def _node(self, coords: Coords) -> ZVector:
+        """The node of the latest `bfs` with these coords, else a new vector."""
+        k = self._index.get(coords)
+        return ZVector(coords, self.lam) if k is None else self._nodes[k]
+
     def f(self, x: ZVector, i: int) -> ZVector | None:
         """Lowering: add 1 at the first position attaining the sigma max.
         An image that is a node of the latest `bfs` is that node object."""
         best, lo, _, sigma_0 = self._scan(x, i)
-        if self.lam is not None and best <= sigma_0:
-            return None
-        coords = _bumped(x.coords, lo, +1)
-        k = self._index.get(coords)
-        return ZVector(coords, self.lam) if k is None else self._nodes[k]
+        return self._node(_bumped(x.coords, lo, +1)) if self._gate(best, sigma_0)[1] else None
 
     def e(self, x: ZVector, i: int) -> ZVector | None:
         """Raising: subtract 1 at the last position attaining the sigma max.
         An image that is a node of the latest `bfs` is that node object."""
         best, _, hi, sigma_0 = self._scan(x, i)
-        if best <= 0 or self.lam is not None and best < sigma_0:
-            return None
-        coords = _bumped(x.coords, hi, -1)
-        k = self._index.get(coords)
-        return ZVector(coords, self.lam) if k is None else self._nodes[k]
+        return self._node(_bumped(x.coords, hi, -1)) if self._gate(best, sigma_0)[2] else None
 
     def weight_pairings(self, x: ZVector) -> tuple[int, ...]:
         """<h_j, wt(x)> for every j, with wt = lambda minus the step roots."""
@@ -245,11 +243,11 @@ class SequenceCrystal:
 
     def epsilon(self, x: ZVector, i: int) -> int:
         best, _, _, sigma_0 = self._scan(x, i)
-        return best if self.lam is None or best >= sigma_0 else sigma_0
+        return self._gate(best, sigma_0)[0]
 
     def phi(self, x: ZVector, i: int) -> int:
         best, _, _, sigma_0 = self._scan(x, i)
-        return (best if self.lam is None or best >= sigma_0 else sigma_0) - sigma_0
+        return self._gate(best, sigma_0)[0] - sigma_0
 
     def bfs(self, depth: int) -> CrystalGraph:
         """All lowering descendants of the zero vector, to the given depth.
@@ -285,3 +283,84 @@ class SequenceCrystal:
                 edges.append((src, i, dst))
         self._index, self._nodes = index, tuple([ZVector(c, self.lam) for c in keys])
         return CrystalGraph(self._nodes, edges, depths)
+
+
+def check_crystal_axioms(crystal: SequenceCrystal, graph: CrystalGraph) -> list[dict]:
+    """The crystal axioms on every node of `graph`, the crystal's latest `bfs`.
+
+    Pass 1 scans each node's coords once per index; `_gate` reads eps, phi
+    and which operators act from that scan, as the accessors do.  An image
+    is the `_bumped` coords, looked up in the crystal's BFS index.  An image
+    that is not a node (a child of the last layer) is checked on the spot:
+    its weight, and one scan of it, since e(f b) = b exactly when e acts on
+    f b at the position f acted on (f(e b) = b likewise).  Pass 2 reports in
+    node order, then index order, checking an image that is a node against
+    that node's row.  A weight one i-arrow away is built only to be compared.
+    """
+    nodes = graph.nodes
+    if nodes is not crystal._nodes:
+        raise ValueError("the graph is not the crystal's latest bfs")
+    scan, gate, weight = crystal._scan_coords, crystal._gate, crystal.weight_pairings
+    at, lam, indices = crystal._index.get, crystal.lam, crystal.cartan.indices
+    # column i - 1 holds <h_j, alpha_i> for every j: the weight shift of an i-arrow
+    columns = tuple(zip(*crystal.cartan.matrix))
+    weights = [weight(b) for b in nodes]
+
+    # pass 1: the row of node k holds, for each index i in turn, (eps, phi,
+    # f slot, e slot); one flat list, so the e slot sits at width * k + 4 * i - 1.
+    # A slot is None for no image, the image's node index, or, for an image
+    # that is not a node, the kinds of its weight and back checks that fail.
+    width = 4 * len(indices)
+    rows = []
+    for b, wb in zip(nodes, weights):
+        coords = b.coords
+        for i in indices:
+            best, lo, hi, sigma_0 = scan(coords, i)
+            ev, f_acts, e_acts = gate(best, sigma_0)
+            fk = ek = None
+            if f_acts and (fk := at(fc := _bumped(coords, lo, +1))) is None:
+                best, _, back, s0 = scan(fc, i)
+                wrong = weight(ZVector(fc, lam)) != tuple(map(sub, wb, columns[i - 1]))
+                astray = not gate(best, s0)[2] or back != lo
+                fk = ("wt-shift-f",) * wrong + ("ef-adjoint",) * astray
+            if e_acts and (ek := at(ec := _bumped(coords, hi, -1))) is None:
+                best, back, _, s0 = scan(ec, i)
+                wrong = weight(ZVector(ec, lam)) != tuple(map(add, wb, columns[i - 1]))
+                astray = not gate(best, s0)[1] or back != hi
+                ek = ("wt-shift-e",) * wrong + ("fe-adjoint",) * astray
+            rows += (ev, ev - sigma_0, fk, ek)
+
+    violations = []
+
+    def bad(kind, b, i, detail=""):
+        violations.append({"kind": kind, "element": b, "index": i, "detail": detail})
+
+    # pass 2; an honest eps is >= 0, so the finiteness checks run only when
+    # eps < 0 or phi = eps + wt fails, which each of those checks implies
+    for k, (b, wb) in enumerate(zip(nodes, weights)):
+        stats = iter(rows[width * k : width * (k + 1)])
+        for i, ev, pv, fk, ek in zip(indices, stats, stats, stats, stats):
+            if ev < 0 or pv != ev + wb[i - 1]:
+                if (ev == NEG_INF) != (pv == NEG_INF):
+                    bad("eps-phi-finiteness", b, i)
+                elif ev != NEG_INF and pv != ev + wb[i - 1]:
+                    bad("phi=eps+wt", b, i, f"phi={pv} eps={ev} wtp={wb[i - 1]}")
+                if ev == NEG_INF and (fk is not None or ek is not None):
+                    bad("neginf-kills", b, i)
+            if type(fk) is int:
+                if weights[fk] != tuple(map(sub, wb, columns[i - 1])):
+                    bad("wt-shift-f", b, i)
+                if rows[width * fk + 4 * i - 1] != k:
+                    bad("ef-adjoint", b, i)
+            elif fk:
+                for kind in fk:
+                    bad(kind, b, i)
+            if type(ek) is int:
+                if weights[ek] != tuple(map(add, wb, columns[i - 1])):
+                    bad("wt-shift-e", b, i)
+                if rows[width * ek + 4 * i - 2] != k:
+                    bad("fe-adjoint", b, i)
+            elif ek:
+                for kind in ek:
+                    bad(kind, b, i)
+    return violations

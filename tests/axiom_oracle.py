@@ -1,7 +1,9 @@
-"""The axiom checker as it stood before it read in-set images from their own
-rows: every (element, index) evaluates f and e and then re-evaluates the
-weight of each image and the operator back.  The test oracle for
-`crystalpoly.crystals.check_crystal_axioms`, kept word for word.
+"""The only generic crystal axiom checker: every (element, index) evaluates
+f and e through the accessors and then re-evaluates the weight of each
+image and the operator back.  It checks tensor words, and it is the test
+oracle for `crystalpoly.zvectors.check_crystal_axioms`, which checks a
+`SequenceCrystal`'s latest BFS graph on coordinate tuples and must report
+the same violations in the same order.
 """
 
 from operator import add, sub

@@ -265,7 +265,7 @@ def test_criterion_9_truncation_predicates():
 
 
 def _axiom_clean(crystal, graph):
-    return check_crystal_axioms(crystal, graph.nodes)
+    return check_crystal_axioms(crystal, graph)
 
 
 def every_acceptance_graph():

@@ -1,14 +1,13 @@
 """The axiom checker on crystals with planted faults, against the oracle.
 
-Each fault wraps a SequenceCrystal and changes one accessor on some
-elements, as a function of the element only.  The checker must report the
-same violations as `axiom_oracle`, in the same order, whatever the order of
-the elements: breadth-first, reversed, with repeats, or one element at a
-time, when every image lies outside the elements.
+Each fault is a SequenceCrystal subclass that changes what one scan or one
+weight returns for some coords, as a function of the coords only, so the
+BFS, the accessors and the checker all read it.  The checker, on the
+crystal's latest BFS graph, must report the same violations in the same
+order as `axiom_oracle` on that graph's nodes through the accessors.
 """
 
 import ast
-import copy
 import sys
 from pathlib import Path
 from types import SimpleNamespace
@@ -26,6 +25,7 @@ from crystalpoly import (
     weight,
 )
 from crystalpoly.cli import main
+from crystalpoly.crystals import CrystalGraph
 
 import axiom_oracle
 from tensor_oracle import connected_component
@@ -34,104 +34,124 @@ A3 = get_builtin("a3")
 SRC = Path(__file__).resolve().parent.parent / "src" / "crystalpoly"
 
 
-def _shifted_phi(c):
-    return lambda x, i: c.phi(x, i) + 1 if i == 1 and x.total % 3 == 1 else c.phi(x, i)
+def _total(coords):
+    return sum(val for _, val in coords)
 
 
-def _wrong_weight(c):
-    def weight_pairings(x):
-        w = c.weight_pairings(x)
-        return (w[0] + 1,) + w[1:] if x.total == 2 else w
-    return weight_pairings
+class Planted(SequenceCrystal):
+    """A SequenceCrystal whose scans pass through `scan_fault(coords, i, scan)`
+    and whose weights through `weight_fault(coords, pairings)`."""
+
+    def __init__(self, builtin, lam, scan_fault=None, weight_fault=None):
+        super().__init__(builtin.cartan, builtin.iota, lam)
+        self.scan_fault, self.weight_fault = scan_fault, weight_fault
+
+    def _scan_coords(self, coords, i):
+        scan = super()._scan_coords(coords, i)
+        return scan if self.scan_fault is None else self.scan_fault(coords, i, scan)
+
+    def weight_pairings(self, x):
+        w = super().weight_pairings(x)
+        return w if self.weight_fault is None else self.weight_fault(x.coords, w)
 
 
-def _f_bumps_wrong_position(c):
-    def f(x, i):
-        y = c.f(x, i)
-        return x.bumped(x.max_pos + 1, +1) if y is not None and x.total % 2 else y
-    return f
+def _shifted_phi(coords, i, scan):
+    """sigma_0 one too low, so phi = eps - sigma_0 one too high."""
+    best, lo, hi, sigma_0 = scan
+    return best, lo, hi, sigma_0 - (i == 1 and _total(coords) % 3 == 1)
 
 
-def _e_returns_none(c):
-    return lambda x, i: None if i == 2 and x.total == 2 else c.e(x, i)
+def _wrong_weight(coords, w):
+    return (w[0] + 1,) + w[1:] if _total(coords) == 2 else w
 
 
-def _infinite_epsilon(c):
-    return lambda x, i: NEG_INF if i == 3 and x.total == 1 else c.epsilon(x, i)
+def _f_bumps_wrong_position(coords, i, scan):
+    """f acts one position above the support when the total is odd."""
+    best, lo, hi, sigma_0 = scan
+    if _total(coords) % 2:
+        lo = (coords[-1][0] if coords else 0) + 1
+    return best, lo, hi, sigma_0
 
 
-# accessor replaced -> (fault, violation kinds it shows on a3 at depth 4)
+def _e_returns_none(coords, i, scan):
+    """A max of 0 at index 2 on the total-2 vectors, so e does not act there."""
+    return (0, *scan[1:]) if i == 2 and _total(coords) == 2 else scan
+
+
+def _infinite_epsilon(coords, i, scan):
+    """At total 1, a max of -inf at index 3, so free eps and phi are -inf, and
+    a sigma_0 of +inf at index 2, so free phi is -inf beside a finite eps."""
+    best, lo, hi, sigma_0 = scan
+    if _total(coords) == 1 and i in (2, 3):
+        best, sigma_0 = (NEG_INF, sigma_0) if i == 3 else (best, -NEG_INF)
+    return best, lo, hi, sigma_0
+
+
+# fault -> (scan or weight fault, violation kinds it shows on free a3 at depth 4)
 FAULTS = {
-    "shifted-phi": ("phi", _shifted_phi, {"phi=eps+wt"}),
-    "wrong-weight": ("weight_pairings", _wrong_weight,
-                     {"phi=eps+wt", "wt-shift-f", "wt-shift-e"}),
-    "f-wrong-position": ("f", _f_bumps_wrong_position,
+    "shifted-phi": ("scan", _shifted_phi, {"phi=eps+wt"}),
+    "wrong-weight": ("weight", _wrong_weight, {"phi=eps+wt", "wt-shift-f", "wt-shift-e"}),
+    "f-wrong-position": ("scan", _f_bumps_wrong_position,
                          {"wt-shift-f", "ef-adjoint", "fe-adjoint"}),
-    "e-returns-none": ("e", _e_returns_none, {"ef-adjoint"}),
-    "infinite-epsilon": ("epsilon", _infinite_epsilon,
-                         {"eps-phi-finiteness", "neginf-kills"}),
+    "e-returns-none": ("scan", _e_returns_none, {"ef-adjoint"}),
+    "infinite-epsilon": ("scan", _infinite_epsilon,
+                         {"eps-phi-finiteness", "neginf-kills", "ef-adjoint"}),
 }
 MODES = {"free": None, "rho": weight(1, 1, 1)}
 
 
 def planted(name, lam):
-    """The a3 crystal with one planted fault, and its BFS nodes to depth 4."""
-    base = SequenceCrystal(A3.cartan, A3.iota, lam)
-    accessor, fault, _ = FAULTS[name]
-    crystal = SimpleNamespace(
-        cartan=base.cartan, epsilon=base.epsilon, phi=base.phi,
-        weight_pairings=base.weight_pairings, f=base.f, e=base.e,
-    )
-    setattr(crystal, accessor, fault(base))
-    return crystal, list(base.bfs(4).nodes)
+    level, fault, _ = FAULTS[name]
+    return Planted(A3, lam, **{f"{level}_fault": fault})
 
 
-def orders(nodes):
-    """The element lists every checker run is compared on; some repeats are
-    equal copies, not the same object."""
-    return {
-        "bfs": nodes,
-        "reversed": nodes[::-1],
-        "repeats": nodes[::3] + nodes + [copy.copy(b) for b in nodes[1::2]],
-    }
-
-
-def assert_parity(crystal, elements):
-    got = check_crystal_axioms(crystal, elements)
-    assert got == axiom_oracle.check_crystal_axioms(crystal, elements)
+def assert_parity(crystal, depth):
+    """The checker on the crystal's BFS to `depth`, which must equal the oracle's report."""
+    graph = crystal.bfs(depth)
+    got = check_crystal_axioms(crystal, graph)
+    assert got == axiom_oracle.check_crystal_axioms(crystal, graph.nodes)
     return got
 
 
 @pytest.mark.parametrize("mode", sorted(MODES))
 @pytest.mark.parametrize("name", sorted(FAULTS))
 def test_planted_fault_matches_oracle(name, mode):
-    crystal, nodes = planted(name, MODES[mode])
-    for elements in orders(nodes).values():
-        assert_parity(crystal, elements)
-    for b in nodes:  # alone, every image of b lies outside the elements
-        assert_parity(crystal, [b])
+    crystal = planted(name, MODES[mode])
+    for depth in range(5):  # at depth 0 every image lies outside the nodes
+        assert_parity(crystal, depth)
 
 
 @pytest.mark.parametrize("name", sorted(FAULTS))
 def test_planted_fault_is_found(name):
-    crystal, nodes = planted(name, None)
-    found = assert_parity(crystal, nodes)
+    found = assert_parity(planted(name, None), 4)
     assert {v["kind"] for v in found} == FAULTS[name][2]
-
-
-def test_repeated_elements_are_reported_per_occurrence():
-    crystal, nodes = planted("shifted-phi", None)
-    once = check_crystal_axioms(crystal, nodes)
-    twice = check_crystal_axioms(crystal, nodes + nodes)
-    assert once and twice == once + once
 
 
 @pytest.mark.parametrize("mode", sorted(MODES))
 def test_clean_crystal_has_no_violations(mode):
-    crystal = SequenceCrystal(A3.cartan, A3.iota, MODES[mode])
-    nodes = list(crystal.bfs(4).nodes)
-    for elements in orders(nodes).values():
-        assert assert_parity(crystal, elements) == []
+    assert assert_parity(SequenceCrystal(A3.cartan, A3.iota, MODES[mode]), 4) == []
+
+
+@pytest.mark.parametrize("name, depth", [
+    ("a2", 6), ("b2", 6), ("c2", 6), ("g2", 6), ("a1tilde", 6), ("a3", 4), ("a4", 4),
+])
+@pytest.mark.parametrize("mode", ["free", "weight"])
+def test_clean_graphs_match_oracle(name, depth, mode):
+    builtin = get_builtin(name)
+    lam = None if mode == "free" else weight(*[1] * builtin.cartan.rank)
+    assert assert_parity(SequenceCrystal(builtin.cartan, builtin.iota, lam), depth) == []
+
+
+def test_checker_refuses_a_graph_that_is_not_the_latest_bfs():
+    crystal = SequenceCrystal(A3.cartan, A3.iota)
+    earlier = crystal.bfs(3)
+    latest = crystal.bfs(2)
+    other = SequenceCrystal(A3.cartan, A3.iota).bfs(2)
+    copied = CrystalGraph(list(latest.nodes), latest.edges, latest.depths)
+    for graph in (earlier, other, copied):
+        with pytest.raises(ValueError, match="latest bfs"):
+            check_crystal_axioms(crystal, graph)
+    assert check_crystal_axioms(crystal, latest) == []
 
 
 A2 = cartan_from_matrix([[2, -1], [-1, 2]])
@@ -139,6 +159,7 @@ A2 = cartan_from_matrix([[2, -1], [-1, 2]])
 
 @pytest.mark.parametrize("lam", [None, (1, 1)])
 def test_tensor_words_match_oracle(lam):
+    """The oracle, the one checker of tensor words, on a word component."""
     unit = None if lam is None else weight(*lam)
     seed = TensorWord(A2, [Letter(i, 0) for i in (1, 2, 1, 2)], unit)
     nodes = list(connected_component(seed, 4).nodes)
@@ -146,19 +167,29 @@ def test_tensor_words_match_oracle(lam):
         cartan=A2, epsilon=TensorWord.epsilon, phi=TensorWord.phi,
         weight_pairings=TensorWord.weight_pairings, f=TensorWord.f, e=TensorWord.e,
     )
-    for elements in orders(nodes).values():
-        assert assert_parity(words, elements) == []
+    for elements in (nodes, nodes[::-1], nodes[::3] + nodes):
+        assert axiom_oracle.check_crystal_axioms(words, elements) == []
     # a fault: phi one too high on the words one step below the seed
-    words.phi = lambda w, i: TensorWord.phi(w, i) + (sum(l.value for l in w.letters) == -1)
-    for elements in orders(nodes).values():
-        assert assert_parity(words, elements)
-    for b in nodes:
-        assert_parity(words, [b])
+    low = [w for w in nodes if sum(w.values) == -1]
+    words.phi = lambda w, i: TensorWord.phi(w, i) + (sum(w.values) == -1)
+    found = axiom_oracle.check_crystal_axioms(words, nodes)
+    assert found == [
+        {"kind": "phi=eps+wt", "element": w, "index": i,
+         "detail": f"phi={w.phi(i) + 1} eps={w.epsilon(i)} wtp={w.weight_pairings()[i - 1]}"}
+        for w in nodes if w in low for i in A2.indices if w.epsilon(i) != NEG_INF
+    ]
+    assert low and found
 
 
 def test_graph_exits_1_on_a_faulty_crystal(capsys, monkeypatch):
-    phi = SequenceCrystal.phi
-    monkeypatch.setattr(SequenceCrystal, "phi", lambda self, x, i: phi(self, x, i) + 1)
+    """sigma_0 one too low on every scan, so phi is one too high."""
+    scan = SequenceCrystal._scan_coords
+
+    def shifted(self, coords, i):
+        best, lo, hi, sigma_0 = scan(self, coords, i)
+        return best, lo, hi, sigma_0 - 1
+
+    monkeypatch.setattr(SequenceCrystal, "_scan_coords", shifted)
     code = main(["graph", "--builtin", "a2", "--binf", "--depth", "2"])
     out = capsys.readouterr()
     assert code == 1 and out.out == ""
@@ -168,29 +199,14 @@ def test_graph_exits_1_on_a_faulty_crystal(capsys, monkeypatch):
     )
 
 
-def test_elements_are_read_once():
-    """A generator of the elements gives what their list gives."""
-    base = SequenceCrystal(A3.cartan, A3.iota)
-    crystal = SimpleNamespace(
-        cartan=base.cartan, epsilon=base.epsilon, phi=lambda x, i: base.phi(x, i) + 1,
-        weight_pairings=base.weight_pairings, f=base.f, e=base.e,
-    )
-    nodes = list(base.bfs(3).nodes)
-    listed = check_crystal_axioms(crystal, nodes)
-    assert len(listed) == 87
-    assert check_crystal_axioms(crystal, (b for b in nodes)) == listed
-    assert axiom_oracle.check_crystal_axioms(crystal, iter(nodes)) == listed
+def _last_layer_weight(depth):
+    return lambda coords, w: (w[0] + 1,) + w[1:] if _total(coords) == depth + 1 else w
 
 
-def _last_layer_weight(c, depth):
-    def weight_pairings(x):
-        w = c.weight_pairings(x)
-        return (w[0] + 1,) + w[1:] if x.total == depth + 1 else w
-    return weight_pairings
-
-
-def _last_layer_e(c, depth):
-    return lambda x, i: None if i == 2 and x.total == depth + 1 else c.e(x, i)
+def _last_layer_e(depth):
+    def scan_fault(coords, i, scan):
+        return (0, *scan[1:]) if i == 2 and _total(coords) == depth + 1 else scan
+    return scan_fault
 
 
 # case -> (builtin, weight, depth, the BFS node count)
@@ -198,8 +214,9 @@ GRAPH_SCALE = {
     "a4-rho-8": ("a4", weight(1, 1, 1, 1), 8, 351),
     "a3-free-6": ("a3", None, 6, 217),
 }
-# (case, accessor) -> (violation count, first violation's kind, element label, index),
-# recorded before the checker read weight shifts from a table
+# (case, fault) -> (violation count, first violation's kind, element label, index),
+# recorded with an earlier checker; the e fault gives the children a max of 0
+# at index 2, so e does not act on them there
 LAST_LAYER = {
     ("a4-rho-8", "weight_pairings"): (238, "wt-shift-f", "x1=1,x2=2,x3=3,x5=1,x6=1", 2),
     ("a4-rho-8", "e"): (60, "ef-adjoint", "x1=1,x2=2,x3=3,x5=1,x6=1", 2),
@@ -211,46 +228,38 @@ LAST_LAYER = {
 @pytest.mark.parametrize("case, accessor", sorted(LAST_LAYER))
 def test_last_layer_fault_at_graph_scale(case, accessor):
     """A fault on the children of the last BFS layer only, which lie outside
-    the nodes: only the checks of images outside the elements can see it."""
+    the nodes: only the checks of images that are not nodes can see it."""
     name, lam, depth, size = GRAPH_SCALE[case]
-    builtin = get_builtin(name)
-    base = SequenceCrystal(builtin.cartan, builtin.iota, lam)
-    nodes = base.bfs(depth).nodes
-    assert len(nodes) == size and max(b.total for b in nodes) == depth
-    fault = {"weight_pairings": _last_layer_weight, "e": _last_layer_e}[accessor]
-    crystal = SimpleNamespace(
-        cartan=base.cartan, epsilon=base.epsilon, phi=base.phi,
-        weight_pairings=base.weight_pairings, f=base.f, e=base.e,
-    )
-    setattr(crystal, accessor, fault(base, depth))
-    found = assert_parity(crystal, nodes)
+    fault = {"weight_pairings": ("weight", _last_layer_weight),
+             "e": ("scan", _last_layer_e)}[accessor]
+    crystal = Planted(get_builtin(name), lam, **{f"{fault[0]}_fault": fault[1](depth)})
+    found = assert_parity(crystal, depth)
+    nodes = crystal.bfs(depth).nodes  # the BFS never scans the last layer
+    assert len(nodes) == size and max(_total(b.coords) for b in nodes) == depth
     count, kind, label, index = LAST_LAYER[case, accessor]
     assert len(found) == count
     assert (found[0]["kind"], found[0]["element"].label(), found[0]["index"]) == (kind, label, index)
     assert {v["kind"] for v in found} == {kind}
-    assert all(v["element"].total == depth for v in found)
+    assert all(_total(v["element"].coords) == depth for v in found)
 
 
-def _e_dies_at_total_2(e):
-    return lambda self, x, i: None if i == 2 and x.total == 2 else e(self, x, i)
-
-
-def _weight_off_past_depth_2(weight_pairings):
-    def faulty(self, x):
-        w = weight_pairings(self, x)
-        return (w[0] + 1,) + w[1:] if x.total == 3 else w
-    return faulty
-
-
-@pytest.mark.parametrize("accessor, fault, first", [
-    ("e", _e_dies_at_total_2,
+@pytest.mark.parametrize("level, fault, first", [
+    ("_scan_coords", _e_returns_none,
      "{'kind': 'ef-adjoint', 'element': ZVector(x1=1), 'index': 2, 'detail': ''}"),
-    ("weight_pairings", _weight_off_past_depth_2,
+    ("weight_pairings", _last_layer_weight(2),
      "{'kind': 'wt-shift-f', 'element': ZVector(x1=2), 'index': 1, 'detail': ''}"),
 ], ids=["e", "weight_pairings"])
-def test_graph_exits_1_on_a_faulty_operator_or_weight(capsys, monkeypatch, accessor, fault,
-                                                      first):
-    monkeypatch.setattr(SequenceCrystal, accessor, fault(getattr(SequenceCrystal, accessor)))
+def test_graph_exits_1_on_a_faulty_operator_or_weight(capsys, monkeypatch, level, fault, first):
+    """A fault planted in the scans (e does not act on the total-2 vectors at
+    index 2) or in the weights (off on the total-3 images)."""
+    honest = getattr(SequenceCrystal, level)
+    if level == "_scan_coords":
+        def faulty(self, coords, i):
+            return fault(coords, i, honest(self, coords, i))
+    else:
+        def faulty(self, x):
+            return fault(x.coords, honest(self, x))
+    monkeypatch.setattr(SequenceCrystal, level, faulty)
     code = main(["graph", "--builtin", "a2", "--binf", "--depth", "2"])
     out = capsys.readouterr()
     assert code == 1 and out.out == ""

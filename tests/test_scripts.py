@@ -153,6 +153,46 @@ def test_paired_bench_gives_each_bounded_metric_a_win_count_and_a_verdict(
     assert "verdict" not in metrics["other"]
 
 
+def test_paired_bench_shows_a_gain_only_past_9_of_10_wins_and_the_spread(
+        tmp_path, monkeypatch, capsys):
+    bench = _paired_bench()
+    trees = {"A": tmp_path / "a", "B": tmp_path / "b"}
+    for tree in trees.values():
+        tree.mkdir()
+    bounds = [("cases_per_s", "higher", 0.15), ("case_ms_p50", "lower", 0.2),
+              ("case_ms_p90", "lower", 0.25), ("peak_rss_mb", "lower", 0.1),
+              ("pass_ratio", "higher", 0.005)]
+    (trees["A"] / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [
+        {"name": name, "unit": "", "better": better, "bound": bound}
+        for name, better, bound in bounds]}))
+    tens = [10 * n for n in range(1, 11)]  # quartile spread 57.5
+    values = {  # metric: (A by seed, B by seed)
+        "cases_per_s": ([100 + n for n in range(10)], [120 + n for n in range(10)]),  # 10 of 10
+        "case_ms_p50": (tens, [v - 1 for v in tens]),  # 10 of 10, but inside A's spread
+        "case_ms_p90": ([10] * 10, [5] * 9 + [11]),  # 9 of 10, spread 0
+        "peak_rss_mb": ([10] * 10, [5] * 8 + [11] * 2),  # 8 of 10
+        "pass_ratio": ([1] * 10, [1] * 10),  # ties count for neither tree
+    }
+    expected = ["gain shown", "gain not shown", "gain shown", "gain not shown", "gain not shown"]
+
+    def run_once(tree, workload, seed, seconds):
+        side = 0 if tree == trees["A"].resolve() else 1
+        return {"correct": True, "attempted": 10, "failed": 0,
+                "metrics": {name: {"value": float(v[side][seed - 1]), "unit": ""}
+                            for name, v in values.items()}}
+
+    monkeypatch.setattr(bench, "run_once", run_once)
+    out = tmp_path / "BENCH.json"
+    argv = [str(trees["A"]), str(trees["B"]), "--workload", "closure", "--seeds", "1-10",
+            "--seconds", "5", "--json", str(out)]
+    assert bench.main(argv) == 0
+    lines = [line.strip() for line in capsys.readouterr().out.splitlines()]
+    assert [line for line in lines if line.startswith("gain ")] == expected
+    metrics = json.loads(out.read_text())["closure"]["metrics"]
+    assert [metrics[name]["gain"] for name, _, _ in bounds] == expected
+    assert [metrics[name]["wins_B"] for name, _, _ in bounds] == [10, 10, 9, 8, 0]
+
+
 def test_traffic_lists_what_the_verify_grid_never_enters():
     proc = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / "traffic.py"), "--workload", "verify"],

@@ -198,7 +198,7 @@ def test_axiom_suite_on_bfs_nodes(lam):
     lam_w = None if lam is None else weight(*lam)
     crystal = SequenceCrystal(A2.cartan, A2.iota, lam_w)
     graph = crystal.bfs(5)
-    assert check_crystal_axioms(crystal, graph.nodes) == []
+    assert check_crystal_axioms(crystal, graph) == []
 
 
 def test_epsilon_counts_raising_orbit_in_weight_mode():
