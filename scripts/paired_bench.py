@@ -18,6 +18,9 @@ workload's name, keeping the other workloads already there: each run's
 seed, tree, attempted and failed counts and correctness, and per metric
 its unit, both trees' values in pair order, both medians, the per-pair
 changes and tree A's quartile spread.  Tree A is read as the parent.
+With `--json`, each tree also makes one traced run (`--trace 1`) at seed 1,
+and PATH gets both trees' `count`-unit layer metrics and the names of
+those that differ, which the script prints with both values.
 
 For each end-to-end metric that tree A's `BENCHMARK.json` lists, the
 script also prints, and writes, how many pairs B won (ties count for
@@ -59,9 +62,9 @@ def clear_pycache(tree):
         shutil.rmtree(path, ignore_errors=True)
 
 
-def run_once(tree, workload, seed, seconds):
+def run_once(tree, workload, seed, seconds, trace=0):
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
-           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+           "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
     if proc.returncode != 0:
         raise SystemExit(f"{tree}: perfbench/run.py exited {proc.returncode}\n{proc.stderr}")
@@ -96,6 +99,25 @@ def gain(a, b, better, wins):
     sign = 1 if better == "higher" else -1
     past = sign * (statistics.median(b) - statistics.median(a)) > spread(a)
     return "gain shown" if 10 * wins >= 9 * len(a) and past else "gain not shown"
+
+
+def traced_counts(trees, workload, seconds):
+    """Both trees' `count`-unit layer metrics of one traced seed-1 run, and
+    the names that differ, in the order the runs report them."""
+    counts, correct = {}, {}
+    for side, tree in trees.items():
+        for each in trees.values():
+            clear_pycache(each)
+        result = run_once(tree, workload, 1, seconds, trace=1)
+        counts[side] = {name: m["value"] for name, m in result["metrics"].items()
+                        if m["unit"] == "count"}
+        correct[side] = result["correct"]
+    a, b = counts["A"], counts["B"]
+    differ = [name for name in dict.fromkeys([*a, *b]) if a.get(name) != b.get(name)]
+    print(f"\ntraced seed 1: {len(differ)} of {len(a)} count readings differ")
+    for name in differ:
+        print(f"  {name} {a.get(name)} -> {b.get(name)}")
+    return {"seed": 1, "A": a, "B": b, "differ": differ, "correct": correct}
 
 
 def main(argv=None):
@@ -152,12 +174,15 @@ def main(argv=None):
                   f" bound {bound:g})")
             print(f"{'':14s} {shown}")
             metrics[name].update(better=better, bound=bound, wins_B=wins, verdict=says, gain=shown)
+    wrong = [f"seed {r['seed']} {r['tree']}" for r in runs if r["correct"] is not True]
     if args.json:
+        traced = traced_counts(trees, args.workload, args.seconds)
+        wrong += [f"seed 1 {side} traced" for side, ok in traced["correct"].items()
+                  if ok is not True]
         data = json.loads(args.json.read_text()) if args.json.exists() else {}
         data[args.workload] = {"seeds": args.seeds, "seconds": args.seconds,
-                               "runs": runs, "metrics": metrics}
+                               "runs": runs, "metrics": metrics, "traced": traced}
         args.json.write_text(json.dumps(data, indent=1) + "\n")
-    wrong = [f"seed {r['seed']} {r['tree']}" for r in runs if r["correct"] is not True]
     if wrong:
         print(f"wrong answers in {len(wrong)} runs: {', '.join(wrong)}")
         return 1

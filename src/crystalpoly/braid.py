@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 
 from .cartan import IndexSequence, rank2_cartan
-from .crystals import TensorWord, check_strict_morphism
+from .crystals import TensorWord, bump, fold
 from .zvectors import ZVector
 
 ALLOWED_PAIRS = {(0, 0), (1, 1), (1, 2), (2, 1), (1, 3), (3, 1)}
@@ -194,40 +194,39 @@ def transport(ctx: BraidContext, seq: IndexSequence, x: ZVector, positions) -> Z
 def run_property_suite(c1: int, c2: int, n: int, seed: int) -> dict:
     """Seeded fuzz of the isomorphism contract for one pairing profile.
 
-    Each sample goes through `check_strict_morphism` (weights, both string
-    statistics, commutation with every raising/lowering operator), then
-    the two checks it does not make: exact involution, and in degree 3
-    the two formula families agreeing.  At most 25 violations are kept.
+    Each sample is checked on its value tuple through the `fold` and `bump`
+    of every tensor word, as `check_strict_morphism` checks words: the
+    weight, then per index eps, phi and commutation with e and f; then the
+    exact involution, and in degree 3 the two formula families agreeing.
+    At most 25 violations are kept.
     """
     ctx = BraidContext(1, 2, c1, c2)
-    cartan = rank2_cartan(c1, c2)
-    rng = random.Random(seed)
-    length = _SHAPE_LEN[ctx.degree]
-    pattern = ctx.input_pattern()
+    row1, row2 = rank2_cartan(c1, c2).matrix
+    randint = random.Random(seed).randint
+    src, dst = ctx._input, ctx._output
     violations: list[dict] = []
-
-    def strict_map(w):
-        # `word` and `image` are the loop's current sample and its image
-        if w is None:
-            return None
-        return image if w is word else phi(ctx, w)
-
     for _ in range(n):
-        vals = tuple(rng.randint(SAMPLE_LO, SAMPLE_HI) for _ in range(length))
-        word = TensorWord._checked(cartan, pattern, vals)
-        image = phi(ctx, word)
-        found = check_strict_morphism(strict_map, (word,), (1, 2))
-        if phi_inverse(ctx, image) != word:
-            found.append({"kind": "involution"})
-        if ctx.degree == 3 and phi3_alt(ctx, word) != image:
-            found.append({"kind": "alt-form"})
-        for v in found[: 25 - len(violations)]:
-            violations.append({"kind": v["kind"], "index": v.get("index"), "values": vals})
-    return {
-        "c1": c1,
-        "c2": c2,
-        "n": n,
-        "seed": seed,
-        "violations": violations,
-        "ok": not violations,
-    }
+        vals = tuple([randint(SAMPLE_LO, SAMPLE_HI) for _ in src])
+        image = map_values(c1, c2, vals)
+        b1, m1 = fold(row1, src, vals, None, 1), fold(row1, dst, image, None, 1)
+        b2, m2 = fold(row2, src, vals, None, 2), fold(row2, dst, image, None, 2)
+        found = [("wt", None)] if b1[2] != m1[2] or b2[2] != m2[2] else []
+        for i, b, m in ((1, b1, m1), (2, b2, m2)):
+            if b[0] != m[0]:
+                found.append(("eps", i))
+            if b[1] != m[1]:
+                found.append(("phi", i))
+            for kind, at, delta in (("e-commute", 4, +1), ("f-commute", 3, -1)):
+                moved = bump(src, vals, i, b[at], delta)
+                if moved is not None:
+                    moved = map_values(c1, c2, moved)
+                if moved != bump(dst, image, i, m[at], delta):
+                    found.append((kind, i))
+        if map_values(c2, c1, image) != vals:
+            found.append(("involution", None))
+        if ctx.degree == 3 and map_values_nested(c1, c2, vals) != image:
+            found.append(("alt-form", None))
+        for kind, index in found[: 25 - len(violations)]:
+            violations.append({"kind": kind, "index": index, "values": vals})
+    return {"c1": c1, "c2": c2, "n": n, "seed": seed, "violations": violations,
+            "ok": not violations}

@@ -5,7 +5,8 @@ A tensor word is a finite ordered product of integer-labelled letters
 one-element crystal of a highest weight, stored as that `Weight`.  The
 raising/lowering operators, the string statistics epsilon/phi, and
 weights are computed by folding the two-factor tensor rules left to
-right; the absorbing element 0 is represented by None.
+right, in `fold` and `bump` on plain index and value tuples, which the
+braid fuzz also calls; the absorbing element 0 is represented by None.
 """
 
 from __future__ import annotations
@@ -24,6 +25,65 @@ class Letter:
 
     index: int
     value: int
+
+
+def fold(row, indices, values, unit, i: int):
+    """(eps, phi, <h_i, wt>, f target, e target) in one left-to-right pass.
+
+    `row` is index i's Cartan row.  The statistics and both operator
+    targets share the phi of the factors before each factor m: f acts on
+    the last m whose eps is >= it, e on the last m whose eps is > it
+    (factor 0 by default).  A letter of another index has eps = phi = -inf
+    and only moves the weight; a target on it makes `bump` return None, as
+    does the default target when no factor has index i.  None is -inf
+    inside the loop and NEG_INF is returned.
+    """
+    eps = phi = None
+    wtp = f_target = e_target = 0
+    for m, (index, value) in enumerate(zip(indices, values)):
+        lw = value * row[index - 1]
+        if index == i:
+            le = -value
+            if phi is None:
+                f_target = e_target = m
+                phi = value
+            else:
+                if phi <= le:
+                    f_target = m
+                    if phi < le:
+                        e_target = m
+                phi += lw
+                if value > phi:
+                    phi = value
+            le -= wtp
+            if eps is None or le > eps:
+                eps = le
+        elif phi is not None:
+            phi += lw
+        wtp += lw
+    if unit is not None:
+        lam = unit[i - 1]
+        m = len(values)
+        if phi is None or phi <= -lam:
+            f_target = m
+            if phi is None or phi < -lam:
+                e_target = m
+        phi = 0 if phi is None else max(phi + lam, 0)
+        le = -lam - wtp
+        if eps is None or le > eps:
+            eps = le
+        wtp += lam
+    if eps is None:
+        eps = phi = NEG_INF
+    return eps, phi, wtp, f_target, e_target
+
+
+def bump(indices, values, i: int, target: int, delta: int):
+    """`values` with `delta` added at `target`, or None when the target is the
+    unit letter or a letter of another index: the operators kill those."""
+    if target == len(values) or indices[target] != i:
+        return None
+    return values[:target] + (values[target] + delta,) + values[target + 1 :]
 
 
 class TensorWord:
@@ -93,58 +153,11 @@ class TensorWord:
         return " ".join(parts) if parts else "()"
 
     def _fold(self, i: int):
-        """(eps, phi, <h_i, wt>, f target, e target) in one left-to-right pass.
-
-        The statistics and both operator targets share the phi of the
-        factors before each factor m: f acts on the last m whose eps is >=
-        it, e on the last m whose eps is > it (factor 0 by default).  A
-        letter of another index has eps = phi = -inf and only moves the
-        weight; a target on it makes `_apply` return 0, as does the default
-        target when no factor has index i.  None is -inf inside the loop and
-        NEG_INF is returned.
-        """
+        """`fold` of this word for index i, kept per index."""
         kept = self._folds.get(i)
-        if kept is not None:
-            return kept
-        row = self.cartan.matrix[i - 1]
-        eps = phi = None
-        wtp = f_target = e_target = 0
-        for m, (index, value) in enumerate(zip(self.indices, self.values)):
-            lw = value * row[index - 1]
-            if index == i:
-                le = -value
-                if phi is None:
-                    f_target = e_target = m
-                    phi = value
-                else:
-                    if phi <= le:
-                        f_target = m
-                        if phi < le:
-                            e_target = m
-                    phi += lw
-                    if value > phi:
-                        phi = value
-                le -= wtp
-                if eps is None or le > eps:
-                    eps = le
-            elif phi is not None:
-                phi += lw
-            wtp += lw
-        if self.unit is not None:
-            lam = self.unit[i - 1]
-            m = len(self.values)
-            if phi is None or phi <= -lam:
-                f_target = m
-                if phi is None or phi < -lam:
-                    e_target = m
-            phi = 0 if phi is None else max(phi + lam, 0)
-            le = -lam - wtp
-            if eps is None or le > eps:
-                eps = le
-            wtp += lam
-        if eps is None:
-            eps = phi = NEG_INF
-        kept = self._folds[i] = (eps, phi, wtp, f_target, e_target)
+        if kept is None:
+            kept = self._folds[i] = fold(self.cartan.matrix[i - 1], self.indices, self.values,
+                                         self.unit, i)
         return kept
 
     def eps_phi_wt(self, i: int):
@@ -162,11 +175,9 @@ class TensorWord:
         return tuple(self._fold(j)[2] for j in self.cartan.indices)
 
     def _apply(self, i: int, target: int, delta: int):
-        values = self.values
-        if target == len(values) or self.indices[target] != i:
-            return None  # operators kill the unit letter and letters of other indices
-        values = values[:target] + (values[target] + delta,) + values[target + 1 :]
-        return TensorWord._checked(self.cartan, self.indices, values, self.unit)
+        values = bump(self.indices, self.values, i, target, delta)
+        return None if values is None else TensorWord._checked(self.cartan, self.indices,
+                                                               values, self.unit)
 
     def f(self, i: int):
         """Lowering operator; None is the absorbing element."""

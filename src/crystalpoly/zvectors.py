@@ -229,6 +229,10 @@ class SequenceCrystal:
 
     def weight_pairings(self, x: ZVector) -> tuple[int, ...]:
         """<h_j, wt(x)> for every j, with wt = lambda minus the step roots."""
+        return self._weight_coords(x.coords)
+
+    def _weight_coords(self, coords: Coords) -> tuple[int, ...]:
+        """`weight_pairings` of bare coords, as the axiom checker holds them."""
         out = list(self.lam) if self.lam is not None else [0] * self.cartan.rank
         columns = self._columns
         if columns is None:  # made on first use: only the axiom checker asks for weights
@@ -236,7 +240,7 @@ class SequenceCrystal:
                 tuple((j, row[ik - 1]) for j, row in enumerate(self.cartan.matrix) if row[ik - 1])
                 for ik in self.seq.period)
         m = len(columns)
-        for pos, val in x.coords:
+        for pos, val in coords:
             for j, a in columns[(pos - 1) % m]:
                 out[j] -= a * val
         return tuple(out)
@@ -300,11 +304,11 @@ def check_crystal_axioms(crystal: SequenceCrystal, graph: CrystalGraph) -> list[
     nodes = graph.nodes
     if nodes is not crystal._nodes:
         raise ValueError("the graph is not the crystal's latest bfs")
-    scan, gate, weight = crystal._scan_coords, crystal._gate, crystal.weight_pairings
-    at, lam, indices = crystal._index.get, crystal.lam, crystal.cartan.indices
+    scan, gate, weight = crystal._scan_coords, crystal._gate, crystal._weight_coords
+    at, indices = crystal._index.get, crystal.cartan.indices
     # column i - 1 holds <h_j, alpha_i> for every j: the weight shift of an i-arrow
     columns = tuple(zip(*crystal.cartan.matrix))
-    weights = [weight(b) for b in nodes]
+    weights = [weight(b.coords) for b in nodes]
 
     # pass 1: the row of node k holds, for each index i in turn, (eps, phi,
     # f slot, e slot); one flat list, so the e slot sits at width * k + 4 * i - 1.
@@ -320,12 +324,12 @@ def check_crystal_axioms(crystal: SequenceCrystal, graph: CrystalGraph) -> list[
             fk = ek = None
             if f_acts and (fk := at(fc := _bumped(coords, lo, +1))) is None:
                 best, _, back, s0 = scan(fc, i)
-                wrong = weight(ZVector(fc, lam)) != tuple(map(sub, wb, columns[i - 1]))
+                wrong = weight(fc) != tuple(map(sub, wb, columns[i - 1]))
                 astray = not gate(best, s0)[2] or back != lo
                 fk = ("wt-shift-f",) * wrong + ("ef-adjoint",) * astray
             if e_acts and (ek := at(ec := _bumped(coords, hi, -1))) is None:
                 best, back, _, s0 = scan(ec, i)
-                wrong = weight(ZVector(ec, lam)) != tuple(map(add, wb, columns[i - 1]))
+                wrong = weight(ec) != tuple(map(add, wb, columns[i - 1]))
                 astray = not gate(best, s0)[1] or back != hi
                 ek = ("wt-shift-e",) * wrong + ("fe-adjoint",) * astray
             rows += (ev, ev - sigma_0, fk, ek)

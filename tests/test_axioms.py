@@ -50,9 +50,9 @@ class Planted(SequenceCrystal):
         scan = super()._scan_coords(coords, i)
         return scan if self.scan_fault is None else self.scan_fault(coords, i, scan)
 
-    def weight_pairings(self, x):
-        w = super().weight_pairings(x)
-        return w if self.weight_fault is None else self.weight_fault(x.coords, w)
+    def _weight_coords(self, coords):
+        w = super()._weight_coords(coords)
+        return w if self.weight_fault is None else self.weight_fault(coords, w)
 
 
 def _shifted_phi(coords, i, scan):
@@ -246,19 +246,20 @@ def test_last_layer_fault_at_graph_scale(case, accessor):
 @pytest.mark.parametrize("level, fault, first", [
     ("_scan_coords", _e_returns_none,
      "{'kind': 'ef-adjoint', 'element': ZVector(x1=1), 'index': 2, 'detail': ''}"),
-    ("weight_pairings", _last_layer_weight(2),
+    ("_weight_coords", _last_layer_weight(2),
      "{'kind': 'wt-shift-f', 'element': ZVector(x1=2), 'index': 1, 'detail': ''}"),
 ], ids=["e", "weight_pairings"])
 def test_graph_exits_1_on_a_faulty_operator_or_weight(capsys, monkeypatch, level, fault, first):
     """A fault planted in the scans (e does not act on the total-2 vectors at
-    index 2) or in the weights (off on the total-3 images)."""
+    index 2) or in the coords-level weights under `weight_pairings` (off on
+    the total-3 images)."""
     honest = getattr(SequenceCrystal, level)
     if level == "_scan_coords":
         def faulty(self, coords, i):
             return fault(coords, i, honest(self, coords, i))
     else:
-        def faulty(self, x):
-            return fault(x.coords, honest(self, x))
+        def faulty(self, coords):
+            return fault(coords, honest(self, coords))
     monkeypatch.setattr(SequenceCrystal, level, faulty)
     code = main(["graph", "--builtin", "a2", "--binf", "--depth", "2"])
     out = capsys.readouterr()

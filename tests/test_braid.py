@@ -27,6 +27,7 @@ from crystalpoly import (
     weight,
 )
 
+import fuzz_oracle
 import tensor_oracle
 
 PAIRS = [(0, 0), (1, 1), (1, 2), (2, 1), (1, 3), (3, 1)]
@@ -174,6 +175,49 @@ def test_property_suite_detects_broken_map(monkeypatch, c1, c2, expected):
     assert not report["ok"] and report["n"] == 40
     assert len(report["violations"]) == 25
     assert expected <= kinds
+
+
+# map_values faults patched into crystalpoly.braid, as (image, sample) -> image
+PERTURBED = {
+    "exact": None,
+    "shift": lambda out, vals: tuple(v + 1 for v in out),
+    "reverse": lambda out, vals: out[::-1],
+    # the last coordinate one too high on samples opening with two 10s
+    "one-coordinate": lambda out, vals: out[:-1] + (out[-1] + (vals[0] == vals[1] == 10),),
+}
+KINDS = {"wt", "eps", "phi", "e-commute", "f-commute", "involution", "alt-form"}
+
+
+def perturb(monkeypatch, name):
+    fault = PERTURBED[name]
+    if fault is not None:
+        monkeypatch.setattr("crystalpoly.braid.map_values",
+                            lambda c1, c2, vals: fault(map_values(c1, c2, vals), vals))
+
+
+@pytest.mark.parametrize("seed", range(1, 6))
+@pytest.mark.parametrize("pair", PAIRS, ids=[f"{c1}-{c2}" for c1, c2 in PAIRS])
+@pytest.mark.parametrize("perturbation", sorted(PERTURBED))
+def test_property_suite_matches_word_oracle(monkeypatch, perturbation, pair, seed):
+    # the value-tuple suite against the tensor-word suite it replaced
+    perturb(monkeypatch, perturbation)
+    report = run_property_suite(*pair, 300, seed)
+    assert report == fuzz_oracle.run_property_suite(*pair, 300, seed)
+
+
+def test_oracle_grid_shows_every_kind_and_the_cap(monkeypatch):
+    """The grid above reaches every violation kind, reports cut at 25 and
+    reports under the cap; the exact maps pass everywhere."""
+    sizes, kinds = set(), set()
+    for name, pair, seed in itertools.product(sorted(PERTURBED), PAIRS, range(1, 6)):
+        with monkeypatch.context() as patch:
+            perturb(patch, name)
+            report = run_property_suite(*pair, 300, seed)
+        assert report["ok"] == (name == "exact")
+        sizes.add(len(report["violations"]))
+        kinds |= {v["kind"] for v in report["violations"]}
+    assert kinds == KINDS
+    assert {0, 25} <= sizes and sizes & set(range(1, 25))
 
 
 _S1, _S2, _S3 = (-3, 8, 7, -6, 1, 9), (5, 10, 8, -8, 9, -10), (5, -2, 7, -3, -4, 5)

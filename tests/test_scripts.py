@@ -54,7 +54,7 @@ def test_paired_bench_json_keeps_pairs_medians_spread_and_runs(tmp_path, monkeyp
     for tree in trees.values():
         tree.mkdir()
 
-    def run_once(tree, workload, seed, seconds):
+    def run_once(tree, workload, seed, seconds, trace=0):
         side = "A" if tree == trees["A"].resolve() else "B"
         p50 = 10.0 * seed if side == "A" else 9.0 * seed
         return {"correct": True, "attempted": 100 + seed, "failed": seed % 2,
@@ -85,13 +85,58 @@ def test_paired_bench_json_keeps_pairs_medians_spread_and_runs(tmp_path, monkeyp
     assert p50["spread_A"] == bench.spread([10.0, 20.0, 30.0, 40.0]) == 25.0
 
 
+
+def test_paired_bench_json_keeps_both_trees_traced_counts(tmp_path, monkeypatch, capsys):
+    bench = _paired_bench()
+    trees = {"A": tmp_path / "a", "B": tmp_path / "b"}
+    for tree in trees.values():
+        tree.mkdir()
+    calls = []
+
+    def run_once(tree, workload, seed, seconds, trace=0):
+        side = "A" if tree == trees["A"].resolve() else "B"
+        calls.append((side, seed, trace))
+        if not trace:
+            return {"correct": True, "attempted": 10, "failed": 0,
+                    "metrics": {"cases_per_s": {"value": 100.0 + seed, "unit": "1/s"}}}
+        phi_calls = 216000 if side == "A" else 0
+        metrics = {"braid.phi.calls": {"value": phi_calls, "unit": "count"},
+                   "braid.map.calls": {"value": 1000, "unit": "count"},
+                   "braid.suite.self_s": {"value": 1.5 if side == "A" else 0.5, "unit": "s"},
+                   "cli.self_s": {"value": 0.1, "unit": "s"}}
+        if side == "B":
+            metrics["extra.calls"] = {"value": 3, "unit": "count"}
+        return {"correct": side == "A", "attempted": 4, "failed": int(side == "B"),
+                "metrics": metrics}
+
+    monkeypatch.setattr(bench, "run_once", run_once)
+    out = tmp_path / "BENCH.json"
+    argv = [str(trees["A"]), str(trees["B"]), "--workload", "braid-fuzz", "--seeds", "2-3",
+            "--seconds", "5", "--json", str(out)]
+    assert bench.main(argv) == 1  # the traced run of B answered wrong
+    lines = capsys.readouterr().out.splitlines()
+    assert calls == [("A", 2, 0), ("B", 2, 0), ("B", 3, 0), ("A", 3, 0), ("A", 1, 1), ("B", 1, 1)]
+    traced = json.loads(out.read_text())["braid-fuzz"]["traced"]
+    assert traced == {
+        "seed": 1,
+        "A": {"braid.phi.calls": 216000, "braid.map.calls": 1000},
+        "B": {"braid.phi.calls": 0, "braid.map.calls": 1000, "extra.calls": 3},
+        "differ": ["braid.phi.calls", "extra.calls"],
+        "correct": {"A": True, "B": False},
+    }
+    at = lines.index("traced seed 1: 2 of 2 count readings differ")
+    assert lines[at + 1 : at + 3] == ["  braid.phi.calls 216000 -> 0", "  extra.calls None -> 3"]
+    assert lines[-1] == "wrong answers in 1 runs: seed 1 B traced"
+    calls.clear()  # without --json no traced run is made
+    assert bench.main(argv[:-2]) == 0 and all(trace == 0 for _, _, trace in calls)
+
 def test_paired_bench_exits_1_after_its_report_when_a_run_is_wrong(tmp_path, monkeypatch, capsys):
     bench = _paired_bench()
     trees = {"A": tmp_path / "a", "B": tmp_path / "b"}
     for tree in trees.values():
         tree.mkdir()
 
-    def run_once(tree, workload, seed, seconds):
+    def run_once(tree, workload, seed, seconds, trace=0):
         wrong = tree == trees["B"].resolve() and seed == 2
         return {"correct": not wrong, "attempted": 10, "failed": int(wrong),
                 "metrics": {"cases_per_s": {"value": 100.0 + seed, "unit": "1/s"}}}
@@ -130,7 +175,7 @@ def test_paired_bench_gives_each_bounded_metric_a_win_count_and_a_verdict(
         "other": ([1, 2, 3, 4], [9, 9, 9, 9]),  # not in BENCHMARK.json
     }
 
-    def run_once(tree, workload, seed, seconds):
+    def run_once(tree, workload, seed, seconds, trace=0):
         side = 0 if tree == trees["A"].resolve() else 1
         return {"correct": True, "attempted": 10, "failed": 0,
                 "metrics": {name: {"value": float(v[side][seed - 1]), "unit": ""}
@@ -175,7 +220,7 @@ def test_paired_bench_shows_a_gain_only_past_9_of_10_wins_and_the_spread(
     }
     expected = ["gain shown", "gain not shown", "gain shown", "gain not shown", "gain not shown"]
 
-    def run_once(tree, workload, seed, seconds):
+    def run_once(tree, workload, seed, seconds, trace=0):
         side = 0 if tree == trees["A"].resolve() else 1
         return {"correct": True, "attempted": 10, "failed": 0,
                 "metrics": {name: {"value": float(v[side][seed - 1]), "unit": ""}
