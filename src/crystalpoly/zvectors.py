@@ -12,6 +12,7 @@ inequality systems are checked against.
 from __future__ import annotations
 
 from bisect import bisect_left
+from itertools import chain, repeat
 from operator import add, itemgetter, sub
 from typing import NamedTuple
 
@@ -19,6 +20,8 @@ from .cartan import CartanData, IndexSequence, Weight, exact_int
 from .crystals import NEG_INF, CrystalGraph
 
 Coords = tuple[tuple[int, int], ...]  # sorted (position, value), values nonzero; vectors from 1
+
+MAX_NODES = 200_000  # BFS nodes before `bfs` gives up: a closure can grow without end
 
 
 def _bumped(coords: Coords, k: int, delta: int) -> Coords:
@@ -125,6 +128,9 @@ class SequenceCrystal:
         lams = (0,) * cartan.rank if lam is None else lam
         self._per_index = tuple(zip(pairs, seq._next_of, seq._last_of, lams))
         self._index, self._nodes = {}, ()  # coords -> node index, and nodes, of the latest bfs
+        # per expanded node of the latest bfs and index i in turn: its scan's
+        # four entries, flat, and f's image as a node index (None when f does not act)
+        self._scans, self._f_targets = [], []
         self._columns = None  # per slot k, the nonzero <h_j, alpha_{i_k}> with their 0-based j
 
     def zero(self) -> ZVector:
@@ -259,32 +265,46 @@ class SequenceCrystal:
         The closure runs on coords tuples, lowered by `_scan_coords` and
         `_bumped` as `f` does; a node's index is its place in the FIFO queue,
         and one ZVector per node is made for the graph.  The crystal keeps the
-        coords index and the nodes, so `f` and `e` return a node, not a copy.
+        coords index and the nodes, so `f` and `e` return a node, not a copy,
+        and, for the axiom checker, each expanded node's scans (flat, as kept
+        tuples would make the garbage collector walk them) and f-targets in
+        (node, index) order; the last layer is never scanned.  A closure
+        that passes MAX_NODES nodes raises ValueError.
         """
         if depth < 0:
             raise ValueError("depth must be >= 0")
         scan = self._scan_coords
         gated = self.lam is not None
         indices = self.cartan.indices
+        cap = MAX_NODES
         keys: list[Coords] = [()]
         index = {(): 0}
         depths = [0]
         edges = []
+        scans, targets = [], []
         for src, coords in enumerate(keys):  # the loop reaches the keys it appends
             child_depth = depths[src] + 1
             if child_depth > depth:  # depths never fall along the queue
                 break
             for i in indices:
-                best, lo, _, sigma_0 = scan(coords, i)
+                found = scan(coords, i)
+                scans += found
+                best, lo, _, sigma_0 = found
                 if gated and best <= sigma_0:
+                    targets.append(None)
                     continue
                 child = _bumped(coords, lo, +1)
                 dst = index.get(child)
                 if dst is None:
+                    if len(keys) == cap:
+                        raise ValueError(
+                            f"the BFS passed the cap of {cap} nodes at depth {child_depth}")
                     dst = index[child] = len(keys)
                     keys.append(child)
                     depths.append(child_depth)
+                targets.append(dst)
                 edges.append((src, i, dst))
+        self._scans, self._f_targets = scans, targets
         self._index, self._nodes = index, tuple([ZVector(c, self.lam) for c in keys])
         return CrystalGraph(self._nodes, edges, depths)
 
@@ -292,14 +312,16 @@ class SequenceCrystal:
 def check_crystal_axioms(crystal: SequenceCrystal, graph: CrystalGraph) -> list[dict]:
     """The crystal axioms on every node of `graph`, the crystal's latest `bfs`.
 
-    Pass 1 scans each node's coords once per index; `_gate` reads eps, phi
-    and which operators act from that scan, as the accessors do.  An image
-    is the `_bumped` coords, looked up in the crystal's BFS index.  An image
-    that is not a node (a child of the last layer) is checked on the spot:
-    its weight, and one scan of it, since e(f b) = b exactly when e acts on
-    f b at the position f acted on (f(e b) = b likewise).  Pass 2 reports in
-    node order, then index order, checking an image that is a node against
-    that node's row.  A weight one i-arrow away is built only to be compared.
+    Pass 1 reads each expanded node's scans and f-targets from the BFS and
+    scans only the last layer's nodes, once per index; `_gate` reads eps,
+    phi and which operators act from a scan, as the accessors do.  An image
+    not given by the BFS is the `_bumped` coords, looked up in the crystal's
+    BFS index.  An image that is not a node (a child of the last layer) is
+    checked on the spot: its weight, and one scan of it, since e(f b) = b
+    exactly when e acts on f b at the position f acted on (f(e b) = b
+    likewise).  Pass 2 reports in node order, then index order, checking an
+    image that is a node against that node's row.  A weight one i-arrow away
+    is built only to be compared.
     """
     nodes = graph.nodes
     if nodes is not crystal._nodes:
@@ -309,6 +331,12 @@ def check_crystal_axioms(crystal: SequenceCrystal, graph: CrystalGraph) -> list[
     # column i - 1 holds <h_j, alpha_i> for every j: the weight shift of an i-arrow
     columns = tuple(zip(*crystal.cartan.matrix))
     weights = [weight(b.coords) for b in nodes]
+    # (scan, f's node index) per node and index: the BFS's for the nodes it
+    # expanded; past them a fresh scan, and None as f's image is still to find
+    kept = iter(crystal._scans)
+    expanded = len(crystal._scans) // (4 * len(indices))
+    last = (scan(b.coords, i) for b in nodes[expanded:] for i in indices)
+    scanned = zip(chain(zip(kept, kept, kept, kept), last), chain(crystal._f_targets, repeat(None)))
 
     # pass 1: the row of node k holds, for each index i in turn, (eps, phi,
     # f slot, e slot); one flat list, so the e slot sits at width * k + 4 * i - 1.
@@ -318,11 +346,10 @@ def check_crystal_axioms(crystal: SequenceCrystal, graph: CrystalGraph) -> list[
     rows = []
     for b, wb in zip(nodes, weights):
         coords = b.coords
-        for i in indices:
-            best, lo, hi, sigma_0 = scan(coords, i)
+        for i, ((best, lo, hi, sigma_0), fk) in zip(indices, scanned):
             ev, f_acts, e_acts = gate(best, sigma_0)
-            fk = ek = None
-            if f_acts and (fk := at(fc := _bumped(coords, lo, +1))) is None:
+            ek = None
+            if f_acts and fk is None and (fk := at(fc := _bumped(coords, lo, +1))) is None:
                 best, _, back, s0 = scan(fc, i)
                 wrong = weight(fc) != tuple(map(sub, wb, columns[i - 1]))
                 astray = not gate(best, s0)[2] or back != lo

@@ -203,9 +203,21 @@ def _last_layer_weight(depth):
     return lambda coords, w: (w[0] + 1,) + w[1:] if _total(coords) == depth + 1 else w
 
 
-def _last_layer_e(depth):
+def _e_stops_at(total):
+    """A max of 0 at index 2 on the vectors of this total, so e does not act there."""
     def scan_fault(coords, i, scan):
-        return (0, *scan[1:]) if i == 2 and _total(coords) == depth + 1 else scan
+        return (0, *scan[1:]) if i == 2 and _total(coords) == total else scan
+    return scan_fault
+
+
+def _last_layer_e(depth):
+    return _e_stops_at(depth + 1)
+
+
+def _phi_shifted_at(total):
+    """sigma_0 one too low at index 1 on the vectors of this total."""
+    def scan_fault(coords, i, scan):
+        return (*scan[:3], scan[3] - 1) if i == 1 and _total(coords) == total else scan
     return scan_fault
 
 
@@ -241,6 +253,89 @@ def test_last_layer_fault_at_graph_scale(case, accessor):
     assert (found[0]["kind"], found[0]["element"].label(), found[0]["index"]) == (kind, label, index)
     assert {v["kind"] for v in found} == {kind}
     assert all(_total(v["element"].coords) == depth for v in found)
+
+
+# (case, fault) -> (BFS node count, violation count, first violation's kind,
+# element label, index, all kinds), recorded with an earlier checker that
+# scanned every node again; at rho the faults change which f act, so the graph
+# differs from the clean one
+MID_LAYER = {
+    ("a4-rho-8", "e"): (349, 52, "ef-adjoint", "x1=1,x2=2,x3=2,x5=1", 2,
+                        {"ef-adjoint", "fe-adjoint"}),
+    ("a4-rho-8", "phi"): (381, 112, "phi=eps+wt", "x1=1,x2=2,x3=2,x5=1,x6=1", 1,
+                          {"phi=eps+wt", "ef-adjoint"}),
+    ("a3-free-6", "e"): (217, 33, "ef-adjoint", "x1=4", 2, {"ef-adjoint"}),
+    ("a3-free-6", "phi"): (217, 58, "phi=eps+wt", "x1=5", 1, {"phi=eps+wt"}),
+}
+
+
+@pytest.mark.parametrize("case, fault", sorted(MID_LAYER))
+def test_mid_layer_fault_at_graph_scale(case, fault):
+    """A scan fault on the layer below the last only, whose nodes the BFS
+    expands: the checker reads their scans from the BFS, and must report
+    what a fresh scan of every node reported."""
+    name, lam, depth, _ = GRAPH_SCALE[case]
+    scan_fault = {"e": _e_stops_at, "phi": _phi_shifted_at}[fault](depth - 1)
+    crystal = Planted(get_builtin(name), lam, scan_fault=scan_fault)
+    found = assert_parity(crystal, depth)
+    graph = crystal.bfs(depth)
+    faulted = [d for b, d in zip(graph.nodes, graph.depths) if _total(b.coords) == depth - 1]
+    assert faulted and max(faulted) < depth  # the BFS expanded every faulted node
+    size, count, kind, label, index, kinds = MID_LAYER[case, fault]
+    assert (len(graph.nodes), len(found)) == (size, count)
+    assert (found[0]["kind"], found[0]["element"].label(), found[0]["index"]) == (kind, label, index)
+    assert {v["kind"] for v in found} == kinds
+
+
+class Counted(SequenceCrystal):
+    """A SequenceCrystal that counts its scans and its weights."""
+
+    def __init__(self, builtin, lam):
+        super().__init__(builtin.cartan, builtin.iota, lam)
+        self.scans = self.weights = 0
+
+    def _scan_coords(self, coords, i):
+        self.scans += 1
+        return super()._scan_coords(coords, i)
+
+    def _weight_coords(self, coords):
+        self.weights += 1
+        return super()._weight_coords(coords)
+
+
+@pytest.mark.parametrize("name, lam, depth", [
+    ("a3", None, 4), ("a4", weight(1, 1, 1, 1), 8),
+], ids=["a3-free-4", "a4-rho-8"])
+def test_bfs_and_checker_scan_each_node_once(name, lam, depth):
+    """The BFS scans each node it expands once per index and the checker
+    reads those scans: together they scan every node once per index, plus
+    each image that is not a node once, and weigh each of them once."""
+    crystal = Counted(get_builtin(name), lam)
+    graph = crystal.bfs(depth)
+    rank = crystal.cartan.rank
+    assert crystal.scans == rank * sum(d < depth for d in graph.depths)  # the last layer: never
+    assert crystal.weights == 0
+    assert check_crystal_axioms(crystal, graph) == []
+    scans, weights = crystal.scans, crystal.weights
+    keys = {b.coords for b in graph.nodes}
+    outside = sum(
+        image is not None and image.coords not in keys
+        for b in graph.nodes for i in crystal.cartan.indices
+        for image in (crystal.f(b, i), crystal.e(b, i))
+    )
+    assert outside > 0
+    assert (scans, weights) == (len(graph.nodes) * rank + outside, len(graph.nodes) + outside)
+
+
+@pytest.mark.parametrize("mode", sorted(MODES))
+def test_every_bfs_replaces_the_kept_scans(mode):
+    """Deeper, shallower, then deeper again on one crystal: the checker
+    reads only the latest BFS's scans and f-targets."""
+    crystal = planted("f-wrong-position", MODES[mode])
+    clean = SequenceCrystal(A3.cartan, A3.iota, MODES[mode])
+    for depth in (6, 2, 4):
+        assert assert_parity(crystal, depth)
+        assert assert_parity(clean, depth) == []
 
 
 @pytest.mark.parametrize("level, fault, first", [

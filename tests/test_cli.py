@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from crystalpoly import get_builtin, weight
+from crystalpoly import get_builtin, weight, zvectors
 from crystalpoly.cli import console, main
 from crystalpoly.forms import MAX_FORMS, DescentSystem
 from crystalpoly.zvectors import SequenceCrystal
@@ -60,6 +60,22 @@ def test_graph_config_errors(capsys):
     assert code == 2 and "dominant" in err
     code, _, err = run(capsys, "graph", "--builtin", "a2", "--depth", "1")
     assert code == 2
+
+
+@pytest.mark.parametrize("command", ["graph", "verify"])
+def test_bfs_stops_at_the_node_cap(capsys, monkeypatch, command):
+    """A closure that never ends exits 2 at MAX_NODES, naming the cap and the
+    depth it reached; a closure of exactly MAX_NODES nodes still runs."""
+    monkeypatch.setattr(zvectors, "MAX_NODES", 8)  # the a2 rho closure has 8 nodes
+    code, _, err = run(capsys, command, "--builtin", "a2", "--lambda", "1,1", "--depth", "9")
+    assert code == 0 and err == ""
+    code, out, err = run(capsys, command, "--builtin", "a2", "--binf", "--iota", "1 2 1",
+                         "--depth", "99999999999999999999")
+    assert code == 2 and out == ""
+    assert err == "config error: the BFS passed the cap of 8 nodes at depth 3\n"
+    monkeypatch.setattr(zvectors, "MAX_NODES", 7)
+    code, _, err = run(capsys, command, "--builtin", "a2", "--lambda", "1,1", "--depth", "9")
+    assert code == 2 and err == "config error: the BFS passed the cap of 7 nodes at depth 4\n"
 
 
 def test_inequalities_generate_not_ample(capsys):
