@@ -40,30 +40,19 @@ class BraidContext:
             raise ValueError("indices must be distinct")
         if (self.c1, self.c2) not in ALLOWED_PAIRS:
             raise ValueError(f"unsupported pairing profile ({self.c1}, {self.c2})")
-        # built once per context, outside the dataclass fields, so equality,
-        # hashing and repr still see only (i, j, c1, c2)
-        length = _SHAPE_LEN[self.degree]
-        object.__setattr__(self, "_input", ((self.i, self.j) * 3)[:length])
-        object.__setattr__(self, "_output", ((self.j, self.i) * 3)[:length])
-        object.__setattr__(self, "_swapped", None)
 
     @property
     def degree(self) -> int:
         return self.c1 * self.c2
 
     def swapped(self) -> "BraidContext":
-        mirror = self._swapped
-        if mirror is None:
-            mirror = BraidContext(self.j, self.i, self.c2, self.c1)
-            object.__setattr__(mirror, "_swapped", self)
-            object.__setattr__(self, "_swapped", mirror)
-        return mirror
+        return BraidContext(self.j, self.i, self.c2, self.c1)
 
     def input_pattern(self) -> tuple[int, ...]:
-        return self._input
+        return ((self.i, self.j) * 3)[: _SHAPE_LEN[self.degree]]
 
     def output_pattern(self) -> tuple[int, ...]:
-        return self._output
+        return ((self.j, self.i) * 3)[: _SHAPE_LEN[self.degree]]
 
     @classmethod
     def from_cartan(cls, cartan, i: int, j: int) -> "BraidContext":
@@ -116,6 +105,15 @@ def map_values_nested(c1: int, c2: int, vals: tuple[int, ...]) -> tuple[int, ...
     return (X, Y, Z, U, V, W)
 
 
+def _map_window(ctx: BraidContext, pattern, values, family) -> tuple[int, ...]:
+    """`family`'s image of a window's letter values, leftmost first, once
+    the window's indices, read the same way, match the map's input pattern."""
+    expect = ctx.input_pattern()
+    if pattern != expect:
+        raise ValueError(f"word pattern {pattern} does not match {expect}")
+    return family(ctx.c1, ctx.c2, values)
+
+
 def _map_word(ctx: BraidContext, word: TensorWord, family) -> TensorWord:
     """Rebuild `word` in the mirrored shape from `family`'s output values.
 
@@ -124,9 +122,8 @@ def _map_word(ctx: BraidContext, word: TensorWord, family) -> TensorWord:
     """
     if word.unit is not None:
         raise ValueError("braid maps act on pure letter words")
-    if not (word.indices is ctx._input or word.indices == ctx._input):
-        raise ValueError(f"word pattern {word.indices} does not match {ctx._input}")
-    return TensorWord._checked(word.cartan, ctx._output, family(ctx.c1, ctx.c2, word.values))
+    values = _map_window(ctx, word.indices, word.values, family)
+    return TensorWord._checked(word.cartan, ctx.output_pattern(), values)
 
 
 def phi(ctx: BraidContext, word: TensorWord) -> TensorWord:
@@ -171,9 +168,9 @@ def apply_at(ctx: BraidContext, word: TensorWord, positions) -> TensorWord:
     positions = _window(ctx, positions, n)
     # letters are stored leftmost first; position p is letter n - p
     lo, hi = n - positions[-1], n - positions[0] + 1
-    image = phi(ctx, TensorWord._checked(word.cartan, indices[lo:hi], values[lo:hi]))
-    return TensorWord._checked(word.cartan, indices[:lo] + image.indices + indices[hi:],
-                               values[:lo] + image.values + values[hi:], word.unit)
+    image = _map_window(ctx, indices[lo:hi], values[lo:hi], map_values)
+    return TensorWord._checked(word.cartan, indices[:lo] + ctx.output_pattern() + indices[hi:],
+                               values[:lo] + image + values[hi:], word.unit)
 
 
 def transport(ctx: BraidContext, seq: IndexSequence, x: ZVector, positions) -> ZVector:
@@ -183,9 +180,7 @@ def transport(ctx: BraidContext, seq: IndexSequence, x: ZVector, positions) -> Z
     if x.lam is not None and x.lam.rank != seq.rank:
         raise ValueError("weight rank must match the Cartan datum")
     pattern = tuple(map(seq.index_at, top_down))
-    if pattern != ctx._input:
-        raise ValueError(f"word pattern {pattern} does not match {ctx._input}")
-    out = map_values(ctx.c1, ctx.c2, tuple(-x.get(p) for p in top_down))
+    out = _map_window(ctx, pattern, tuple(-x.get(p) for p in top_down), map_values)
     coords = dict(x.coords)
     coords.update(zip(top_down, (-v for v in out)))
     return ZVector.from_dict(coords, x.lam)
@@ -203,7 +198,7 @@ def run_property_suite(c1: int, c2: int, n: int, seed: int) -> dict:
     ctx = BraidContext(1, 2, c1, c2)
     row1, row2 = rank2_cartan(c1, c2).matrix
     randint = random.Random(seed).randint
-    src, dst = ctx._input, ctx._output
+    src, dst = ctx.input_pattern(), ctx.output_pattern()
     violations: list[dict] = []
     for _ in range(n):
         vals = tuple([randint(SAMPLE_LO, SAMPLE_HI) for _ in src])

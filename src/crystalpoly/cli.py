@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 from functools import cache
 
 from .braid import BraidContext, apply_at, run_property_suite, transport
@@ -83,15 +84,24 @@ def _resolve_inputs(args):
     return cartan, seq, _parse_weight(args.lam, cartan.rank), builtin
 
 
+@contextmanager
+def _output(args):
+    """The artifact's stream: the --output file, else stdout; a file that
+    cannot be opened or written is a ConfigError."""
+    if not args.output:
+        yield sys.stdout
+        return
+    try:
+        with open(args.output, "w") as fh:
+            yield fh
+    except OSError as exc:
+        raise ConfigError(f"cannot write --output: {exc}") from exc
+
+
 def _write(text: str, args):
-    if args.output:
-        try:
-            with open(args.output, "w") as fh:
-                fh.write(text if text.endswith("\n") else text + "\n")
-        except OSError as exc:
-            raise ConfigError(f"cannot write --output: {exc}") from exc
-    else:
-        print(text)
+    """`text` and a newline; into a file, no newline after one that ends the text."""
+    with _output(args) as out:
+        out.write(text if args.output and text.endswith("\n") else text + "\n")
 
 
 def cmd_graph(args) -> int:
@@ -107,7 +117,9 @@ def cmd_graph(args) -> int:
     if args.format == "dot":
         _write(graph.to_dot(), args)
     elif args.format == "json":
-        _write(json.dumps(graph.to_json_dict(), indent=2), args)
+        with _output(args) as out:  # streamed: the document is never one string
+            json.dump(graph.to_json_dict(), out, indent=2)
+            out.write("\n")
     else:
         lines = [f"nodes: {len(graph)}"]
         lines += [f"  [{k}] {node.label()}" for k, node in enumerate(graph.nodes)]

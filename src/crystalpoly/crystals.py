@@ -90,7 +90,7 @@ class TensorWord:
     """A finite tensor product of letters, leftmost factor first, kept as
     two int tuples; the `Letter` tuple `letters` is built on demand."""
 
-    __slots__ = ("cartan", "indices", "values", "unit", "_hash", "_folds")
+    __slots__ = ("cartan", "indices", "values", "unit")
 
     def __init__(self, cartan: CartanData, letters, unit: Weight | None = None):
         letters = tuple(letters)
@@ -107,8 +107,6 @@ class TensorWord:
             raise ValueError("unit weight rank mismatch")
         self.cartan = cartan
         self.unit = unit
-        self._hash = None
-        self._folds = {}  # index -> _fold result; a word never changes, so none goes stale
 
     @classmethod
     def _checked(cls, cartan: CartanData, indices, values, unit: Weight | None = None):
@@ -123,8 +121,6 @@ class TensorWord:
         word.indices = indices
         word.values = values
         word.unit = unit
-        word._hash = None
-        word._folds = {}
         return word
 
     @property
@@ -136,9 +132,7 @@ class TensorWord:
                 and self.indices == other.indices and self.unit == other.unit)
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self.indices, self.values, self.unit))
-        return self._hash
+        return hash((self.indices, self.values, self.unit))
 
     def __len__(self):
         return len(self.values) + (1 if self.unit is not None else 0)
@@ -153,12 +147,8 @@ class TensorWord:
         return " ".join(parts) if parts else "()"
 
     def _fold(self, i: int):
-        """`fold` of this word for index i, kept per index."""
-        kept = self._folds.get(i)
-        if kept is None:
-            kept = self._folds[i] = fold(self.cartan.matrix[i - 1], self.indices, self.values,
-                                         self.unit, i)
-        return kept
+        """`fold` of this word for index i."""
+        return fold(self.cartan.matrix[i - 1], self.indices, self.values, self.unit, i)
 
     def eps_phi_wt(self, i: int):
         """String statistics and the i-pairing of the weight."""
@@ -213,6 +203,9 @@ class CrystalGraph:
     """Nodes plus i-labelled lowering edges reachable from a root."""
 
     root = 0  # the index of the root node: a graph lists its root first
+    # (crystal, coords -> node index, flat scans, f-targets), set only by the
+    # `SequenceCrystal.bfs` that built the graph, for its axiom checker
+    built_by = None
 
     def __init__(self, nodes, edges, depths):
         self.nodes = tuple(nodes)

@@ -127,10 +127,6 @@ class SequenceCrystal:
         # position of index i after p and to the last one up to p, and lambda_i
         lams = (0,) * cartan.rank if lam is None else lam
         self._per_index = tuple(zip(pairs, seq._next_of, seq._last_of, lams))
-        self._index, self._nodes = {}, ()  # coords -> node index, and nodes, of the latest bfs
-        # per expanded node of the latest bfs and index i in turn: its scan's
-        # four entries, flat, and f's image as a node index (None when f does not act)
-        self._scans, self._f_targets = [], []
         self._columns = None  # per slot k, the nonzero <h_j, alpha_{i_k}> with their 0-based j
 
     def zero(self) -> ZVector:
@@ -216,22 +212,15 @@ class SequenceCrystal:
         """Max of sigma over positions of index i, with arg-min and arg-max."""
         return MSet(*self._scan(x, i)[:3])
 
-    def _node(self, coords: Coords) -> ZVector:
-        """The node of the latest `bfs` with these coords, else a new vector."""
-        k = self._index.get(coords)
-        return ZVector(coords, self.lam) if k is None else self._nodes[k]
-
     def f(self, x: ZVector, i: int) -> ZVector | None:
-        """Lowering: add 1 at the first position attaining the sigma max.
-        An image that is a node of the latest `bfs` is that node object."""
+        """Lowering: add 1 at the first position attaining the sigma max."""
         best, lo, _, sigma_0 = self._scan(x, i)
-        return self._node(_bumped(x.coords, lo, +1)) if self._gate(best, sigma_0)[1] else None
+        return x.bumped(lo, +1) if self._gate(best, sigma_0)[1] else None
 
     def e(self, x: ZVector, i: int) -> ZVector | None:
-        """Raising: subtract 1 at the last position attaining the sigma max.
-        An image that is a node of the latest `bfs` is that node object."""
+        """Raising: subtract 1 at the last position attaining the sigma max."""
         best, _, hi, sigma_0 = self._scan(x, i)
-        return self._node(_bumped(x.coords, hi, -1)) if self._gate(best, sigma_0)[2] else None
+        return x.bumped(hi, -1) if self._gate(best, sigma_0)[2] else None
 
     def weight_pairings(self, x: ZVector) -> tuple[int, ...]:
         """<h_j, wt(x)> for every j, with wt = lambda minus the step roots."""
@@ -264,12 +253,12 @@ class SequenceCrystal:
 
         The closure runs on coords tuples, lowered by `_scan_coords` and
         `_bumped` as `f` does; a node's index is its place in the FIFO queue,
-        and one ZVector per node is made for the graph.  The crystal keeps the
-        coords index and the nodes, so `f` and `e` return a node, not a copy,
-        and, for the axiom checker, each expanded node's scans (flat, as kept
-        tuples would make the garbage collector walk them) and f-targets in
-        (node, index) order; the last layer is never scanned.  A closure
-        that passes MAX_NODES nodes raises ValueError.
+        and one ZVector per node is made for the graph.  For the axiom
+        checker the graph's `built_by` holds this crystal, the coords index,
+        and each expanded node's scans (flat, as kept tuples would make the
+        garbage collector walk them) and f-targets in (node, index) order;
+        the last layer is never scanned.  The crystal keeps none of it.  A
+        closure that passes MAX_NODES nodes raises ValueError.
         """
         if depth < 0:
             raise ValueError("depth must be >= 0")
@@ -304,39 +293,42 @@ class SequenceCrystal:
                     depths.append(child_depth)
                 targets.append(dst)
                 edges.append((src, i, dst))
-        self._scans, self._f_targets = scans, targets
-        self._index, self._nodes = index, tuple([ZVector(c, self.lam) for c in keys])
-        return CrystalGraph(self._nodes, edges, depths)
+        graph = CrystalGraph([ZVector(c, self.lam) for c in keys], edges, depths)
+        graph.built_by = (self, index, scans, targets)
+        return graph
 
 
 def check_crystal_axioms(crystal: SequenceCrystal, graph: CrystalGraph) -> list[dict]:
-    """The crystal axioms on every node of `graph`, the crystal's latest `bfs`.
+    """The crystal axioms on every node of `graph`, which the crystal's `bfs` built.
 
-    Pass 1 reads each expanded node's scans and f-targets from the BFS and
-    scans only the last layer's nodes, once per index; `_gate` reads eps,
-    phi and which operators act from a scan, as the accessors do.  An image
-    not given by the BFS is the `_bumped` coords, looked up in the crystal's
-    BFS index.  An image that is not a node (a child of the last layer) is
-    checked on the spot: its weight, and one scan of it, since e(f b) = b
-    exactly when e acts on f b at the position f acted on (f(e b) = b
-    likewise).  Pass 2 reports in node order, then index order, checking an
-    image that is a node against that node's row.  A weight one i-arrow away
-    is built only to be compared.
+    A graph that this crystal's `bfs` did not build raises ValueError.
+    Pass 1 reads each expanded node's scans and f-targets from the graph's
+    `built_by` and scans only the last layer's nodes, once per index; `_gate`
+    reads eps, phi and which operators act from a scan, as the accessors do.
+    An image not given by the BFS is the `_bumped` coords, looked up in the
+    graph's coords index.  An image that is not a node (a child of the last
+    layer) is checked on the spot: its weight, and one scan of it, since
+    e(f b) = b exactly when e acts on f b at the position f acted on
+    (f(e b) = b likewise).  Pass 2 reports in node order, then index order,
+    checking an image that is a node against that node's row.  A weight one
+    i-arrow away is built only to be compared.
     """
+    built_by = graph.built_by
+    if built_by is None or built_by[0] is not crystal:
+        raise ValueError("the graph was not built by this crystal's bfs")
+    _, index, kept_scans, f_targets = built_by
     nodes = graph.nodes
-    if nodes is not crystal._nodes:
-        raise ValueError("the graph is not the crystal's latest bfs")
     scan, gate, weight = crystal._scan_coords, crystal._gate, crystal._weight_coords
-    at, indices = crystal._index.get, crystal.cartan.indices
+    at, indices = index.get, crystal.cartan.indices
     # column i - 1 holds <h_j, alpha_i> for every j: the weight shift of an i-arrow
     columns = tuple(zip(*crystal.cartan.matrix))
     weights = [weight(b.coords) for b in nodes]
     # (scan, f's node index) per node and index: the BFS's for the nodes it
     # expanded; past them a fresh scan, and None as f's image is still to find
-    kept = iter(crystal._scans)
-    expanded = len(crystal._scans) // (4 * len(indices))
+    kept = iter(kept_scans)
+    expanded = len(kept_scans) // (4 * len(indices))
     last = (scan(b.coords, i) for b in nodes[expanded:] for i in indices)
-    scanned = zip(chain(zip(kept, kept, kept, kept), last), chain(crystal._f_targets, repeat(None)))
+    scanned = zip(chain(zip(kept, kept, kept, kept), last), chain(f_targets, repeat(None)))
 
     # pass 1: the row of node k holds, for each index i in turn, (eps, phi,
     # f slot, e slot); one flat list, so the e slot sits at width * k + 4 * i - 1.

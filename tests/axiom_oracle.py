@@ -1,8 +1,8 @@
 """The only generic crystal axiom checker: every (element, index) evaluates
 f and e through the accessors and then re-evaluates the weight of each
 image and the operator back.  It checks tensor words, and it is the test
-oracle for `crystalpoly.zvectors.check_crystal_axioms`, which checks a
-`SequenceCrystal`'s latest BFS graph on coordinate tuples and must report
+oracle for `crystalpoly.zvectors.check_crystal_axioms`, which checks a graph that
+a `SequenceCrystal`'s BFS built, on coordinate tuples, and must report
 the same violations in the same order.
 """
 

@@ -2,8 +2,8 @@
 
 Each fault is a SequenceCrystal subclass that changes what one scan or one
 weight returns for some coords, as a function of the coords only, so the
-BFS, the accessors and the checker all read it.  The checker, on the
-crystal's latest BFS graph, must report the same violations in the same
+BFS, the accessors and the checker all read it.  The checker, on a graph
+the crystal's BFS built, must report the same violations in the same
 order as `axiom_oracle` on that graph's nodes through the accessors.
 """
 
@@ -142,16 +142,16 @@ def test_clean_graphs_match_oracle(name, depth, mode):
     assert assert_parity(SequenceCrystal(builtin.cartan, builtin.iota, lam), depth) == []
 
 
-def test_checker_refuses_a_graph_that_is_not_the_latest_bfs():
+def test_checker_refuses_a_graph_its_crystal_did_not_build():
     crystal = SequenceCrystal(A3.cartan, A3.iota)
     earlier = crystal.bfs(3)
     latest = crystal.bfs(2)
     other = SequenceCrystal(A3.cartan, A3.iota).bfs(2)
-    copied = CrystalGraph(list(latest.nodes), latest.edges, latest.depths)
-    for graph in (earlier, other, copied):
-        with pytest.raises(ValueError, match="latest bfs"):
+    copies = [CrystalGraph(list(g.nodes), g.edges, g.depths) for g in (earlier, latest)]
+    for graph in (other, *copies):
+        with pytest.raises(ValueError, match="not built by this crystal's bfs"):
             check_crystal_axioms(crystal, graph)
-    assert check_crystal_axioms(crystal, latest) == []
+    assert check_crystal_axioms(crystal, earlier) == check_crystal_axioms(crystal, latest) == []
 
 
 A2 = cartan_from_matrix([[2, -1], [-1, 2]])
@@ -328,14 +328,19 @@ def test_bfs_and_checker_scan_each_node_once(name, lam, depth):
 
 
 @pytest.mark.parametrize("mode", sorted(MODES))
-def test_every_bfs_replaces_the_kept_scans(mode):
-    """Deeper, shallower, then deeper again on one crystal: the checker
-    reads only the latest BFS's scans and f-targets."""
-    crystal = planted("f-wrong-position", MODES[mode])
-    clean = SequenceCrystal(A3.cartan, A3.iota, MODES[mode])
-    for depth in (6, 2, 4):
-        assert assert_parity(crystal, depth)
-        assert assert_parity(clean, depth) == []
+def test_every_graph_stays_checkable(mode):
+    """Deeper, shallower, then deeper again on one crystal, planted and
+    clean; each graph holds its own scans and f-targets, so after the last
+    BFS all of them check in reverse order, and no BFS changes its crystal."""
+    faulty = planted("f-wrong-position", MODES[mode])
+    crystals = (faulty, SequenceCrystal(A3.cartan, A3.iota, MODES[mode]))
+    before = [dict(vars(c)) for c in crystals]
+    built = [(c, c.bfs(depth)) for depth in (6, 2, 4) for c in crystals]
+    assert [vars(c) for c in crystals] == before
+    for crystal, graph in reversed(built):
+        got = check_crystal_axioms(crystal, graph)
+        assert got == axiom_oracle.check_crystal_axioms(crystal, graph.nodes)
+        assert bool(got) == (crystal is faulty)
 
 
 @pytest.mark.parametrize("level, fault, first", [

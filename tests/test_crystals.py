@@ -334,8 +334,8 @@ def test_trailing_unit_letter(lam):
             out = getattr(w, op)(i)
             assert out == getattr(tensor_oracle, op)(w, i)
             if out is not None:
-                # one value changes; the indices tuple and the unit are the parent's
-                assert out.indices is w.indices and out.unit is w.unit
+                # one value changes; the indices and the unit are the parent's
+                assert out.indices == w.indices and out.unit == w.unit
                 assert sum(a != b for a, b in zip(out.values, w.values)) == 1
                 assert_tuples_match_letters(out)
                 seen.append(out)
