@@ -12,7 +12,7 @@ inequality systems are checked against.
 from __future__ import annotations
 
 from bisect import bisect_left
-from itertools import chain, repeat
+from itertools import chain, count, repeat
 from operator import add, itemgetter, sub
 from typing import NamedTuple
 
@@ -302,16 +302,19 @@ def check_crystal_axioms(crystal: SequenceCrystal, graph: CrystalGraph) -> list[
     """The crystal axioms on every node of `graph`, which the crystal's `bfs` built.
 
     A graph that this crystal's `bfs` did not build raises ValueError.
-    Pass 1 reads each expanded node's scans and f-targets from the graph's
-    `built_by` and scans only the last layer's nodes, once per index; `_gate`
-    reads eps, phi and which operators act from a scan, as the accessors do.
-    An image not given by the BFS is the `_bumped` coords, looked up in the
-    graph's coords index.  An image that is not a node (a child of the last
-    layer) is checked on the spot: its weight, and one scan of it, since
-    e(f b) = b exactly when e acts on f b at the position f acted on
-    (f(e b) = b likewise).  Pass 2 reports in node order, then index order,
-    checking an image that is a node against that node's row.  A weight one
-    i-arrow away is built only to be compared.
+    One pass over (node, index) reports in node order, then index order.
+    Each node's scan comes from the graph's `built_by`, or from a fresh
+    scan for the last layer, which the BFS never expands; `_gate` reads
+    eps, phi and which operators act from a scan, as the accessors do.
+    e(f b) = b exactly when e acts on f b at the position f acted on, and
+    f(e b) = b likewise, so an image that is a node is checked against
+    that node's scan.  An e image is first read off the BFS's f-edges: the
+    source of the edge into (b, i) is e b when f acted on it where e acts
+    on b, and then f leads back and the weight shift is the edge's own.
+    Any other image is the `_bumped` coords, looked up in the graph's
+    coords index; one that is not a node (a child of the last layer) is
+    scanned on the spot and weighed once however often it is reached.
+    A weight one i-arrow away is built only to be compared.
     """
     built_by = graph.built_by
     if built_by is None or built_by[0] is not crystal:
@@ -320,70 +323,80 @@ def check_crystal_axioms(crystal: SequenceCrystal, graph: CrystalGraph) -> list[
     nodes = graph.nodes
     scan, gate, weight = crystal._scan_coords, crystal._gate, crystal._weight_coords
     at, indices = index.get, crystal.cartan.indices
+    rank = len(indices)
     # column i - 1 holds <h_j, alpha_i> for every j: the weight shift of an i-arrow
     columns = tuple(zip(*crystal.cartan.matrix))
     weights = [weight(b.coords) for b in nodes]
-    # (scan, f's node index) per node and index: the BFS's for the nodes it
-    # expanded; past them a fresh scan, and None as f's image is still to find
-    kept = iter(kept_scans)
-    expanded = len(kept_scans) // (4 * len(indices))
-    last = (scan(b.coords, i) for b in nodes[expanded:] for i in indices)
-    scanned = zip(chain(zip(kept, kept, kept, kept), last), chain(f_targets, repeat(None)))
-
-    # pass 1: the row of node k holds, for each index i in turn, (eps, phi,
-    # f slot, e slot); one flat list, so the e slot sits at width * k + 4 * i - 1.
-    # A slot is None for no image, the image's node index, or, for an image
-    # that is not a node, the kinds of its weight and back checks that fail.
-    width = 4 * len(indices)
-    rows = []
-    for b, wb in zip(nodes, weights):
-        coords = b.coords
-        for i, ((best, lo, hi, sigma_0), fk) in zip(indices, scanned):
-            ev, f_acts, e_acts = gate(best, sigma_0)
-            ek = None
-            if f_acts and fk is None and (fk := at(fc := _bumped(coords, lo, +1))) is None:
-                best, _, back, s0 = scan(fc, i)
-                wrong = weight(fc) != tuple(map(sub, wb, columns[i - 1]))
-                astray = not gate(best, s0)[2] or back != lo
-                fk = ("wt-shift-f",) * wrong + ("ef-adjoint",) * astray
-            if e_acts and (ek := at(ec := _bumped(coords, hi, -1))) is None:
-                best, back, _, s0 = scan(ec, i)
-                wrong = weight(ec) != tuple(map(add, wb, columns[i - 1]))
-                astray = not gate(best, s0)[1] or back != hi
-                ek = ("wt-shift-e",) * wrong + ("fe-adjoint",) * astray
-            rows += (ev, ev - sigma_0, fk, ek)
-
+    # slot rank * k + i - 1 is (node k, index i); its scan is scans[4 * slot : 4 * slot + 4]
+    expanded = len(f_targets) // rank
+    scans = kept_scans + [v for b in nodes[expanded:] for i in indices for v in scan(b.coords, i)]
+    into = [None] * (rank * len(nodes))  # per slot, the slot of the f-edge into it
+    for src, dst in enumerate(f_targets):
+        if dst is not None:
+            into[rank * dst + src % rank] = src
+    # per slot, whether its wt-shift-f check on a node failed; the e arrow
+    # back along an edge reads it, and an edge's target comes later in BFS
+    # order, as its total is one more than its source's
+    f_wrong = [False] * len(into)
+    outside = {}  # the weight of each image that is not a node
     violations = []
+
+    def weigh(image):
+        if (w := outside.get(image)) is None:
+            w = outside[image] = weight(image)
+        return w
 
     def bad(kind, b, i, detail=""):
         violations.append({"kind": kind, "element": b, "index": i, "detail": detail})
 
-    # pass 2; an honest eps is >= 0, so the finiteness checks run only when
-    # eps < 0 or phi = eps + wt fails, which each of those checks implies
-    for k, (b, wb) in enumerate(zip(nodes, weights)):
-        stats = iter(rows[width * k : width * (k + 1)])
-        for i, ev, pv, fk, ek in zip(indices, stats, stats, stats, stats):
+    quads = zip(*[iter(scans)] * 4)
+    slots = zip(count(), chain(f_targets, repeat(None)), into)
+    for b, wb in zip(nodes, weights):
+        coords = b.coords
+        for i, (best, lo, hi, sigma_0), (slot, fk, src) in zip(indices, quads, slots):
+            ev, f_acts, e_acts = gate(best, sigma_0)
+            pv = ev - sigma_0
+            # an honest eps is >= 0, so the finiteness checks run only when
+            # eps < 0 or phi = eps + wt fails, which each of those checks implies
             if ev < 0 or pv != ev + wb[i - 1]:
                 if (ev == NEG_INF) != (pv == NEG_INF):
                     bad("eps-phi-finiteness", b, i)
                 elif ev != NEG_INF and pv != ev + wb[i - 1]:
                     bad("phi=eps+wt", b, i, f"phi={pv} eps={ev} wtp={wb[i - 1]}")
-                if ev == NEG_INF and (fk is not None or ek is not None):
+                if ev == NEG_INF and (f_acts or e_acts):
                     bad("neginf-kills", b, i)
-            if type(fk) is int:
-                if weights[fk] != tuple(map(sub, wb, columns[i - 1])):
+            if f_acts:
+                down = tuple(map(sub, wb, columns[i - 1]))
+                if fk is None:
+                    fk = at(image := _bumped(coords, lo, +1))
+                if fk is not None:
+                    u = 4 * (rank * fk + i - 1)
+                    wrong = weights[fk] != down
+                    astray = not gate(scans[u], scans[u + 3])[2] or scans[u + 2] != lo
+                    f_wrong[slot] = wrong
+                else:
+                    wrong = weigh(image) != down
+                    best, _, back, s0 = scan(image, i)
+                    astray = not gate(best, s0)[2] or back != lo
+                if wrong:
                     bad("wt-shift-f", b, i)
-                if rows[width * fk + 4 * i - 1] != k:
+                if astray:
                     bad("ef-adjoint", b, i)
-            elif fk:
-                for kind in fk:
-                    bad(kind, b, i)
-            if type(ek) is int:
-                if weights[ek] != tuple(map(add, wb, columns[i - 1])):
+            if e_acts:
+                if src is not None and scans[4 * src + 1] == hi:
+                    wrong, astray = f_wrong[src], False
+                else:
+                    up = tuple(map(add, wb, columns[i - 1]))
+                    if (ek := at(image := _bumped(coords, hi, -1))) is not None:
+                        u = 4 * (rank * ek + i - 1)
+                        wrong = weights[ek] != up
+                        astray = not gate(scans[u], scans[u + 3])[1] or scans[u + 1] != hi
+                    else:
+                        wrong = weigh(image) != up
+                        best, back, _, s0 = scan(image, i)
+                        astray = not gate(best, s0)[1] or back != hi
+                if wrong:
                     bad("wt-shift-e", b, i)
-                if rows[width * ek + 4 * i - 2] != k:
+                if astray:
                     bad("fe-adjoint", b, i)
-            elif ek:
-                for kind in ek:
-                    bad(kind, b, i)
     return violations

@@ -87,6 +87,12 @@ def _infinite_epsilon(coords, i, scan):
     return best, lo, hi, sigma_0
 
 
+def _e_acts_at_lo(coords, i, scan):
+    """e acts at the lowest attaining position, where f acts, when the total is even."""
+    best, lo, hi, sigma_0 = scan
+    return best, lo, hi if _total(coords) % 2 else lo, sigma_0
+
+
 # fault -> (scan or weight fault, violation kinds it shows on free a3 at depth 4)
 FAULTS = {
     "shifted-phi": ("scan", _shifted_phi, {"phi=eps+wt"}),
@@ -96,6 +102,7 @@ FAULTS = {
     "e-returns-none": ("scan", _e_returns_none, {"ef-adjoint"}),
     "infinite-epsilon": ("scan", _infinite_epsilon,
                          {"eps-phi-finiteness", "neginf-kills", "ef-adjoint"}),
+    "e-at-lo": ("scan", _e_acts_at_lo, {"ef-adjoint", "fe-adjoint"}),
 }
 MODES = {"free": None, "rho": weight(1, 1, 1)}
 
@@ -140,6 +147,40 @@ def test_clean_graphs_match_oracle(name, depth, mode):
     builtin = get_builtin(name)
     lam = None if mode == "free" else weight(*[1] * builtin.cartan.rank)
     assert assert_parity(SequenceCrystal(builtin.cartan, builtin.iota, lam), depth) == []
+
+
+def test_e_images_off_the_f_edges_fall_back_to_the_lookup():
+    """The checker reads an e image off the f-edge into (b, i) when f acted
+    where e acts on b.  Under e-at-lo two e images on free a3 at depth 4 are
+    other nodes, whose f does not lead back: the checker must find them in
+    the coords index and report them as the oracle does."""
+    crystal = planted("e-at-lo", None)
+    graph = crystal.bfs(4)
+    found = assert_parity(crystal, 4)
+    keys = {b.coords for b in graph.nodes}
+    stray = [
+        (b.label(), i) for b in graph.nodes for i in crystal.cartan.indices
+        if (eb := crystal.e(b, i)) is not None and eb.coords in keys and crystal.f(eb, i) != b
+    ]
+    assert stray == [("x1=1,x2=2,x4=1", 1), ("x2=1,x3=2,x5=1", 2)]
+    assert len(found) == 22
+    assert all(any(v["element"].label() == label and v["index"] == i
+                   and v["kind"] == "fe-adjoint" for v in found) for label, i in stray)
+
+
+@pytest.mark.parametrize("mode", sorted(MODES))
+def test_checker_leaves_the_graph_unchanged(mode):
+    """The checker adds nothing to the scans and f-targets the graph keeps:
+    one graph checks alike before and after another BFS on its crystal."""
+    crystal = planted("e-at-lo", MODES[mode])
+    graph = crystal.bfs(4)
+    _, index, scans, targets = graph.built_by
+    kept = (dict(index), list(scans), list(targets))
+    first = check_crystal_axioms(crystal, graph)
+    assert first and (index, scans, targets) == kept
+    crystal.bfs(5)
+    assert check_crystal_axioms(crystal, graph) == first
+    assert (index, scans, targets) == kept
 
 
 def test_checker_refuses_a_graph_its_crystal_did_not_build():
@@ -303,13 +344,15 @@ class Counted(SequenceCrystal):
         return super()._weight_coords(coords)
 
 
-@pytest.mark.parametrize("name, lam, depth", [
-    ("a3", None, 4), ("a4", weight(1, 1, 1, 1), 8),
+@pytest.mark.parametrize("name, lam, depth, weighed", [
+    ("a3", None, 4, 120), ("a4", weight(1, 1, 1, 1), 8, 457),
 ], ids=["a3-free-4", "a4-rho-8"])
-def test_bfs_and_checker_scan_each_node_once(name, lam, depth):
+def test_bfs_and_checker_scan_each_node_once(name, lam, depth, weighed):
     """The BFS scans each node it expands once per index and the checker
     reads those scans: together they scan every node once per index, plus
-    each image that is not a node once, and weigh each of them once."""
+    each image that is not a node once per (node, index) that reaches it.
+    They weigh every node once, and each distinct image that is not a node
+    once."""
     crystal = Counted(get_builtin(name), lam)
     graph = crystal.bfs(depth)
     rank = crystal.cartan.rank
@@ -318,13 +361,15 @@ def test_bfs_and_checker_scan_each_node_once(name, lam, depth):
     assert check_crystal_axioms(crystal, graph) == []
     scans, weights = crystal.scans, crystal.weights
     keys = {b.coords for b in graph.nodes}
-    outside = sum(
-        image is not None and image.coords not in keys
-        for b in graph.nodes for i in crystal.cartan.indices
+    outside = [
+        image.coords for b in graph.nodes for i in crystal.cartan.indices
         for image in (crystal.f(b, i), crystal.e(b, i))
-    )
-    assert outside > 0
-    assert (scans, weights) == (len(graph.nodes) * rank + outside, len(graph.nodes) + outside)
+        if image is not None and image.coords not in keys
+    ]
+    assert len(set(outside)) < len(outside)
+    assert (scans, weights) == (
+        len(graph.nodes) * rank + len(outside), len(graph.nodes) + len(set(outside)))
+    assert weights == weighed
 
 
 @pytest.mark.parametrize("mode", sorted(MODES))

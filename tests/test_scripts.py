@@ -41,11 +41,15 @@ def test_paired_bench_dry_run_alternates_the_first_tree(tmp_path):
     ]
 
 
-def _paired_bench():
-    spec = importlib.util.spec_from_file_location("paired_bench", ROOT / "scripts" / "paired_bench.py")
+def _script(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _paired_bench():
+    return _script("paired_bench")
 
 
 def test_paired_bench_json_keeps_pairs_medians_spread_and_runs(tmp_path, monkeypatch, capsys):
@@ -249,3 +253,37 @@ def test_traffic_lists_what_the_verify_grid_never_enters():
     names = {name for _, name in listed}
     assert "truncation_check" in names
     assert "lattice_coords" not in names
+
+
+STUB_GRID = [
+    ("graph", "--builtin", "a2", "--binf", "--depth", "2"),
+    ("inequalities", "--builtin", "b2", "--method", "generate", "--lambda", "1,0"),
+    ("braid", "--fuzz", "--c1", "1", "--c2", "1", "--n", "5", "--seed", "<seed>", "--jobs", "1"),
+]
+
+
+def test_grid_digest_repeats_and_sees_a_changed_output(monkeypatch, capsys):
+    digest = _script("grid_digest")
+    monkeypatch.setattr(digest.cases, "grid", lambda workload: STUB_GRID)
+
+    def run():
+        assert digest.main(["--workload", "closure", "--per-case"]) == 0
+        return capsys.readouterr().out.splitlines()
+
+    first = run()
+    assert len(first) == 4
+    assert first[2].endswith(" braid --fuzz --c1 1 --c2 1 --n 5 --seed 1 --jobs 1")
+    assert re.fullmatch(r"closure [0-9a-f]{64} \(3 argv\)", first[3])
+    assert run() == first
+    honest = digest.cli_main
+
+    def patched(argv):
+        code = honest(argv)
+        if argv[0] == "graph":
+            print()
+        return code
+
+    monkeypatch.setattr(digest, "cli_main", patched)
+    changed = run()
+    assert changed[1:3] == first[1:3]
+    assert changed[0] != first[0] and changed[3] != first[3]
