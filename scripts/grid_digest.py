@@ -1,15 +1,18 @@
 #!/usr/bin/env python3
 """Print a digest of what a benchmark workload's commands answer.
 
-Usage: python scripts/grid_digest.py [--workload W ...] [--per-case]
+Usage: python scripts/grid_digest.py [--workload W ...] [--per-case] [--argv CMD ...]
 
 Runs every argv of `perfbench/cases.grid(W)` for each named workload (all
 of them by default) in this process through `crystalpoly.cli.main`, with
 each braid fuzz seed fixed to 1, and records each command's exit code,
 stdout and stderr.  It prints one sha256 per workload, over its argv in
 grid order, as `W sha256 (N argv)`; with `--per-case` it first prints one
-line per argv, `sha256 argv`.  Two checkouts whose digests agree answer
-every grid argv byte for byte alike.  It only reads `perfbench/`.
+line per argv, `sha256 argv`.  Each `--argv CMD`, a crystalpoly command
+line such as "graph --builtin a4 --binf --depth 6 --format dot", is run
+the same way after the grids and printed as `sha256 argv`.  Two checkouts
+whose digests agree answer every grid argv and every CMD byte for byte
+alike.  It only reads `perfbench/`.
 """
 
 import argparse
@@ -52,6 +55,8 @@ def main(argv=None):
                         help="a workload whose grid to run (repeatable; default: all)")
     parser.add_argument("--per-case", action="store_true",
                         help="also print one digest per argv")
+    parser.add_argument("--argv", action="append", default=[], metavar="CMD",
+                        help="a further command line to digest (repeatable)")
     args = parser.parse_args(argv)
     for workload in args.workload or sorted(cases.STRATA):
         digests = workload_digests(workload)
@@ -61,6 +66,9 @@ def main(argv=None):
             if args.per_case:
                 print(digest, shlex.join(argv))
         print(workload, total.hexdigest(), f"({len(digests)} argv)")
+    for command in args.argv:
+        extra = shlex.split(command)
+        print(case_digest(extra), shlex.join(extra))
     return 0
 
 

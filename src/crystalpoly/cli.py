@@ -19,7 +19,7 @@ from .cartan import CartanData, IndexSequence, Weight, an_cartan, load_cartan, r
 from .closed_forms import an_system, get_builtin, rank2_system
 from .crystals import TensorWord
 from .forms import MAX_FORMS, DescentSystem
-from .zvectors import SequenceCrystal, ZVector, check_crystal_axioms
+from .zvectors import Labels, SequenceCrystal, ZVector, check_crystal_axioms
 
 BUILTIN_DIR_ENV = "CRYSTALPOLY_BUILTIN_DIR"
 
@@ -114,16 +114,19 @@ def cmd_graph(args) -> int:
     if bad:
         print(f"internal inconsistency: {bad[0]}", file=sys.stderr)
         return 1
-    if args.format == "dot":
-        _write(graph.to_dot(), args)
-    elif args.format == "json":
+    if args.format == "json":
         with _output(args) as out:  # streamed: the document is never one string
             json.dump(graph.to_json_dict(), out, indent=2)
             out.write("\n")
+        return 0
+    label = Labels()
+    labels = [label(node.coords) for node in graph.nodes]
+    if args.format == "dot":
+        _write(graph.to_dot(labels), args)
     else:
         lines = [f"nodes: {len(graph)}"]
-        lines += [f"  [{k}] {node.label()}" for k, node in enumerate(graph.nodes)]
-        lines += [f"edge {s} -{i}-> {d}" for s, i, d in graph.edges]
+        lines += ["  [%d] %s" % node for node in enumerate(labels)]
+        lines += ["edge %d -%d-> %d" % edge for edge in graph.edges]
         _write("\n".join(lines), args)
     return 0
 
@@ -160,17 +163,20 @@ def _check_system_options(args, cartan, seq, lam):
         raise ConfigError(f'the {args.method} method is for --iota "{iota}" only')
 
 
-def _build_system(args, cartan, seq, lam, default_bound):
+def _build_system(args, cartan, seq, lam, default_bound, descent=None):
     """The `--method` system: descent generation, the rank-2 or the A_n closed form.
 
-    The options have passed `_check_system_options`.
+    The options have passed `_check_system_options`.  Generation runs on
+    `descent`, a DescentSystem of the same datum, when one is given.
     """
     if args.method == "generate":
         bound = default_bound if args.support_bound is None else args.support_bound
         if bound is None:
             raise ConfigError("--support-bound is required here")
         rounds = {} if args.max_rounds is None else {"max_rounds": args.max_rounds}
-        return DescentSystem(cartan, seq, lam).generate(bound, **rounds)
+        if descent is None:
+            descent = DescentSystem(cartan, seq, lam)
+        return descent.generate(bound, **rounds)
     if args.method == "rank2":
         return rank2_system(-cartan.a(1, 2), -cartan.a(2, 1), lam, window=args.window)
     return an_system(cartan.rank, lam)
@@ -228,15 +234,15 @@ def cmd_verify(args) -> int:
     if args.method == "generate" and args.support_bound is not None and args.support_bound < floor:
         raise ConfigError("--support-bound must be at least max(depth, 1)")
     longest = builtin.longest_len if builtin else None
-    graph = SequenceCrystal(cartan, seq, lam).bfs(args.depth)
+    descent = DescentSystem(cartan, seq, lam)  # a SequenceCrystal too: it runs the BFS
+    graph = descent.bfs(args.depth)
     bound = max(floor, longest or 0)
     if args.method == "generate" and args.support_bound is None:
         # raise the default bound only as far as the smallest whose window covers the BFS
         top = max(n.max_pos for n in graph.nodes)
-        descent = DescentSystem(cartan, seq, lam)
         while descent.window_for(bound) < top:
             bound += 1
-    system = _build_system(args, cartan, seq, lam, bound)
+    system = _build_system(args, cartan, seq, lam, bound, descent)
     if not system.saturated:  # only generation stops early; closed forms are complete
         print("generation did not saturate; verification would be unsound")
         return 3

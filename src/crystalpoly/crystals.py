@@ -225,12 +225,14 @@ class CrystalGraph:
             "root": self.root,
         }
 
-    def to_dot(self) -> str:
+    def to_dot(self, labels=None) -> str:
+        """Graphviz text; `labels` lists the node labels in node order, each
+        node's `label()` by default."""
+        if labels is None:
+            labels = [node.label() for node in self.nodes]
         lines = ["digraph crystal {"]
-        for k, node in enumerate(self.nodes):
-            lines.append(f'  n{k} [label="{node.label()}"];')
-        for s, i, d in self.edges:
-            lines.append(f'  n{s} -> n{d} [label="{i}"];')
+        lines += ['  n%d [label="%s"];' % node for node in enumerate(labels)]
+        lines += ['  n%d -> n%d [label="%d"];' % (s, d, i) for s, i, d in self.edges]
         lines.append("}")
         return "\n".join(lines)
 

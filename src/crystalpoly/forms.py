@@ -179,11 +179,11 @@ class DescentSystem(SequenceCrystal):
         self._brackets: dict[tuple[int, bool], LinearForm] = {}  # (k, upward) -> bracket
 
     def _middle(self, i: int, lo: int, hi: int) -> Coords:
-        """(j, <h_i, alpha_{i_j}>) for lo <= j < hi, read from the pairing table;
+        """(j, <h_i, alpha_{i_j}>) for lo <= j < hi, read from the step table;
         zero pairings are left out."""
-        pairs = self._per_index[i - 1][0]
-        m = len(pairs)
-        return tuple((j, a) for j in range(lo, hi) if (a := pairs[(j - 1) % m]))
+        steps = self._per_index[i - 1][0]
+        m = len(steps)
+        return tuple((j, a) for j in range(lo, hi) if (a := steps[j % m][2]))
 
     def beta_plus(self, k: int) -> LinearForm:
         """x_k + pairing-weighted middle + x at the next occurrence of i_k."""

@@ -77,9 +77,7 @@ class ZVector(tuple):
         return self if coords is self.coords else ZVector(coords, self.lam)
 
     def label(self) -> str:
-        if not self.coords:
-            return "0"
-        return ",".join(f"x{pos}={val}" for pos, val in self.coords)
+        return Labels()(self.coords)
 
     def __repr__(self):
         return f"ZVector({self.label()})"
@@ -104,6 +102,20 @@ class ZVector(tuple):
         return cls(tuple(sorted((k, v) for k, v in d.items() if v)), lam)
 
 
+class Labels(dict):
+    """`ZVector.label()` of coords, as labels(coords): "0", or the terms
+    x<pos>=<val> joined by commas, each distinct term formatted once."""
+
+    __slots__ = ()
+
+    def __missing__(self, term: tuple[int, int]) -> str:
+        text = self[term] = "x%d=%d" % term
+        return text
+
+    def __call__(self, coords: Coords) -> str:
+        return ",".join(map(self.__getitem__, coords)) or "0"
+
+
 class MSet(NamedTuple):
     sigma: int
     min_pos: int
@@ -121,12 +133,18 @@ class SequenceCrystal:
         self.cartan = cartan
         self.seq = seq
         self.lam = lam
-        # <h_i, alpha_{i_k}> for every index i (rows) and period slot k (columns)
-        pairs = tuple(tuple(row[ik - 1] for ik in seq.period) for row in cartan.matrix)
-        # per index i: its pairings per slot, the offsets from p to the first
-        # position of index i after p and to the last one up to p, and lambda_i
+        # per index i: its step table and lambda_i.  Entry r of the table is
+        # read at every position p with p % m == r: the offset from p to the
+        # first position of index i above p, whether p carries index i,
+        # <h_i, alpha_{i_p}>, and the offset from p - 1 back to the last
+        # position of index i up to p - 1
+        period, m = seq.period, len(seq.period)
         lams = (0,) * cartan.rank if lam is None else lam
-        self._per_index = tuple(zip(pairs, seq._next_of, seq._last_of, lams))
+        self._per_index = tuple(
+            (tuple((next_of[r], period[r - 1] == i, row[period[r - 1] - 1], last_of[r - 1])
+                   for r in range(m)), lam_i)
+            for i, row, next_of, last_of, lam_i
+            in zip(cartan.indices, cartan.matrix, seq._next_of, seq._last_of, lams))
         self._columns = None  # per slot k, the nonzero <h_j, alpha_{i_k}> with their 0-based j
 
     def zero(self) -> ZVector:
@@ -160,36 +178,35 @@ class SequenceCrystal:
         Beyond the support every sigma is 0, so the max is >= 0;
         max_pos=None flags the infinite attaining set of a max of 0.
         """
-        period = self.seq.period
-        m = len(period)
-        pairs, next_of, last_of, lam_i = self._per_index[i - 1]
+        steps, lam_i = self._per_index[i - 1]
+        m = len(steps)
         tail = best = upper = 0  # upper: the coordinate visited last, 0 above the top
         lo = hi = None
         for pos, v in reversed(coords):
-            first = pos + next_of[pos % m]
+            ahead, carries, a, behind = steps[pos % m]
+            first = pos + ahead
             if first < upper:  # the zero run strictly between pos and upper
                 if tail > best:
-                    best, lo, hi = tail, first, upper - 1 - last_of[slot]  # slot of upper
+                    best, lo, hi = tail, first, upper - 1 - back  # the last i below upper
                 elif tail == best:
                     lo = first
-            slot = (pos - 1) % m
-            if period[slot] == i:
+            if carries:
                 s = v + tail
                 if s > best:
                     best, lo, hi = s, pos, pos
                 elif s == best:
                     lo = pos
-            tail += pairs[slot] * v
-            upper = pos
-        first = next_of[0]
+            tail += a * v
+            upper, back = pos, behind
+        first = steps[0][0]
         if first < upper:  # the zero run below the lowest coordinate
             if tail > best:
-                best, lo, hi = tail, first, upper - 1 - last_of[slot]
+                best, lo, hi = tail, first, upper - 1 - back
             elif tail == best:
                 lo = first
         if lo is None:  # no position up to the top attains the max 0
             top = coords[-1][0] if coords else 0
-            lo = top + next_of[top % m]
+            lo = top + steps[top % m][0]
         return best, lo, hi, tail - lam_i
 
     def _gate(self, best: int, sigma_0: int) -> tuple[int, bool, bool]:
@@ -311,9 +328,12 @@ def check_crystal_axioms(crystal: SequenceCrystal, graph: CrystalGraph) -> list[
     that node's scan.  An e image is first read off the BFS's f-edges: the
     source of the edge into (b, i) is e b when f acted on it where e acts
     on b, and then f leads back and the weight shift is the edge's own.
-    Any other image is the `_bumped` coords, looked up in the graph's
-    coords index; one that is not a node (a child of the last layer) is
-    scanned on the spot and weighed once however often it is reached.
+    Any other e image is the `_bumped` coords, looked up in the graph's
+    coords index.  An f image with no f-edge belongs to a last-layer node:
+    f adds 1 to one coordinate, so a node's depth is its coordinate total
+    and that image is one deeper than every node, and it is not looked up.
+    An image that is not a node is scanned on the spot and weighed once
+    however often it is reached.
     A weight one i-arrow away is built only to be compared.
     """
     built_by = graph.built_by
@@ -367,15 +387,13 @@ def check_crystal_axioms(crystal: SequenceCrystal, graph: CrystalGraph) -> list[
                     bad("neginf-kills", b, i)
             if f_acts:
                 down = tuple(map(sub, wb, columns[i - 1]))
-                if fk is None:
-                    fk = at(image := _bumped(coords, lo, +1))
                 if fk is not None:
                     u = 4 * (rank * fk + i - 1)
                     wrong = weights[fk] != down
                     astray = not gate(scans[u], scans[u + 3])[2] or scans[u + 2] != lo
                     f_wrong[slot] = wrong
-                else:
-                    wrong = weigh(image) != down
+                else:  # b is in the last layer, and its image one deeper than every node
+                    wrong = weigh(image := _bumped(coords, lo, +1)) != down
                     best, _, back, s0 = scan(image, i)
                     astray = not gate(best, s0)[2] or back != lo
                 if wrong:

@@ -372,6 +372,32 @@ def test_bfs_and_checker_scan_each_node_once(name, lam, depth, weighed):
     assert weights == weighed
 
 
+@pytest.mark.parametrize("name, depth", [("a3", 5), ("a4", 6), ("g2", 8), ("a1tilde", 8)])
+@pytest.mark.parametrize("mode", ["free", "rho"])
+def test_last_layer_f_images_are_never_nodes(name, depth, mode):
+    """What lets the checker skip the lookup of a last-layer f image: the
+    BFS records an f-target wherever f acts on a node it expands, every
+    node's depth is its coordinate total, and so no f image of a last-layer
+    node is in the graph's coords index."""
+    builtin = get_builtin(name)
+    lam = None if mode == "free" else weight(*[1] * builtin.cartan.rank)
+    crystal = SequenceCrystal(builtin.cartan, builtin.iota, lam)
+    graph = crystal.bfs(depth)
+    _, index, _, targets = graph.built_by
+    indices = crystal.cartan.indices
+    assert list(graph.depths) == [_total(b.coords) for b in graph.nodes]
+    expanded = [b for b, d in zip(graph.nodes, graph.depths) if d < depth]
+    assert len(targets) == len(indices) * len(expanded)
+    for (b, i), target in zip([(b, i) for b in expanded for i in indices], targets):
+        fb = crystal.f(b, i)
+        assert (target is None) == (fb is None)
+        assert fb is None or graph.nodes[target] == fb
+    last = [crystal.f(b, i) for b, d in zip(graph.nodes, graph.depths) if d == depth
+            for i in indices]
+    images = [fb.coords for fb in last if fb is not None]
+    assert images and not any(c in index for c in images)
+
+
 @pytest.mark.parametrize("mode", sorted(MODES))
 def test_every_graph_stays_checkable(mode):
     """Deeper, shallower, then deeper again on one crystal, planted and

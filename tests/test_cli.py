@@ -31,6 +31,24 @@ def test_graph_dot(capsys):
     assert out.count("->") == 2
 
 
+@pytest.mark.parametrize("fmt, pattern", [
+    ("text", r"  \[(\d+)\] (.*)"), ("dot", r'  n(\d+) \[label="(.*)"\];'),
+])
+def test_graph_node_lines_carry_the_node_labels(capsys, fmt, pattern):
+    """Each node line of text and dot carries `label()` of its BFS node,
+    the zero vector as 0, in the terms x<pos>=<val> joined by commas."""
+    a4 = get_builtin("a4")
+    nodes = SequenceCrystal(a4.cartan, a4.iota).bfs(6).nodes
+    code, out, _ = run(capsys, "graph", "--builtin", "a4", "--binf", "--depth", "6",
+                       "--format", fmt)
+    assert code == 0
+    found = [m.groups() for m in map(re.compile(pattern).fullmatch, out.splitlines()) if m]
+    assert found == [(str(k), node.label()) for k, node in enumerate(nodes)]
+    assert found[0] == ("0", "0")
+    assert [text for _, text in found[1:]] == [
+        ",".join(f"x{pos}={val}" for pos, val in node.coords) for node in nodes[1:]]
+
+
 def test_graph_json_counts_layers(capsys):
     code, out, _ = run(
         capsys, "graph", "--builtin", "a1tilde", "--binf", "--depth", "2",

@@ -55,10 +55,15 @@ def test_scan_statistics_match_per_position_oracle(name, data):
     _assert_matches_oracle(*data.draw(crystal_and_vector(CASES[name])))
 
 
+B2 = get_builtin("b2")
+# a period of 2 wraps the step table's r - 1 at every even position, and g2
+# brings the pairing -3
 SPARSE = {
     "a3-iota0": CASES["a3-iota0"],
     "a4": (A4.cartan, A4.iota),
     "a1tilde": CASES["a1tilde"],
+    "b2": (B2.cartan, B2.iota),
+    "g2": CASES["g2"],
 }
 
 
@@ -68,7 +73,7 @@ SPARSE = {
 def test_sparse_vectors_match_per_position_oracle(name, data):
     """At most five nonzero coordinates up to position 60: runs of zero
     coordinates span several periods, so the scan reads both ends of a run
-    from the offset tables."""
+    from the step table."""
     _assert_matches_oracle(*data.draw(crystal_and_vector(
         SPARSE[name], top=60, values=st.integers(-4, 4), max_size=5)))
 

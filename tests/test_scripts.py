@@ -287,3 +287,24 @@ def test_grid_digest_repeats_and_sees_a_changed_output(monkeypatch, capsys):
     changed = run()
     assert changed[1:3] == first[1:3]
     assert changed[0] != first[0] and changed[3] != first[3]
+
+
+def test_grid_digest_digests_extra_command_lines(monkeypatch, capsys):
+    """Each `--argv` command runs after the grids and prints the digest its
+    argv would have as a grid case; the grids' digests do not change."""
+    digest = _script("grid_digest")
+    monkeypatch.setattr(digest.cases, "grid", lambda workload: STUB_GRID[:1])
+    commands = ["graph --builtin a2 --binf --depth 2 --format dot",
+                "graph --builtin a2 --binf --depth 2 --format json",
+                "graph --builtin nosuch --binf --depth 2"]
+
+    def run(*argv):
+        assert digest.main(["--workload", "closure", *argv]) == 0
+        return capsys.readouterr().out.splitlines()
+
+    grid_only = run()
+    lines = run(*[a for command in commands for a in ("--argv", command)])
+    assert lines[0] == grid_only[0] and len(lines) == 1 + len(commands)
+    for line, command in zip(lines[1:], commands):
+        assert line == f"{digest.case_digest(command.split())} {command}"
+    assert len({line.split()[0] for line in lines[1:]}) == len(commands)
