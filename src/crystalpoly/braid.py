@@ -17,8 +17,8 @@ from .cartan import IndexSequence, rank2_cartan
 from .crystals import TensorWord, bump, fold
 from .zvectors import ZVector
 
-ALLOWED_PAIRS = {(0, 0), (1, 1), (1, 2), (2, 1), (1, 3), (3, 1)}
-_SHAPE_LEN = {0: 2, 1: 3, 2: 4, 3: 6}
+# letters of each supported (c1, c2): 2, 3, 4, 6 for degree 0, 1, 2, 3
+_SHAPE_LEN = {(0, 0): 2, (1, 1): 3, (1, 2): 4, (2, 1): 4, (1, 3): 6, (3, 1): 6}
 SAMPLE_LO, SAMPLE_HI = -10, 10  # the fuzz draws every letter value from this range
 
 
@@ -38,7 +38,7 @@ class BraidContext:
     def __post_init__(self):
         if self.i == self.j:
             raise ValueError("indices must be distinct")
-        if (self.c1, self.c2) not in ALLOWED_PAIRS:
+        if (self.c1, self.c2) not in _SHAPE_LEN:
             raise ValueError(f"unsupported pairing profile ({self.c1}, {self.c2})")
 
     @property
@@ -49,10 +49,10 @@ class BraidContext:
         return BraidContext(self.j, self.i, self.c2, self.c1)
 
     def input_pattern(self) -> tuple[int, ...]:
-        return ((self.i, self.j) * 3)[: _SHAPE_LEN[self.degree]]
+        return ((self.i, self.j) * 3)[: _SHAPE_LEN[self.c1, self.c2]]
 
     def output_pattern(self) -> tuple[int, ...]:
-        return ((self.j, self.i) * 3)[: _SHAPE_LEN[self.degree]]
+        return ((self.j, self.i) * 3)[: _SHAPE_LEN[self.c1, self.c2]]
 
     @classmethod
     def from_cartan(cls, cartan, i: int, j: int) -> "BraidContext":
@@ -60,36 +60,52 @@ class BraidContext:
 
 
 def map_values(c1: int, c2: int, vals: tuple[int, ...]) -> tuple[int, ...]:
-    """The braid map on raw letter values, leftmost factor first."""
-    degree = c1 * c2
-    if len(vals) != _SHAPE_LEN[degree]:
+    """The braid map on raw letter values, leftmost factor first.
+
+    The pair's length picks the degree's formula: 6, 4, 3, 2 letters for
+    degree 3, 2, 1, 0.
+    """
+    try:
+        length = _SHAPE_LEN[c1, c2]
+    except KeyError:
+        raise ValueError(f"unsupported pairing profile ({c1}, {c2})") from None
+    if len(vals) != length:
         raise ValueError("value tuple does not match the map's shape")
-    if degree == 0:
-        x, y = vals
-        return (y, x)
-    if degree == 1:
-        x, y, z = vals
-        t = _pos(-x + y - z)
-        return (z + t, x + z, y - z - t)
-    if degree == 2:
+    if length == 6:
+        x, y, z, u, v, w = vals
+        c2x, c2z, c2v = c2 * x, c2 * z, c2 * v
+        c1y, c1u, c1w = c1 * y, c1 * u, c1 * w
+        X = max(y - c2x, c2z - 2 * y, 2 * u - c2z, c2v - u, w)
+        Y = max(z - x, x - 2 * c1y + 3 * z, x - 3 * z + 2 * c1u, x - c1u + 3 * v, x + c1w)
+        V = min(c2x + w, 3 * y - c2z + w, 2 * c2z - 3 * u + w, 3 * u - 2 * c2v + w, u - w)
+        W = min(x, c1y - z, 2 * z - c1u, c1u - 2 * v, v - c1w)
+        return (X, Y, y + u + w - X - V, x + z + v - Y - W, V, W)
+    if length == 4:
         x, y, z, w = vals
-        p = _pos(x - c1 * y + z)
-        tx = _pos(-c2 * x + y - w + c2 * p)
-        ty = _pos(-x + z - c1 * w + p)
-        return (w + tx, x + c1 * w + ty, y - tx, z - c1 * w - ty)
-    x, y, z, u, v, w = vals
-    X = max(-c2 * x + y, -2 * y + c2 * z, -c2 * z + 2 * u, -u + c2 * v, w)
-    Y = max(-x + z, x - 2 * c1 * y + 3 * z, x - 3 * z + 2 * c1 * u, x - c1 * u + 3 * v, x + c1 * w)
-    V = min(c2 * x + w, 3 * y - c2 * z + w, 2 * c2 * z - 3 * u + w, 3 * u - 2 * c2 * v + w, u - w)
-    W = min(x, c1 * y - z, 2 * z - c1 * u, c1 * u - 2 * v, v - c1 * w)
-    Z = y + u + w - X - V
-    U = x + z + v - Y - W
-    return (X, Y, Z, U, V, W)
+        c1w = c1 * w
+        p = x - c1 * y + z
+        if p < 0:
+            p = 0
+        tx = c2 * (p - x) + y - w
+        if tx < 0:
+            tx = 0
+        ty = z - x - c1w + p
+        if ty < 0:
+            ty = 0
+        return (w + tx, x + c1w + ty, y - tx, z - c1w - ty)
+    if length == 3:
+        x, y, z = vals
+        t = y - x - z
+        if t < 0:
+            t = 0
+        return (z + t, x + z, y - z - t)
+    x, y = vals
+    return (y, x)
 
 
 def map_values_nested(c1: int, c2: int, vals: tuple[int, ...]) -> tuple[int, ...]:
     """Degree-3 cross-check family written with nested clamps."""
-    if c1 * c2 != 3 or len(vals) != 6:
+    if (c1, c2) not in ((1, 3), (3, 1)) or len(vals) != 6:
         raise ValueError("the nested family is the degree-3 cross-check")
     x, y, z, u, v, w = vals
     A = -x + c1 * y - z
@@ -146,7 +162,7 @@ def phi3_alt(ctx: BraidContext, word: TensorWord) -> TensorWord:
 def _window(ctx: BraidContext, positions, n: int | None = None) -> tuple[int, ...]:
     """The window as ints: the map's length, contiguous, ascending, from 1 up to n."""
     positions = tuple(int(p) for p in positions)
-    expect = _SHAPE_LEN[ctx.degree]
+    expect = _SHAPE_LEN[ctx.c1, ctx.c2]
     if len(positions) != expect:
         raise ValueError(f"window must cover {expect} positions")
     if list(positions) != list(range(positions[0], positions[0] + expect)):
@@ -193,35 +209,52 @@ def run_property_suite(c1: int, c2: int, n: int, seed: int) -> dict:
     of every tensor word, as `check_strict_morphism` checks words: the
     weight, then per index eps, phi and commutation with e and f; then the
     exact involution, and in degree 3 the two formula families agreeing.
-    At most 25 violations are kept.
+    At most 25 violations are kept.  Letters are drawn as
+    `random.Random(seed).randint(SAMPLE_LO, SAMPLE_HI)` draws them, by
+    rejection on `getrandbits`, so the samples are that stream's values.
     """
     ctx = BraidContext(1, 2, c1, c2)
     row1, row2 = rank2_cartan(c1, c2).matrix
-    randint = random.Random(seed).randint
     src, dst = ctx.input_pattern(), ctx.output_pattern()
+    # the module globals, read once per call so that a patched map is the one used
+    maps, nested = map_values, (map_values_nested if ctx.degree == 3 else None)
+    getrandbits = random.Random(seed).getrandbits
+    width = SAMPLE_HI - SAMPLE_LO + 1
+    bits = width.bit_length()
     violations: list[dict] = []
     for _ in range(n):
-        vals = tuple([randint(SAMPLE_LO, SAMPLE_HI) for _ in src])
-        image = map_values(c1, c2, vals)
+        draws = []
+        for _ in src:
+            r = getrandbits(bits)
+            while r >= width:
+                r = getrandbits(bits)
+            draws.append(SAMPLE_LO + r)
+        vals = tuple(draws)
+        image = maps(c1, c2, vals)
         b1, m1 = fold(row1, src, vals, None, 1), fold(row1, dst, image, None, 1)
         b2, m2 = fold(row2, src, vals, None, 2), fold(row2, dst, image, None, 2)
         found = [("wt", None)] if b1[2] != m1[2] or b2[2] != m2[2] else []
-        for i, b, m in ((1, b1, m1), (2, b2, m2)):
-            if b[0] != m[0]:
+        for i, (be, bp, _, bft, bet), (me, mp, _, mft, met) in ((1, b1, m1), (2, b2, m2)):
+            if be != me:
                 found.append(("eps", i))
-            if b[1] != m[1]:
+            if bp != mp:
                 found.append(("phi", i))
-            for kind, at, delta in (("e-commute", 4, +1), ("f-commute", 3, -1)):
-                moved = bump(src, vals, i, b[at], delta)
-                if moved is not None:
-                    moved = map_values(c1, c2, moved)
-                if moved != bump(dst, image, i, m[at], delta):
-                    found.append((kind, i))
-        if map_values(c2, c1, image) != vals:
+            moved = bump(src, vals, i, bet, +1)
+            if moved is not None:
+                moved = maps(c1, c2, moved)
+            if moved != bump(dst, image, i, met, +1):
+                found.append(("e-commute", i))
+            moved = bump(src, vals, i, bft, -1)
+            if moved is not None:
+                moved = maps(c1, c2, moved)
+            if moved != bump(dst, image, i, mft, -1):
+                found.append(("f-commute", i))
+        if maps(c2, c1, image) != vals:
             found.append(("involution", None))
-        if ctx.degree == 3 and map_values_nested(c1, c2, vals) != image:
+        if nested is not None and nested(c1, c2, vals) != image:
             found.append(("alt-form", None))
-        for kind, index in found[: 25 - len(violations)]:
-            violations.append({"kind": kind, "index": index, "values": vals})
+        if found:
+            for kind, index in found[: 25 - len(violations)]:
+                violations.append({"kind": kind, "index": index, "values": vals})
     return {"c1": c1, "c2": c2, "n": n, "seed": seed, "violations": violations,
             "ok": not violations}

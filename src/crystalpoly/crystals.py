@@ -39,8 +39,8 @@ def fold(row, indices, values, unit, i: int):
     inside the loop and NEG_INF is returned.
     """
     eps = phi = None
-    wtp = f_target = e_target = 0
-    for m, (index, value) in enumerate(zip(indices, values)):
+    wtp = f_target = e_target = m = 0
+    for index, value in zip(indices, values):
         lw = value * row[index - 1]
         if index == i:
             le = -value
@@ -61,9 +61,9 @@ def fold(row, indices, values, unit, i: int):
         elif phi is not None:
             phi += lw
         wtp += lw
-    if unit is not None:
+        m += 1
+    if unit is not None:  # the unit letter is factor m = len(values)
         lam = unit[i - 1]
-        m = len(values)
         if phi is None or phi <= -lam:
             f_target = m
             if phi is None or phi < -lam:
@@ -83,7 +83,9 @@ def bump(indices, values, i: int, target: int, delta: int):
     unit letter or a letter of another index: the operators kill those."""
     if target == len(values) or indices[target] != i:
         return None
-    return values[:target] + (values[target] + delta,) + values[target + 1 :]
+    bumped = list(values)
+    bumped[target] += delta
+    return tuple(bumped)
 
 
 class TensorWord:

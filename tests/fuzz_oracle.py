@@ -8,6 +8,10 @@ This is how the package's suite checked every sample before it moved to
 value tuples, so the two reports must be equal sample for sample.  The
 braid maps are read from `crystalpoly.braid` at call time, so a map
 patched into that module reaches both.
+
+`map_values` is the reference for `crystalpoly.braid.map_values`: the
+formulas as first written, one `_pos` clamp at a time, dispatched on the
+degree c1*c2; call it only with a supported (c1, c2).
 """
 
 import random
@@ -15,6 +19,39 @@ import random
 from crystalpoly import braid
 from crystalpoly.cartan import rank2_cartan
 from crystalpoly.crystals import TensorWord, check_strict_morphism
+
+SHAPE_LEN = {0: 2, 1: 3, 2: 4, 3: 6}
+
+
+def _pos(x):
+    return x if x > 0 else 0
+
+
+def map_values(c1, c2, vals):
+    degree = c1 * c2
+    if len(vals) != SHAPE_LEN[degree]:
+        raise ValueError("value tuple does not match the map's shape")
+    if degree == 0:
+        x, y = vals
+        return (y, x)
+    if degree == 1:
+        x, y, z = vals
+        t = _pos(-x + y - z)
+        return (z + t, x + z, y - z - t)
+    if degree == 2:
+        x, y, z, w = vals
+        p = _pos(x - c1 * y + z)
+        tx = _pos(-c2 * x + y - w + c2 * p)
+        ty = _pos(-x + z - c1 * w + p)
+        return (w + tx, x + c1 * w + ty, y - tx, z - c1 * w - ty)
+    x, y, z, u, v, w = vals
+    X = max(-c2 * x + y, -2 * y + c2 * z, -c2 * z + 2 * u, -u + c2 * v, w)
+    Y = max(-x + z, x - 2 * c1 * y + 3 * z, x - 3 * z + 2 * c1 * u, x - c1 * u + 3 * v, x + c1 * w)
+    V = min(c2 * x + w, 3 * y - c2 * z + w, 2 * c2 * z - 3 * u + w, 3 * u - 2 * c2 * v + w, u - w)
+    W = min(x, c1 * y - z, 2 * z - c1 * u, c1 * u - 2 * v, v - c1 * w)
+    Z = y + u + w - X - V
+    U = x + z + v - Y - W
+    return (X, Y, Z, U, V, W)
 
 
 def run_property_suite(c1, c2, n, seed):

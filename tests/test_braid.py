@@ -26,6 +26,8 @@ from crystalpoly import (
     transport,
     weight,
 )
+from crystalpoly.braid import SAMPLE_HI, SAMPLE_LO
+from crystalpoly.crystals import fold
 
 import fuzz_oracle
 import tensor_oracle
@@ -115,6 +117,37 @@ def test_involution_fuzz():
         for _ in range(1000):
             vals = tuple(rng.randint(-10, 10) for _ in range(n))
             assert map_values(c2, c1, map_values(c1, c2, vals)) == vals
+
+
+# the fuzz's samples lie in SAMPLE_LO..SAMPLE_HI, and a bump moves a letter one step past them
+EDGE_VALUES = (-11, -10, -1, 0, 1, 10, 11)
+
+
+@pytest.mark.parametrize("pair", PAIRS, ids=[f"{c1}-{c2}" for c1, c2 in PAIRS])
+def test_map_values_matches_the_reference_formulas(pair):
+    length = len(BraidContext(1, 2, *pair).input_pattern())
+    rng = random.Random(str(pair))
+    grid = list(itertools.product(EDGE_VALUES, repeat=length))
+    grid += [tuple(rng.randint(-11, 11) for _ in range(length)) for _ in range(5000)]
+    for vals in grid:
+        assert map_values(*pair, vals) == fuzz_oracle.map_values(*pair, vals), vals
+
+
+@pytest.mark.parametrize(
+    "family, c1, c2, vals",
+    [
+        (map_values, 2, 2, (0, 0, 0, 0)),
+        (map_values, 1, -3, (0,) * 6),
+        (map_values, 0, 5, (1, 2)),
+        (map_values, -1, -1, (0, 0, 0)),
+        (map_values_nested, -1, -3, (1, 2, 3, 4, 5, 6)),
+        (map_values_nested, 1, 1, (0,) * 6),
+    ],
+    ids=["2-2", "1--3", "0-5", "-1--1", "nested--1--3", "nested-1-1"],
+)
+def test_maps_refuse_an_unsupported_pair(family, c1, c2, vals):
+    with pytest.raises(ValueError, match="unsupported pairing profile|degree-3 cross-check"):
+        family(c1, c2, vals)
 
 
 def test_conservation_identities():
@@ -246,6 +279,26 @@ def test_property_suite_sample_stream_is_pinned(monkeypatch, pair, first, sample
     assert [(v["kind"], v["index"]) for v in violations[:3]] == first
     assert [v["values"] for v in violations[:3]] == [samples[0]] * 3
     assert list(dict.fromkeys(v["values"] for v in violations))[:3] == samples
+
+
+@pytest.mark.parametrize("seed", range(1, 6))
+@pytest.mark.parametrize("pair", PAIRS, ids=[f"{c1}-{c2}" for c1, c2 in PAIRS])
+def test_property_suite_draws_the_randint_stream(monkeypatch, pair, seed):
+    # the samples are read off the suite's fold of each sample for index 1
+    samples = []
+
+    def recording_fold(row, indices, values, unit, i):
+        if i == 1 and indices[0] == 1:
+            samples.append(values)
+        return fold(row, indices, values, unit, i)
+
+    monkeypatch.setattr("crystalpoly.braid.fold", recording_fold)
+    run_property_suite(*pair, 300, seed)
+    rng = random.Random(seed)
+    length = len(BraidContext(1, 2, *pair).input_pattern())
+    expected = [tuple(rng.randint(SAMPLE_LO, SAMPLE_HI) for _ in range(length))
+                for _ in range(300)]
+    assert samples == expected
 
 
 def test_apply_at_swap_window():
