@@ -7,8 +7,6 @@ from .braid import (
     map_values,
     map_values_nested,
     phi,
-    phi3_alt,
-    phi_inverse,
     run_property_suite,
     transport,
 )
@@ -27,14 +25,8 @@ from .closed_forms import (
     get_builtin,
     l_max,
     rank2_system,
-    truncation_check,
 )
-from .crystals import (
-    NEG_INF,
-    Letter,
-    TensorWord,
-    check_strict_morphism,
-)
+from .crystals import NEG_INF, Letter, TensorWord
 from .forms import DescentSystem, FormSet, LinearForm
 from .zvectors import MSet, SequenceCrystal, ZVector, check_crystal_axioms
 
@@ -60,18 +52,14 @@ __all__ = [
     "apply_at",
     "cartan_from_matrix",
     "check_crystal_axioms",
-    "check_strict_morphism",
     "get_builtin",
     "l_max",
     "map_values",
     "map_values_nested",
     "phi",
-    "phi3_alt",
-    "phi_inverse",
     "rank2_cartan",
     "rank2_system",
     "run_property_suite",
     "transport",
-    "truncation_check",
     "weight",
 ]

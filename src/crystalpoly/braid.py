@@ -3,9 +3,11 @@
 For two indices i, j with negated pairings c1 = -<h_i, alpha_j> and
 c2 = -<h_j, alpha_i>, products c1*c2 in {0, 1, 2, 3} admit an explicit
 crystal isomorphism from an alternating tensor power starting with i to
-the mirrored one starting with j.  The degree-3 map has two equivalent
-formula families; the branch-free max/min family is the primary one and
-the nested-clamp family is kept as a cross-check.
+the mirrored one starting with j; its inverse is the same map for the
+swapped pair.  The degree-3 map has two equivalent formula families; the
+branch-free max/min family is the primary one and the nested-clamp family
+is kept as the fuzz's cross-check.  `run_property_suite` is the package's
+check that the maps are strict crystal morphisms.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .cartan import IndexSequence, rank2_cartan
+from .cartan import IndexSequence, exact_int, rank2_cartan
 from .crystals import TensorWord, bump, fold
 from .zvectors import ZVector
 
@@ -121,47 +123,31 @@ def map_values_nested(c1: int, c2: int, vals: tuple[int, ...]) -> tuple[int, ...
     return (X, Y, Z, U, V, W)
 
 
-def _map_window(ctx: BraidContext, pattern, values, family) -> tuple[int, ...]:
-    """`family`'s image of a window's letter values, leftmost first, once
+def _map_window(ctx: BraidContext, pattern, values) -> tuple[int, ...]:
+    """`map_values`'s image of a window's letter values, leftmost first, once
     the window's indices, read the same way, match the map's input pattern."""
     expect = ctx.input_pattern()
     if pattern != expect:
         raise ValueError(f"word pattern {pattern} does not match {expect}")
-    return family(ctx.c1, ctx.c2, values)
-
-
-def _map_word(ctx: BraidContext, word: TensorWord, family) -> TensorWord:
-    """Rebuild `word` in the mirrored shape from `family`'s output values.
-
-    The output letters carry the indices of the input pattern the word has
-    just matched, so the derived word skips the index check.
-    """
-    if word.unit is not None:
-        raise ValueError("braid maps act on pure letter words")
-    values = _map_window(ctx, word.indices, word.values, family)
-    return TensorWord._checked(word.cartan, ctx.output_pattern(), values)
+    return map_values(ctx.c1, ctx.c2, values)
 
 
 def phi(ctx: BraidContext, word: TensorWord) -> TensorWord:
-    """Map a word shaped (i, j, i, ..) to the mirrored shape (j, i, j, ..)."""
-    return _map_word(ctx, word, map_values)
+    """Map a word shaped (i, j, i, ..) to the mirrored shape (j, i, j, ..).
 
-
-def phi_inverse(ctx: BraidContext, word: TensorWord) -> TensorWord:
-    """Inverse map: the same family with the two indices exchanged."""
-    return phi(ctx.swapped(), word)
-
-
-def phi3_alt(ctx: BraidContext, word: TensorWord) -> TensorWord:
-    """Degree-3 map through the nested-clamp family; agrees with phi."""
-    if ctx.degree != 3:
-        raise ValueError("the alternative family exists only in degree 3")
-    return _map_word(ctx, word, map_values_nested)
+    The inverse is `phi(ctx.swapped(), word)`.  The output letters carry
+    the indices of the input pattern the word has just matched, so the
+    derived word skips the index check.
+    """
+    if word.unit is not None:
+        raise ValueError("braid maps act on pure letter words")
+    values = _map_window(ctx, word.indices, word.values)
+    return TensorWord._checked(word.cartan, ctx.output_pattern(), values)
 
 
 def _window(ctx: BraidContext, positions, n: int | None = None) -> tuple[int, ...]:
-    """The window as ints: the map's length, contiguous, ascending, from 1 up to n."""
-    positions = tuple(int(p) for p in positions)
+    """The window as exact ints: the map's length, contiguous, ascending, from 1 up to n."""
+    positions = tuple(map(exact_int, positions))
     expect = _SHAPE_LEN[ctx.c1, ctx.c2]
     if len(positions) != expect:
         raise ValueError(f"window must cover {expect} positions")
@@ -184,7 +170,7 @@ def apply_at(ctx: BraidContext, word: TensorWord, positions) -> TensorWord:
     positions = _window(ctx, positions, n)
     # letters are stored leftmost first; position p is letter n - p
     lo, hi = n - positions[-1], n - positions[0] + 1
-    image = _map_window(ctx, indices[lo:hi], values[lo:hi], map_values)
+    image = _map_window(ctx, indices[lo:hi], values[lo:hi])
     return TensorWord._checked(word.cartan, indices[:lo] + ctx.output_pattern() + indices[hi:],
                                values[:lo] + image + values[hi:], word.unit)
 
@@ -196,7 +182,7 @@ def transport(ctx: BraidContext, seq: IndexSequence, x: ZVector, positions) -> Z
     if x.lam is not None and x.lam.rank != seq.rank:
         raise ValueError("weight rank must match the Cartan datum")
     pattern = tuple(map(seq.index_at, top_down))
-    out = _map_window(ctx, pattern, tuple(-x.get(p) for p in top_down), map_values)
+    out = _map_window(ctx, pattern, tuple(-x.get(p) for p in top_down))
     coords = dict(x.coords)
     coords.update(zip(top_down, (-v for v in out)))
     return ZVector.from_dict(coords, x.lam)
@@ -206,9 +192,10 @@ def run_property_suite(c1: int, c2: int, n: int, seed: int) -> dict:
     """Seeded fuzz of the isomorphism contract for one pairing profile.
 
     Each sample is checked on its value tuple through the `fold` and `bump`
-    of every tensor word, as `check_strict_morphism` checks words: the
-    weight, then per index eps, phi and commutation with e and f; then the
-    exact involution, and in degree 3 the two formula families agreeing.
+    of its tensor word and of the image's: the weight, then per index eps,
+    phi and commutation with e and f; then the exact involution, and in
+    degree 3 the two formula families agreeing.  `tests/fuzz_oracle.py`
+    makes the same checks on `TensorWord`s.
     At most 25 violations are kept.  Letters are drawn as
     `random.Random(seed).randint(SAMPLE_LO, SAMPLE_HI)` draws them, by
     rejection on `getrandbits`, so the samples are that stream's values.

@@ -72,7 +72,9 @@ class CartanData:
 
 
 def exact_int(value) -> int:
-    """`value` as an int, refusing one that int() would change (1.5, "2", inf)."""
+    """`value` as an int, refusing a bool or one that int() would change (1.5, "2", inf)."""
+    if isinstance(value, bool):
+        raise ValueError(f"expected an integer, got {value!r}")
     try:
         if int(value) == value:
             return int(value)

@@ -1,11 +1,12 @@
-"""Closed-form inequality systems and finite-type support predicates.
+"""Closed-form inequality systems and the builtin Cartan data.
 
 The rank-2 system is driven by an integer coefficient sequence whose
 three-term recurrence alternates the two negated pairings; it truncates
 at the first sign change (l_max), which is finite exactly for the five
 finite rank-2 types.  The A_n system lives on a doubly-indexed triangle
 of coordinates.  Both are cross-checked against the breadth-first oracle
-elsewhere; this module only writes them down.
+in the tests, and so are the builtins' longest words; this module only
+writes them down.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from functools import cache
 
 from .cartan import CartanData, CartanError, IndexSequence, Weight, an_cartan, rank2_cartan
 from .forms import MAX_FORMS, FormSet, LinearForm
-from .zvectors import SequenceCrystal
 
 
 def a_sequence(c1: int, c2: int, l: int) -> int:
@@ -129,46 +129,6 @@ def an_system(n: int, lam: Weight) -> FormSet:
         seq=IndexSequence(tuple(range(1, n + 1)), n),
         saturated=True,
     )
-
-
-@dataclass(frozen=True)
-class TruncationReport:
-    support_bound: int
-    node_count: int
-    violations: tuple[dict, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def truncation_check(cartan: CartanData, word, depth: int) -> TruncationReport:
-    """Free-mode BFS facts for a sequence opening with the given word.
-
-    Checks every node to the given depth for (a) vanishing beyond the
-    word length and (b) vanishing at any position whose index repeats the
-    previous one.  The tail of the sequence repeats the word, which does
-    not affect either predicate.  Reduced-ness of the word, and its
-    length, are taken on trust.
-    """
-    word = tuple(int(w) for w in word)
-    seq = IndexSequence(word, cartan.rank)
-    crystal = SequenceCrystal(cartan, seq)
-    graph = crystal.bfs(depth)
-    bound = len(word)
-    repeats = [
-        l
-        for l in range(2, bound + len(word) + 1)
-        if seq.index_at(l) == seq.index_at(l - 1)
-    ]
-    violations = []
-    for node in graph.nodes:
-        if node.max_pos > bound:
-            violations.append({"kind": "support", "node": node, "position": node.max_pos})
-        for l in repeats:
-            if node.get(l):
-                violations.append({"kind": "repeat", "node": node, "position": l})
-    return TruncationReport(bound, len(graph), tuple(violations))
 
 
 @dataclass(frozen=True)

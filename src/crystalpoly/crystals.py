@@ -1,4 +1,4 @@
-"""Elementary crystals, tensor words, crystal graphs, and the strict-morphism check.
+"""Elementary crystals, tensor words and crystal graphs.
 
 A tensor word is a finite ordered product of integer-labelled letters
 (x)_i, optionally terminated by the unit letter r_lambda of the
@@ -238,31 +238,3 @@ class CrystalGraph:
         lines.append("}")
         return "\n".join(lines)
 
-
-def check_strict_morphism(map_fn, sample, indices) -> list[dict]:
-    """Violations of strictness for `map_fn` on the sampled elements.
-
-    Strictness means: 0 maps to 0, the statistics eps/phi and the weight
-    are preserved, and the map commutes with every raising and lowering
-    operator.  An empty list is a pass.
-    """
-    violations = []
-    if map_fn(None) is not None:
-        violations.append({"kind": "zero", "detail": "map(0) != 0"})
-    for b in sample:
-        image = map_fn(b)
-        if image is None:
-            continue
-        if b.weight_pairings() != image.weight_pairings():
-            violations.append({"kind": "wt", "element": b, "image": image})
-        for i in indices:
-            be, bp, _ = b.eps_phi_wt(i)
-            ie, ip, _ = image.eps_phi_wt(i)
-            if be != ie:
-                violations.append({"kind": "eps", "index": i, "element": b})
-            if bp != ip:
-                violations.append({"kind": "phi", "index": i, "element": b})
-            for name in ("e", "f"):
-                if map_fn(getattr(b, name)(i)) != getattr(image, name)(i):
-                    violations.append({"kind": f"{name}-commute", "index": i, "element": b})
-    return violations

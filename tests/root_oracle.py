@@ -7,11 +7,18 @@ function, the number of elements of B(infinity) of weight -beta.
 
 A root or a weight is a tuple of coordinates: a root in simple roots, a
 weight in pairings <h_i, lambda>, as `Weight` stores it.
+
+`truncation_check` states the support facts of a sequence that opens
+with a reduced longest word: its free-mode BFS never leaves the word's
+positions, nor touches a position whose index repeats the previous one.
 """
 
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import lcm, prod
+
+from crystalpoly import IndexSequence, SequenceCrystal
 
 
 def positive_roots(cartan) -> list[tuple[int, ...]]:
@@ -109,3 +116,43 @@ def kostant(cartan, max_height: int) -> dict[tuple[int, ...], int]:
             if min(rest) >= 0:
                 count[beta] += count[rest]
     return count
+
+
+@dataclass(frozen=True)
+class TruncationReport:
+    support_bound: int
+    node_count: int
+    violations: tuple[dict, ...]
+
+    @property
+    def ok(self) -> bool:
+        return not self.violations
+
+
+def truncation_check(cartan, word, depth: int) -> TruncationReport:
+    """Free-mode BFS facts for a sequence opening with the given word.
+
+    Checks every node to the given depth for (a) vanishing beyond the
+    word length and (b) vanishing at any position whose index repeats the
+    previous one.  The tail of the sequence repeats the word, which does
+    not affect either predicate.  Reduced-ness of the word, and its
+    length, are taken on trust.
+    """
+    word = tuple(int(w) for w in word)
+    seq = IndexSequence(word, cartan.rank)
+    crystal = SequenceCrystal(cartan, seq)
+    graph = crystal.bfs(depth)
+    bound = len(word)
+    repeats = [
+        l
+        for l in range(2, bound + len(word) + 1)
+        if seq.index_at(l) == seq.index_at(l - 1)
+    ]
+    violations = []
+    for node in graph.nodes:
+        if node.max_pos > bound:
+            violations.append({"kind": "support", "node": node, "position": node.max_pos})
+        for l in repeats:
+            if node.get(l):
+                violations.append({"kind": "repeat", "node": node, "position": l})
+    return TruncationReport(bound, len(graph), tuple(violations))

@@ -24,9 +24,10 @@ from crystalpoly import (
     rank2_system,
     run_property_suite,
     transport,
-    truncation_check,
     weight,
 )
+
+from root_oracle import truncation_check
 
 RANK2_FINITE = ("a1xa1", "a2", "b2", "c2", "g2")
 IOTA1 = IndexSequence((1, 2, 3, 1, 2, 1), 3)  # opens with a reduced longest word

@@ -51,8 +51,7 @@ def test_weight_value_contract():
     for copied in (pickle.loads(pickle.dumps(w)), copy.copy(w), copy.deepcopy(w)):
         assert type(copied) is Weight and copied == w and hash(copied) == hash(w)
     assert weight(2.0) == (2,) and type(weight(2.0)[0]) is int
-    assert Weight((True,)) == (1,) and type(Weight((True,))[0]) is int
-    for bad in ((1.5,), ("2",)):
+    for bad in ((1.5,), ("2",), (True, 0)):
         with pytest.raises(ValueError, match="expected an integer"):
             Weight(bad)
     with pytest.raises(ValueError, match="expected an integer"):
@@ -184,11 +183,11 @@ def test_malformed_json_is_cartan_error(obj):
         CartanData.from_json_dict(obj)
 
 
-@pytest.mark.parametrize("value", [1.5, 2.9, -0.5, 1e400, float("nan"), "2", None])
+@pytest.mark.parametrize("value", [1.5, 2.9, -0.5, 1e400, float("nan"), "2", None, True, False])
 def test_exact_int_refuses_what_int_would_change(value):
     with pytest.raises(TypeError if value is None else ValueError):
         exact_int(value)
 
 
 def test_exact_int_keeps_integral_values():
-    assert [exact_int(v) for v in (3, -2, 4.0, True)] == [3, -2, 4, 1]
+    assert [exact_int(v) for v in (3, -2, 4.0, 0.0)] == [3, -2, 4, 0]

@@ -594,8 +594,9 @@ def test_generate_from_file_needs_support_bound(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "content",
-    [[1], {"matrix": 5}, {"matrix": [[2, -1.7], [-1, 2]]}, {"matrix": [[2, 1e400], [-1, 2]]}],
-    ids=["top-level-list", "scalar-matrix", "non-integral", "overflowing"],
+    [[1], {"matrix": 5}, {"matrix": [[2, -1.7], [-1, 2]]}, {"matrix": [[2, 1e400], [-1, 2]]},
+     {"rank": 2, "matrix": [[2, False], [False, 2]]}],  # false == 0 would load as a1xa1
+    ids=["top-level-list", "scalar-matrix", "non-integral", "overflowing", "boolean"],
 )
 def test_malformed_cartan_file(tmp_path, capsys, content):
     src = tmp_path / "bad.json"

@@ -11,12 +11,12 @@ from crystalpoly import (
     get_builtin,
     l_max,
     rank2_system,
-    truncation_check,
     weight,
 )
 from crystalpoly.closed_forms import an_flat
 
 import chebyshev_oracle
+from root_oracle import truncation_check
 
 
 def test_a_sequence_closed_forms():

@@ -8,12 +8,12 @@ from crystalpoly import (
     Letter,
     TensorWord,
     cartan_from_matrix,
-    check_strict_morphism,
     weight,
 )
 
 import axiom_oracle
 import tensor_oracle
+from fuzz_oracle import check_strict_morphism
 from tensor_oracle import connected_component
 
 SL2 = cartan_from_matrix([[2]])

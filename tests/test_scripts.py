@@ -8,6 +8,8 @@ from pathlib import Path
 
 import pytest
 
+import crystalpoly
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -26,6 +28,12 @@ def test_script_runs(script, line):
     )
     assert proc.returncode == 0, proc.stderr
     assert line in proc.stdout.splitlines()
+
+
+def test_every_export_resolves_once():
+    exported = crystalpoly.__all__
+    assert len(exported) == len(set(exported))
+    assert [name for name in exported if not hasattr(crystalpoly, name)] == []
 
 
 def test_paired_bench_dry_run_alternates_the_first_tree(tmp_path):
@@ -251,7 +259,7 @@ def test_traffic_lists_what_the_verify_grid_never_enters():
     listed = [line.split() for line in proc.stdout.splitlines()]
     assert all(re.fullmatch(r"crystalpoly(\.\w+)?:\d+", where) for where, _ in listed)
     names = {name for _, name in listed}
-    assert "truncation_check" in names
+    assert "an_system" in names
     assert "lattice_coords" not in names
 
 
