@@ -10,8 +10,10 @@ seed, and every `__pycache__` directory in both trees is deleted before
 every run.  The script prints, for each end-to-end metric, every pair's
 change from A to B and the median of each tree.  It only reads what
 `perfbench/run.py` prints; `--dry-run` prints the schedule and runs nothing.
-Each run's line shows whether every answer matched the recorded ones; the
-script exits 1, after printing and writing everything, if any run's did not.
+Each run's line shows whether every answer matched the recorded ones, and
+the run's peak RSS in MB and per attempted case in KB, so a peak that grows
+with the case count shows; the script exits 1, after printing and writing
+everything, if any run's answers did not match.
 
 `--json PATH` also writes the workload's figures into PATH under the
 workload's name, keeping the other workloads already there: each run's
@@ -148,8 +150,11 @@ def main(argv=None):
             results[side].append(result)
             runs.append({"seed": seed, "tree": side, "attempted": result["attempted"],
                          "failed": result["failed"], "correct": result["correct"]})
+            rss = result["metrics"]["peak_rss_mb"]["value"]
             print(f"seed {seed} {side}: attempted {result['attempted']} "
-                  f"failed {result['failed']} correct {result['correct']}", flush=True)
+                  f"failed {result['failed']} correct {result['correct']} "
+                  f"peak_rss_mb {rss:.1f} ({1024 * rss / result['attempted']:.2f} KB"
+                  f" per attempted case)", flush=True)
 
     print(f"\n{args.workload}: A = {trees['A']}, B = {trees['B']}")
     spec = trees["A"] / "BENCHMARK.json"  # a tree without one gets no verdicts

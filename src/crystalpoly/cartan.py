@@ -53,6 +53,28 @@ class CartanData:
     def indices(self) -> range:
         return range(1, self.rank + 1)
 
+    def is_reduced(self, word) -> bool:
+        """Whether s_{i_1} .. s_{i_k} is a reduced expression of its Weyl group element.
+
+        It is exactly when s_{i_1} .. s_{i_{k-1}}(alpha_{i_k}) is a positive
+        root for every k.  The product w so far is kept as its columns
+        w(alpha_j) in simple-root coordinates; a root has all coordinates of
+        one sign, so its first nonzero one tells.  Appending s_i changes
+        each column to w(alpha_j) - <h_i, alpha_j> w(alpha_i).
+        """
+        n = self.rank
+        columns = [[int(r == j) for r in range(n)] for j in range(n)]
+        for i in word:
+            if not 1 <= i <= n:
+                raise CartanError(f"word entries must lie in 1..{n}")
+            image = columns[i - 1]
+            if next(c for c in image if c) < 0:
+                return False
+            for j, a in enumerate(self.matrix[i - 1]):
+                if a:
+                    columns[j] = [c - a * v for c, v in zip(columns[j], image)]
+        return True
+
     def to_json_dict(self) -> dict:
         out = {"rank": self.rank, "matrix": [list(r) for r in self.matrix]}
         if self.labels is not None:

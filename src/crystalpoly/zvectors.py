@@ -11,6 +11,7 @@ inequality systems are checked against.
 
 from __future__ import annotations
 
+import re
 from bisect import bisect_left
 from itertools import chain, count, repeat
 from operator import add, itemgetter, sub
@@ -22,6 +23,7 @@ from .crystals import NEG_INF, CrystalGraph
 Coords = tuple[tuple[int, int], ...]  # sorted (position, value), values nonzero; vectors from 1
 
 MAX_NODES = 200_000  # BFS nodes before `bfs` gives up: a closure can grow without end
+_DECIMAL = re.compile(r"-?[0-9]+")  # a JSON coordinate key; below 1 is refused as 1-based
 
 
 def _bumped(coords: Coords, k: int, delta: int) -> Coords:
@@ -93,7 +95,15 @@ class ZVector(tuple):
         coords = obj["coords"]
         if not isinstance(coords, dict):
             raise TypeError("coords must map positions to values")
-        return cls.from_dict({int(k): exact_int(v) for k, v in coords.items()}, lam)
+        d = {}
+        for k, v in coords.items():
+            if type(k) is not str or not _DECIMAL.fullmatch(k):
+                raise ValueError(f"a coordinate key must be an ASCII decimal position, got {k!r}")
+            pos = int(k)
+            if pos in d:  # "1" and "01"
+                raise ValueError(f"position {pos} is given twice")
+            d[pos] = exact_int(v)
+        return cls.from_dict(d, lam)
 
     @classmethod
     def from_dict(cls, d: dict[int, int], lam: Weight | None = None) -> "ZVector":
@@ -264,6 +274,43 @@ class SequenceCrystal:
     def phi(self, x: ZVector, i: int) -> int:
         best, _, _, sigma_0 = self._scan(x, i)
         return self._gate(best, sigma_0)[0] - sigma_0
+
+    def closure(self, depth: int) -> dict[Coords, int]:
+        """The coords of every lowering descendant of the zero vector, to the
+        given depth, each mapped to its place in BFS order.
+
+        The lowering loop of `bfs`, with the same gate, step, order and
+        MAX_NODES ValueError, keeping no scan, edge or vector: its keys are
+        `[n.coords for n in bfs(depth).nodes]`.
+        """
+        if depth < 0:
+            raise ValueError("depth must be >= 0")
+        scan = self._scan_coords
+        gated = self.lam is not None
+        indices = self.cartan.indices
+        cap = MAX_NODES
+        keys: list[Coords] = [()]
+        index = {(): 0}
+        # a node's depth is its coordinate total; the queue holds the layers
+        # in order, so layer d ends where layer d + 1 starts
+        layer_end, child_depth = 1, 1
+        for src, coords in enumerate(keys):  # the loop reaches the keys it appends
+            if src == layer_end:
+                layer_end, child_depth = len(keys), child_depth + 1
+            if child_depth > depth:
+                break
+            for i in indices:
+                best, lo, _, sigma_0 = scan(coords, i)
+                if gated and best <= sigma_0:
+                    continue
+                child = _bumped(coords, lo, +1)
+                if child not in index:
+                    if len(keys) == cap:
+                        raise ValueError(
+                            f"the BFS passed the cap of {cap} nodes at depth {child_depth}")
+                    index[child] = len(keys)
+                    keys.append(child)
+        return index
 
     def bfs(self, depth: int) -> CrystalGraph:
         """All lowering descendants of the zero vector, to the given depth.

@@ -8,6 +8,7 @@ function, the number of elements of B(infinity) of weight -beta.
 A root or a weight is a tuple of coordinates: a root in simple roots, a
 weight in pairings <h_i, lambda>, as `Weight` stores it.
 
+`weyl_length` counts the positive roots a word's product makes negative.
 `truncation_check` states the support facts of a sequence that opens
 with a reduced longest word: its free-mode BFS never leaves the word's
 positions, nor touches a position whose index repeats the previous one.
@@ -56,6 +57,23 @@ def positive_roots(cartan) -> list[tuple[int, ...]]:
         roots += sorted(grown)
         layer = grown
     return roots
+
+
+def weyl_length(cartan, word) -> int:
+    """The length of s_{i_1} .. s_{i_k}: the number of positive roots it makes negative.
+
+    Each positive root is carried through the reflections from the right,
+    s_i(beta) = beta - <h_i, beta> alpha_i; the word is reduced exactly
+    when this count is its length.
+    """
+    n, a = cartan.rank, cartan.matrix
+    negated = 0
+    for beta in positive_roots(cartan):
+        image = list(beta)
+        for i in reversed(word):
+            image[i - 1] -= sum(a[i - 1][j] * image[j] for j in range(n))
+        negated += min(image) < 0
+    return negated
 
 
 def symmetrizer(cartan) -> tuple[int, ...]:

@@ -1,13 +1,17 @@
 import copy
 import pickle
+from itertools import product
 
 import pytest
 from hypothesis import given, strategies as st
 
-from crystalpoly import CartanData, CartanError, IndexSequence, Weight, cartan_from_matrix, weight
+from crystalpoly import (
+    CartanData, CartanError, IndexSequence, Weight, cartan_from_matrix, get_builtin, weight,
+)
 from crystalpoly.cartan import an_cartan, exact_int, rank2_cartan
 
 import sequence_oracle
+from root_oracle import truncation_check, weyl_length
 
 
 A3_WORD = IndexSequence((1, 2, 3, 2, 1, 2), 3)  # ..212321 read right to left
@@ -191,3 +195,40 @@ def test_exact_int_refuses_what_int_would_change(value):
 
 def test_exact_int_keeps_integral_values():
     assert [exact_int(v) for v in (3, -2, 4.0, 0.0)] == [3, -2, 4, 0]
+
+
+# (builtin, longest length N, number of reduced words of w0)
+REDUCED_WORD_COUNTS = [("a1", 1, 1), ("a2", 3, 2), ("a3", 6, 16), ("b2", 4, 2), ("c2", 4, 2),
+                       ("g2", 6, 2)]
+
+
+@pytest.mark.parametrize("name, longest, count", REDUCED_WORD_COUNTS)
+def test_is_reduced_matches_the_root_oracle(name, longest, count):
+    """Every word up to one letter past N: reduced exactly when its product
+    negates as many positive roots as it has letters; none past N is."""
+    cartan = get_builtin(name).cartan
+    reduced = {}
+    for k in range(longest + 2):
+        for word in product(cartan.indices, repeat=k):
+            got = cartan.is_reduced(word)
+            assert got == (weyl_length(cartan, word) == k), word
+            if got:
+                reduced.setdefault(k, []).append(word)
+    assert len(reduced[longest]) == count and longest + 1 not in reduced
+    for word in reduced[longest]:  # the support fact verify's cut rests on
+        assert truncation_check(cartan, word, 5).ok, word
+
+
+def test_is_reduced_outside_finite_type():
+    """Affine A1 has no longest element: a word is reduced exactly when no
+    letter repeats the one before it."""
+    cartan = get_builtin("a1tilde").cartan
+    for k in range(9):
+        for word in product((1, 2), repeat=k):
+            assert cartan.is_reduced(word) == all(a != b for a, b in zip(word, word[1:]))
+
+
+@pytest.mark.parametrize("word", [(1, 3), (0,), (-1, 1)])
+def test_is_reduced_refuses_a_letter_outside_the_datum(word):
+    with pytest.raises(CartanError, match=r"^word entries must lie in 1\.\.2$"):
+        get_builtin("a2").cartan.is_reduced(word)

@@ -5,14 +5,16 @@ import re
 import subprocess
 import sys
 import time
+from itertools import product
 from pathlib import Path
 
 import pytest
 
-from crystalpoly import get_builtin, weight, zvectors
+from crystalpoly import crystals, get_builtin, weight, zvectors
 from crystalpoly.cli import console, main
 from crystalpoly.forms import MAX_FORMS, DescentSystem
 from crystalpoly.zvectors import SequenceCrystal
+from root_oracle import weyl_length
 
 
 def run(capsys, *argv):
@@ -278,19 +280,50 @@ def test_verify_window_raise_is_minimal_and_default_only(capsys):
     code, out, _ = run(capsys, "verify", "--builtin", "a5", "--lambda", "1,0,0,0,1",
                        "--depth", "10", "--support-bound", "15")
     assert code == 4
-    assert out.startswith("BFS leaves the window: ") and out.strip().endswith(" beyond 20")
+    assert out == "BFS leaves the window: x5=1,x9=1,x13=1,x17=1,x21=1 beyond 20\n"
 
 
 # reduced words of the a3 longest element whose default window (10) leaves
 # x9 and x10 unbounded: the lattice has points past the word's length 6 that
-# the BFS never reaches, so `verify` wrongly reports MISMATCH (ROADMAP item 1)
-@pytest.mark.xfail(strict=True, reason="lattice-only points at x9 past the reduced word")
+# the BFS never reaches, and `verify` cuts them
 @pytest.mark.parametrize("mode", [["--binf"], ["--lambda", "1,0,0"]], ids=["free", "lam100"])
 @pytest.mark.parametrize("word", ["1 2 1 3 2 1", "2 1 2 3 2 1", "2 3 2 1 2 3", "3 2 3 1 2 3"])
 def test_verify_reduced_longest_words_are_equal(capsys, word, mode):
     code, out, _ = run(capsys, "verify", "--builtin", "a3", "--iota", word, *mode,
                        "--depth", "6")
     assert code == 0 and out.startswith("equal: ")
+
+
+def test_verify_cuts_only_a_reduced_period(capsys):
+    # length 6 and lattice-only points past x6, as above, but "1 1" is not reduced
+    code, out, _ = run(capsys, "verify", "--builtin", "a3", "--iota", "1 2 1 3 1 1",
+                       "--lambda", "1,0,0", "--depth", "3")
+    assert (code, out) == (4, "MISMATCH: bfs-only=[] lattice-only=['x1=1,x2=1,x9=1', "
+                              "'x1=1,x9=1', 'x1=1,x9=2', 'x9=1', 'x9=2', 'x9=3']\n")
+
+
+A3_LONGEST_WORDS = [" ".join(map(str, w)) for w in product((1, 2, 3), repeat=6)
+                    if weyl_length(get_builtin("a3").cartan, w) == 6]
+
+
+@pytest.mark.parametrize("lam", [None, *product((0, 1), repeat=3)],
+                         ids=lambda lam: "free" if lam is None else "lam" + "".join(map(str, lam)))
+def test_verify_on_every_reduced_a3_longest_word_agrees_with_the_report(capsys, lam):
+    """At depth 6 the sets are equal exactly when the generated system's
+    positivity (free) or ampleness report is clean; a MISMATCH then names
+    only BFS points, as the cut leaves no lattice point past x6."""
+    mode = ["--binf"] if lam is None else ["--lambda", ",".join(map(str, lam))]
+    assert len(A3_LONGEST_WORDS) == 16
+    equal = 0
+    for word in A3_LONGEST_WORDS:
+        code, out, _ = run(capsys, "verify", "--builtin", "a3", "--iota", word, *mode,
+                           "--depth", "6")
+        _, report, _ = run(capsys, "inequalities", "--builtin", "a3", "--iota", word, *mode)
+        clean = {"positivity: ok", "report: ample"} & set(report.splitlines())
+        assert (code == 0) == bool(clean), (word, out, report.splitlines()[:3])
+        assert code == 0 or out.endswith(" lattice-only=[]\n"), (word, out)
+        equal += code == 0
+    assert equal == (14 if lam is None else 12 if lam[1] else 16)
 
 
 def test_braid_fuzz(capsys):
@@ -568,9 +601,29 @@ def test_verify_rejects_method_before_bfs(capsys, monkeypatch, method):
         raise AssertionError("the BFS ran before the method was checked")
 
     monkeypatch.setattr(SequenceCrystal, "bfs", no_bfs)
+    monkeypatch.setattr(SequenceCrystal, "closure", no_bfs)
     code, _, err = run(capsys, "verify", "--builtin", "a2", "--binf", "--depth", "12",
                        "--method", method)
     assert code == 2 and err.strip() == f"config error: the {method} method needs --lambda"
+
+
+@pytest.mark.parametrize("argv, code, line", [
+    (("a2", "--lambda", "1,0", "--depth", "3"), 0, "equal: 3 elements (depth 3)"),
+    (("a3", "--iota", "1 2 3 2 1 2", "--binf", "--depth", "6"), 4, "MISMATCH: bfs-only="),
+    (("a3", "--iota", "2 1 2 3 2 1", "--binf", "--depth", "6"), 0, "equal: 217 elements"),
+    (("a5", "--lambda", "1,0,0,0,1", "--depth", "10", "--support-bound", "15"), 4,
+     "BFS leaves the window: "),
+    (("a3", "--lambda", "1,1,1", "--depth", "4", "--max-rounds", "1"), 3,
+     "generation did not saturate"),
+], ids=["equal", "mismatch", "cut", "window-leave", "unsaturated"])
+def test_verify_builds_no_graph(capsys, monkeypatch, argv, code, line):
+    def refuse(*args, **kwargs):
+        raise AssertionError("verify built a graph")
+
+    monkeypatch.setattr(SequenceCrystal, "bfs", refuse)
+    monkeypatch.setattr(crystals.CrystalGraph, "__init__", refuse)
+    got, out, err = run(capsys, "verify", "--builtin", *argv)
+    assert (got, err) == (code, "") and out.startswith(line)
 
 
 @pytest.mark.parametrize("builtin, method, iota, count", [
@@ -644,8 +697,14 @@ def test_braid_map_set_malformed(tmp_path, capsys, content):
         ({"coords": {"1": 1}, "mode": {"lambda": [1]}}, "weight rank must match the Cartan datum"),
         ([["r", [1, 0]], [1, 1], [2, 0], [1, -2]],
          'a unit letter ["r", ...] must be the last entry'),
+        ({"coords": {"1_0": 2}}, "a coordinate key must be an ASCII decimal position, got '1_0'"),
+        ({"coords": {" 3": 1}}, "a coordinate key must be an ASCII decimal position, got ' 3'"),
+        ({"coords": {"\u0663": 1}},
+         "a coordinate key must be an ASCII decimal position, got '\u0663'"),
+        ({"coords": {"1": 1, "01": 2}}, "position 1 is given twice"),
     ],
-    ids=["fractional-coordinate", "fractional-letter", "short-weight", "unit-first"],
+    ids=["fractional-coordinate", "fractional-letter", "short-weight", "unit-first",
+         "underscored-key", "spaced-key", "arabic-indic-key", "repeated-position"],
 )
 def test_braid_map_set_refuses_a_value(tmp_path, capsys, element, message):
     src = tmp_path / "im.json"

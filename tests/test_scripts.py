@@ -70,7 +70,8 @@ def test_paired_bench_json_keeps_pairs_medians_spread_and_runs(tmp_path, monkeyp
         side = "A" if tree == trees["A"].resolve() else "B"
         p50 = 10.0 * seed if side == "A" else 9.0 * seed
         return {"correct": True, "attempted": 100 + seed, "failed": seed % 2,
-                "metrics": {"case_ms_p50": {"value": p50, "unit": "ms"}}}
+                "metrics": {"case_ms_p50": {"value": p50, "unit": "ms"},
+                            "peak_rss_mb": {"value": 40.4 + seed, "unit": "MB"}}}
 
     monkeypatch.setattr(bench, "run_once", run_once)
     out = tmp_path / "BENCH.json"
@@ -79,7 +80,8 @@ def test_paired_bench_json_keeps_pairs_medians_spread_and_runs(tmp_path, monkeyp
             "--seconds", "5", "--json", str(out)]
     assert bench.main(argv) == 0
     printed = capsys.readouterr().out
-    assert "seed 1 A: attempted 101 failed 1 correct True" in printed.splitlines()
+    assert ("seed 1 A: attempted 101 failed 1 correct True peak_rss_mb 41.4"
+            " (419.74 KB per attempted case)") in printed.splitlines()
     assert "case_ms_p50    median 25 -> 22.5 (-10.0%)" in printed
     data = json.loads(out.read_text())
     assert data["closure"] == {"kept": True}
@@ -110,7 +112,8 @@ def test_paired_bench_json_keeps_both_trees_traced_counts(tmp_path, monkeypatch,
         calls.append((side, seed, trace))
         if not trace:
             return {"correct": True, "attempted": 10, "failed": 0,
-                    "metrics": {"cases_per_s": {"value": 100.0 + seed, "unit": "1/s"}}}
+                    "metrics": {"cases_per_s": {"value": 100.0 + seed, "unit": "1/s"},
+                                "peak_rss_mb": {"value": 40.0, "unit": "MB"}}}
         phi_calls = 216000 if side == "A" else 0
         metrics = {"braid.phi.calls": {"value": phi_calls, "unit": "count"},
                    "braid.map.calls": {"value": 1000, "unit": "count"},
@@ -151,7 +154,8 @@ def test_paired_bench_exits_1_after_its_report_when_a_run_is_wrong(tmp_path, mon
     def run_once(tree, workload, seed, seconds, trace=0):
         wrong = tree == trees["B"].resolve() and seed == 2
         return {"correct": not wrong, "attempted": 10, "failed": int(wrong),
-                "metrics": {"cases_per_s": {"value": 100.0 + seed, "unit": "1/s"}}}
+                "metrics": {"cases_per_s": {"value": 100.0 + seed, "unit": "1/s"},
+                            "peak_rss_mb": {"value": 40.0, "unit": "MB"}}}
 
     monkeypatch.setattr(bench, "run_once", run_once)
     out = tmp_path / "BENCH.json"
@@ -159,7 +163,8 @@ def test_paired_bench_exits_1_after_its_report_when_a_run_is_wrong(tmp_path, mon
             "--seconds", "5", "--json", str(out)]
     assert bench.main(argv) == 1
     lines = capsys.readouterr().out.splitlines()
-    assert "seed 2 B: attempted 10 failed 1 correct False" in lines
+    assert ("seed 2 B: attempted 10 failed 1 correct False peak_rss_mb 40.0"
+            " (4096.00 KB per attempted case)") in lines
     assert any(line.startswith("cases_per_s    median 102 -> 102") for line in lines)
     assert lines[-1] == "wrong answers in 1 runs: seed 2 B"
     runs = json.loads(out.read_text())["verify"]["runs"]

@@ -169,6 +169,16 @@ def test_bfs_matches_the_generic_closure(crystal):
             closure(-1)
 
 
+@pytest.mark.parametrize("crystal", _parity_crystals())
+def test_closure_keys_are_the_bfs_coords_in_order(crystal):
+    for depth in range(7):
+        closure = crystal.closure(depth)
+        assert list(closure) == [n.coords for n in crystal.bfs(depth).nodes]
+        assert list(closure.values()) == list(range(len(closure)))
+    with pytest.raises(ValueError, match=r"^depth must be >= 0$"):
+        crystal.closure(-1)
+
+
 def test_bfs_nodes_stay_nonnegative_with_bounded_support():
     crystal = SequenceCrystal(A2.cartan, A2.iota)
     for node in crystal.bfs(6).nodes:
@@ -284,6 +294,18 @@ def test_json_roundtrip():
 def test_json_values_must_be_integers(obj):
     with pytest.raises(ValueError, match="expected an integer"):
         ZVector.from_json_obj(obj)
+
+
+@pytest.mark.parametrize("key", ["1_0", " 3", "3 ", "\u0663", "\u00b2", "+2", "1.0", "0x1", "", 1])
+def test_json_keys_must_be_ascii_decimal_positions(key):
+    with pytest.raises(ValueError, match=r"^a coordinate key must be an ASCII decimal position"):
+        ZVector.from_json_obj({"coords": {key: 1}})
+
+
+@pytest.mark.parametrize("coords, pos", [({"1": 1, "01": 2}, 1), ({"3": 0, "003": 1}, 3)])
+def test_json_refuses_a_repeated_position(coords, pos):
+    with pytest.raises(ValueError, match=rf"^position {pos} is given twice$"):
+        ZVector.from_json_obj({"coords": coords})
 
 
 @pytest.mark.parametrize("coords", [[1, 2], None, 3])
