@@ -9,6 +9,7 @@ throughout the public interface.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 
 
@@ -103,6 +104,19 @@ def exact_int(value) -> int:
     except OverflowError:
         pass
     raise ValueError(f"expected an integer, got {value!r}")
+
+
+_DECIMAL = re.compile(r"-?[0-9]+")
+
+
+def decimal_int(text, what: str = "expected an ASCII decimal integer") -> int:
+    """`text` as an int when it is ASCII digits after an optional minus, the one
+    form of integer text read from outside the program: CLI tokens, JSON keys
+    and decimal-string values.  Anything else ("+1", "1_0", " 3", "\u0663",
+    "1.0", or a value that is not a str) raises ValueError "<what>, got <text>"."""
+    if type(text) is str and _DECIMAL.fullmatch(text):
+        return int(text)
+    raise ValueError(f"{what}, got {text!r}")
 
 
 def cartan_from_matrix(matrix, labels=None) -> CartanData:
@@ -257,4 +271,4 @@ class IndexSequence:
         tokens = text.replace(",", " ").split()
         if not tokens:
             raise CartanError("empty index sequence")
-        return cls(tuple(int(t) for t in tokens), rank)
+        return cls(tuple(map(decimal_int, tokens)), rank)

@@ -15,7 +15,9 @@ from contextlib import contextmanager
 from functools import cache
 
 from .braid import BraidContext, apply_at, run_property_suite, transport
-from .cartan import CartanData, IndexSequence, Weight, an_cartan, load_cartan, rank2_cartan
+from .cartan import (
+    CartanData, IndexSequence, Weight, an_cartan, decimal_int, load_cartan, rank2_cartan,
+)
 from .closed_forms import an_system, get_builtin, rank2_system
 from .crystals import TensorWord
 from .forms import MAX_FORMS, DescentSystem
@@ -31,7 +33,7 @@ class ConfigError(Exception):
 def _parse_weight(text: str, rank: int) -> Weight:
     tokens = text.replace(",", " ").split()
     try:
-        coeffs = tuple(int(t) for t in tokens)
+        coeffs = tuple(map(decimal_int, tokens))
     except ValueError as exc:
         raise ConfigError(f"bad weight {text!r}") from exc
     if len(coeffs) != rank:
@@ -163,19 +165,18 @@ def _check_system_options(args, cartan, seq, lam):
         raise ConfigError(f'the {args.method} method is for --iota "{iota}" only')
 
 
-def _build_system(args, cartan, seq, lam, default_bound, descent=None):
-    """The `--method` system: descent generation, the rank-2 or the A_n closed form.
+def _build_system(args, descent: DescentSystem, default_bound):
+    """The `--method` system on `descent`'s datum, sequence and weight: descent
+    generation, the rank-2 or the A_n closed form.
 
-    The options have passed `_check_system_options`.  Generation runs on
-    `descent`, a DescentSystem of the same datum, when one is given.
+    The options have passed `_check_system_options`.
     """
+    cartan, lam = descent.cartan, descent.lam
     if args.method == "generate":
         bound = default_bound if args.support_bound is None else args.support_bound
         if bound is None:
             raise ConfigError("--support-bound is required here")
         rounds = {} if args.max_rounds is None else {"max_rounds": args.max_rounds}
-        if descent is None:
-            descent = DescentSystem(cartan, seq, lam)
         return descent.generate(bound, **rounds)
     if args.method == "rank2":
         return rank2_system(-cartan.a(1, 2), -cartan.a(2, 1), lam, window=args.window)
@@ -185,7 +186,8 @@ def _build_system(args, cartan, seq, lam, default_bound, descent=None):
 def cmd_inequalities(args) -> int:
     cartan, seq, lam, builtin = _resolve_inputs(args)
     _check_system_options(args, cartan, seq, lam)
-    system = _build_system(args, cartan, seq, lam, builtin.longest_len if builtin else None)
+    descent = DescentSystem(cartan, seq, lam)
+    system = _build_system(args, descent, builtin.longest_len if builtin else None)
     report = []
     if not system.saturated and len(system.forms) > MAX_FORMS:
         report.append(
@@ -249,7 +251,7 @@ def cmd_verify(args) -> int:
         top = max(c[-1][0] if c else 0 for c in closure)
         while descent.window_for(bound) < top:
             bound += 1
-    system = _build_system(args, cartan, seq, lam, bound, descent)
+    system = _build_system(args, descent, bound)
     if not system.saturated:  # only generation stops early; closed forms are complete
         print("generation did not saturate; verification would be unsound")
         return 3
@@ -333,7 +335,7 @@ def cmd_braid(args) -> int:
     ctx = BraidContext.from_cartan(cartan, args.i, args.j)
     if args.iota is not None:
         seq = IndexSequence.from_string(args.iota, cartan.rank)
-    window = tuple(int(t) for t in args.window.replace(",", " ").split())
+    window = tuple(map(decimal_int, args.window.replace(",", " ").split()))
     if not window:
         raise ConfigError("--window is required for --map-set")
     try:

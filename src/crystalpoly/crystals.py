@@ -205,8 +205,8 @@ class CrystalGraph:
     """Nodes plus i-labelled lowering edges reachable from a root."""
 
     root = 0  # the index of the root node: a graph lists its root first
-    # (crystal, coords -> node index, flat scans, f-targets), set only by the
-    # `SequenceCrystal.bfs` that built the graph, for its axiom checker
+    # (crystal, flat scans, f-targets), set only by the `SequenceCrystal.bfs`
+    # that built the graph, for its axiom checker
     built_by = None
 
     def __init__(self, nodes, edges, depths):

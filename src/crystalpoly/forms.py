@@ -27,8 +27,8 @@ import sys
 from dataclasses import dataclass, field
 from operator import itemgetter
 
-from .cartan import CartanData, IndexSequence, Weight, exact_int
-from .zvectors import Coords, SequenceCrystal, ZVector
+from .cartan import IndexSequence, Weight, decimal_int, exact_int
+from .zvectors import Coords, SequenceCrystal, ZVector, json_positions
 
 MAX_FORMS = 5000  # admitted forms before generation gives up unsaturated
 
@@ -92,7 +92,7 @@ class LinearForm(tuple):
         for pos, val in (coeffs or {}).items():
             v = val if type(val) is int else exact_int(val)
             if v:
-                items.append((int(pos), v))
+                items.append((pos if type(pos) is int else exact_int(pos), v))
         return cls(const if type(const) is int else exact_int(const), tuple(sorted(items)))
 
     @classmethod
@@ -159,12 +159,14 @@ class LinearForm(tuple):
     @classmethod
     def from_json_obj(cls, obj) -> "LinearForm":
         """The form `to_json_obj` wrote, its values as decimal integer strings
-        or numbers; a value that is not an integer raises ValueError."""
+        or numbers, keyed as `json_positions` reads keys; a value that is not
+        an integer raises ValueError."""
 
         def num(v):
-            return int(v) if type(v) is str else v
+            return decimal_int(v) if type(v) is str else v
 
-        return cls.make(num(obj["const"]), {int(k): num(v) for k, v in obj["coeffs"].items()})
+        coeffs = json_positions(obj["coeffs"])
+        return cls.make(num(obj["const"]), {pos: num(v) for pos, v in coeffs.items()})
 
 
 class GenerationError(RuntimeError):
@@ -173,10 +175,6 @@ class GenerationError(RuntimeError):
 
 class DescentSystem(SequenceCrystal):
     """Bracket forms and the sign-split rewriting operator at each position."""
-
-    def __init__(self, cartan: CartanData, seq: IndexSequence, lam: Weight | None = None):
-        super().__init__(cartan, seq, lam)
-        self._brackets: dict[tuple[int, bool], LinearForm] = {}  # (k, upward) -> bracket
 
     def _middle(self, i: int, lo: int, hi: int) -> Coords:
         """(j, <h_i, alpha_{i_j}>) for lo <= j < hi, read from the step table;
@@ -187,12 +185,8 @@ class DescentSystem(SequenceCrystal):
 
     def beta_plus(self, k: int) -> LinearForm:
         """x_k + pairing-weighted middle + x at the next occurrence of i_k."""
-        kept = self._brackets.get((k, True))
-        if kept is None:
-            kp = self.seq.next_occurrence(k)
-            kept = LinearForm(0, ((k, 1), *self._middle(self.seq.index_at(k), k + 1, kp), (kp, 1)))
-            self._brackets[k, True] = kept
-        return kept
+        kp = self.seq.next_occurrence(k)
+        return LinearForm(0, ((k, 1), *self._middle(self.seq.index_at(k), k + 1, kp), (kp, 1)))
 
     def beta_minus(self, k: int) -> LinearForm:
         """Downward companion of beta_plus.
@@ -201,24 +195,21 @@ class DescentSystem(SequenceCrystal):
         at a first occurrence it is the zero form in free mode and the
         weight-bearing boundary form in highest-weight mode.
         """
-        kept = self._brackets.get((k, False))
-        if kept is None:
-            km = self.seq.prev_occurrence(k)
-            if km > 0:
-                kept = self.beta_plus(km)
-            elif self.lam is None:
-                kept = LinearForm.zero()
-            else:
-                ik = self.seq.index_at(k)
-                kept = LinearForm(-self.lam.pairing(ik), (*self._middle(ik, 1, k), (k, 1)))
-            self._brackets[k, False] = kept
-        return kept
+        km = self.seq.prev_occurrence(k)
+        if km > 0:
+            return self.beta_plus(km)
+        return LinearForm.zero() if self.lam is None else self._boundary(self.seq.index_at(k))
+
+    def _boundary(self, i: int) -> LinearForm:
+        """-lambda_i + pairing-weighted middle + x at the first occurrence of index i."""
+        k = self.seq.first_occurrence(i)
+        return LinearForm(-self.lam.pairing(i), (*self._middle(i, 1, k), (k, 1)))
 
     def weight_seed(self, i: int) -> LinearForm:
         """Seed form bounding the first coordinate of index i by the weight."""
         if self.lam is None:
             raise ValueError("weight seeds exist only in highest-weight mode")
-        return self.beta_minus(self.seq.first_occurrence(i)).scale(-1)
+        return self._boundary(i).scale(-1)
 
     def s(self, form: LinearForm, k: int) -> LinearForm:
         """Rewrite `form` against the bracket at k, split on the sign of phi_k.
@@ -264,9 +255,11 @@ class DescentSystem(SequenceCrystal):
             raise ValueError(f"support bound must be <= {MAX_FORMS}")
         window = self.window_for(support_bound)
         positions = range(1, support_bound + 1)
-        zero = LinearForm.zero()
+        prev, index_at = self.seq.prev_occurrence, self.seq.index_at
         up = [None] + [self.beta_plus(k) for k in positions]  # by position
-        down = [None] + [None if b == zero else b for b in map(self.beta_minus, positions)]
+        # beta_minus is up at the previous occurrence; at a first one, up[0]'s None in free mode
+        down = [None] + [up[km] if (km := prev(k)) or self.lam is None
+                         else self._boundary(index_at(k)) for k in positions]
         trace: dict[LinearForm, tuple] = {}
         frontier: list[LinearForm] = []
 
@@ -337,11 +330,10 @@ class FormSet:
     trace: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
-        self._members = frozenset(self.forms)
-        self.forms = tuple(sorted(self._members, key=itemgetter(1, 0)))  # by coeffs, then const
+        self.forms = tuple(sorted(set(self.forms), key=itemgetter(1, 0)))  # by coeffs, then const
 
     def __contains__(self, form: LinearForm) -> bool:
-        return form in self._members
+        return form in self.forms
 
     def member(self, x) -> bool:
         """True when every form is nonnegative at x (support within window)."""

@@ -11,19 +11,17 @@ inequality systems are checked against.
 
 from __future__ import annotations
 
-import re
 from bisect import bisect_left
 from itertools import chain, count, repeat
 from operator import add, itemgetter, sub
 from typing import NamedTuple
 
-from .cartan import CartanData, IndexSequence, Weight, exact_int
+from .cartan import CartanData, IndexSequence, Weight, decimal_int, exact_int
 from .crystals import NEG_INF, CrystalGraph
 
 Coords = tuple[tuple[int, int], ...]  # sorted (position, value), values nonzero; vectors from 1
 
 MAX_NODES = 200_000  # BFS nodes before `bfs` gives up: a closure can grow without end
-_DECIMAL = re.compile(r"-?[0-9]+")  # a JSON coordinate key; below 1 is refused as 1-based
 
 
 def _bumped(coords: Coords, k: int, delta: int) -> Coords:
@@ -95,21 +93,28 @@ class ZVector(tuple):
         coords = obj["coords"]
         if not isinstance(coords, dict):
             raise TypeError("coords must map positions to values")
-        d = {}
-        for k, v in coords.items():
-            if type(k) is not str or not _DECIMAL.fullmatch(k):
-                raise ValueError(f"a coordinate key must be an ASCII decimal position, got {k!r}")
-            pos = int(k)
-            if pos in d:  # "1" and "01"
-                raise ValueError(f"position {pos} is given twice")
-            d[pos] = exact_int(v)
-        return cls.from_dict(d, lam)
+        return cls.from_dict(json_positions(coords), lam)
 
     @classmethod
     def from_dict(cls, d: dict[int, int], lam: Weight | None = None) -> "ZVector":
-        if any(k < 1 for k in d):
+        """The vector of {position: value}, each an int or a number equal to one."""
+        items = sorted((exact_int(k), exact_int(v)) for k, v in d.items())
+        if items and items[0][0] < 1:
             raise ValueError("positions are 1-based")
-        return cls(tuple(sorted((k, v) for k, v in d.items() if v)), lam)
+        return cls(tuple(kv for kv in items if kv[1]), lam)
+
+
+def json_positions(obj: dict) -> dict:
+    """{position: value} of a JSON object keyed by positions, as `to_json_obj`
+    writes them; a key that is not ASCII decimal (`decimal_int`), or that
+    names a position another key named ("1" and "01"), raises ValueError."""
+    out = {}
+    for k, v in obj.items():
+        pos = decimal_int(k, "a coordinate key must be an ASCII decimal position")
+        if pos in out:
+            raise ValueError(f"position {pos} is given twice")
+        out[pos] = v
+    return out
 
 
 class Labels(dict):
@@ -318,11 +323,11 @@ class SequenceCrystal:
         The closure runs on coords tuples, lowered by `_scan_coords` and
         `_bumped` as `f` does; a node's index is its place in the FIFO queue,
         and one ZVector per node is made for the graph.  For the axiom
-        checker the graph's `built_by` holds this crystal, the coords index,
-        and each expanded node's scans (flat, as kept tuples would make the
-        garbage collector walk them) and f-targets in (node, index) order;
-        the last layer is never scanned.  The crystal keeps none of it.  A
-        closure that passes MAX_NODES nodes raises ValueError.
+        checker the graph's `built_by` holds this crystal and each expanded
+        node's scans (flat, as kept tuples would make the garbage collector
+        walk them) and f-targets in (node, index) order; the last layer is
+        never scanned.  The crystal keeps none of it.  A closure that passes
+        MAX_NODES nodes raises ValueError.
         """
         if depth < 0:
             raise ValueError("depth must be >= 0")
@@ -358,7 +363,7 @@ class SequenceCrystal:
                 targets.append(dst)
                 edges.append((src, i, dst))
         graph = CrystalGraph([ZVector(c, self.lam) for c in keys], edges, depths)
-        graph.built_by = (self, index, scans, targets)
+        graph.built_by = (self, scans, targets)
         return graph
 
 
@@ -371,25 +376,25 @@ def check_crystal_axioms(crystal: SequenceCrystal, graph: CrystalGraph) -> list[
     scan for the last layer, which the BFS never expands; `_gate` reads
     eps, phi and which operators act from a scan, as the accessors do.
     e(f b) = b exactly when e acts on f b at the position f acted on, and
-    f(e b) = b likewise, so an image that is a node is checked against
+    f(e b) = b likewise, so an f image that is a node is checked against
     that node's scan.  An e image is first read off the BFS's f-edges: the
     source of the edge into (b, i) is e b when f acted on it where e acts
     on b, and then f leads back and the weight shift is the edge's own.
-    Any other e image is the `_bumped` coords, looked up in the graph's
-    coords index.  An f image with no f-edge belongs to a last-layer node:
-    f adds 1 to one coordinate, so a node's depth is its coordinate total
-    and that image is one deeper than every node, and it is not looked up.
-    An image that is not a node is scanned on the spot and weighed once
-    however often it is reached.
+    An f image with no f-edge belongs to a last-layer node: f adds 1 to one
+    coordinate, so a node's depth is its coordinate total and that image
+    is one deeper than every node.  Such an f image, and any e image not
+    read off an f-edge (a clean graph has none), is the `_bumped` coords,
+    scanned on the spot and weighed once however often it is reached; a
+    node's kept scan and weight equal fresh ones, so no image is looked up.
     A weight one i-arrow away is built only to be compared.
     """
     built_by = graph.built_by
     if built_by is None or built_by[0] is not crystal:
         raise ValueError("the graph was not built by this crystal's bfs")
-    _, index, kept_scans, f_targets = built_by
+    _, kept_scans, f_targets = built_by
     nodes = graph.nodes
     scan, gate, weight = crystal._scan_coords, crystal._gate, crystal._weight_coords
-    at, indices = index.get, crystal.cartan.indices
+    indices = crystal.cartan.indices
     rank = len(indices)
     # column i - 1 holds <h_j, alpha_i> for every j: the weight shift of an i-arrow
     columns = tuple(zip(*crystal.cartan.matrix))
@@ -405,7 +410,7 @@ def check_crystal_axioms(crystal: SequenceCrystal, graph: CrystalGraph) -> list[
     # back along an edge reads it, and an edge's target comes later in BFS
     # order, as its total is one more than its source's
     f_wrong = [False] * len(into)
-    outside = {}  # the weight of each image that is not a node
+    outside = {}  # the weight of each image, by coords
     violations = []
 
     def weigh(image):
@@ -452,14 +457,9 @@ def check_crystal_axioms(crystal: SequenceCrystal, graph: CrystalGraph) -> list[
                     wrong, astray = f_wrong[src], False
                 else:
                     up = tuple(map(add, wb, columns[i - 1]))
-                    if (ek := at(image := _bumped(coords, hi, -1))) is not None:
-                        u = 4 * (rank * ek + i - 1)
-                        wrong = weights[ek] != up
-                        astray = not gate(scans[u], scans[u + 3])[1] or scans[u + 1] != hi
-                    else:
-                        wrong = weigh(image) != up
-                        best, back, _, s0 = scan(image, i)
-                        astray = not gate(best, s0)[1] or back != hi
+                    wrong = weigh(image := _bumped(coords, hi, -1)) != up
+                    best, back, _, s0 = scan(image, i)
+                    astray = not gate(best, s0)[1] or back != hi
                 if wrong:
                     bad("wt-shift-e", b, i)
                 if astray:

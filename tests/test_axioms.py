@@ -152,8 +152,9 @@ def test_clean_graphs_match_oracle(name, depth, mode):
 def test_e_images_off_the_f_edges_fall_back_to_the_lookup():
     """The checker reads an e image off the f-edge into (b, i) when f acted
     where e acts on b.  Under e-at-lo two e images on free a3 at depth 4 are
-    other nodes, whose f does not lead back: the checker must find them in
-    the coords index and report them as the oracle does."""
+    other nodes, whose f does not lead back: the checker must bump, weigh
+    and scan them afresh, as it does a last-layer f image, and report them
+    as the oracle does."""
     crystal = planted("e-at-lo", None)
     graph = crystal.bfs(4)
     found = assert_parity(crystal, 4)
@@ -174,13 +175,13 @@ def test_checker_leaves_the_graph_unchanged(mode):
     one graph checks alike before and after another BFS on its crystal."""
     crystal = planted("e-at-lo", MODES[mode])
     graph = crystal.bfs(4)
-    _, index, scans, targets = graph.built_by
-    kept = (dict(index), list(scans), list(targets))
+    _, scans, targets = graph.built_by
+    kept = (list(scans), list(targets))
     first = check_crystal_axioms(crystal, graph)
-    assert first and (index, scans, targets) == kept
+    assert first and (scans, targets) == kept
     crystal.bfs(5)
     assert check_crystal_axioms(crystal, graph) == first
-    assert (index, scans, targets) == kept
+    assert (scans, targets) == kept
 
 
 def test_checker_refuses_a_graph_its_crystal_did_not_build():
@@ -378,12 +379,13 @@ def test_last_layer_f_images_are_never_nodes(name, depth, mode):
     """What lets the checker skip the lookup of a last-layer f image: the
     BFS records an f-target wherever f acts on a node it expands, every
     node's depth is its coordinate total, and so no f image of a last-layer
-    node is in the graph's coords index."""
+    node is a node of the graph."""
     builtin = get_builtin(name)
     lam = None if mode == "free" else weight(*[1] * builtin.cartan.rank)
     crystal = SequenceCrystal(builtin.cartan, builtin.iota, lam)
     graph = crystal.bfs(depth)
-    _, index, _, targets = graph.built_by
+    _, _, targets = graph.built_by
+    keys = {b.coords for b in graph.nodes}
     indices = crystal.cartan.indices
     assert list(graph.depths) == [_total(b.coords) for b in graph.nodes]
     expanded = [b for b, d in zip(graph.nodes, graph.depths) if d < depth]
@@ -395,7 +397,7 @@ def test_last_layer_f_images_are_never_nodes(name, depth, mode):
     last = [crystal.f(b, i) for b, d in zip(graph.nodes, graph.depths) if d == depth
             for i in indices]
     images = [fb.coords for fb in last if fb is not None]
-    assert images and not any(c in index for c in images)
+    assert images and not any(c in keys for c in images)
 
 
 @pytest.mark.parametrize("mode", sorted(MODES))

@@ -1,5 +1,6 @@
 import copy
 import pickle
+import re
 from itertools import product
 
 import pytest
@@ -93,6 +94,16 @@ def test_from_string_leftmost_is_first():
     seq = IndexSequence.from_string("1 2 3 2 1 2", 3)
     assert seq.period == (1, 2, 3, 2, 1, 2)
     assert IndexSequence.from_string("1,2", 2).period == (1, 2)
+
+
+@pytest.mark.parametrize("text, token", [
+    ("1 \u0663 2", "\u0663"), ("1_0 2", "1_0"), ("+1 2", "+1"), ("1.0 2", "1.0"),
+    ("1 \uff12", "\uff12"),
+])
+def test_from_string_reads_ascii_decimal_tokens_only(text, token):
+    message = f"expected an ASCII decimal integer, got {token!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        IndexSequence.from_string(text, 2)
 
 
 @st.composite

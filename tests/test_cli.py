@@ -588,6 +588,17 @@ def test_inequalities_an_method(capsys):
          "empty index sequence"),
         (("inequalities", "--builtin", "a2", "--binf", "--iota", ""),
          "empty index sequence"),
+        # integer text is ASCII digits after an optional minus, and nothing else
+        (("graph", "--builtin", "a2", "--lambda", "1_0,0", "--depth", "3"),
+         "bad weight '1_0,0'"),
+        (("graph", "--builtin", "a2", "--lambda", "\uff11,0", "--depth", "3"),
+         "bad weight '\uff11,0'"),
+        (("verify", "--builtin", "a2", "--lambda", "+1,0", "--depth", "3"),
+         "bad weight '+1,0'"),
+        (("verify", "--builtin", "a3", "--iota", "1 \u0663 2", "--lambda", "1,0,0",
+          "--depth", "2"), "expected an ASCII decimal integer, got '\u0663'"),
+        (("braid", "--builtin", "a2", "--window", "1,\u0662,3", "--map-set", "absent.json"),
+         "expected an ASCII decimal integer, got '\u0662'"),
     ],
 )
 def test_method_dispatch_errors(capsys, argv, message):

@@ -2,6 +2,7 @@ import copy
 import itertools
 import json
 import pickle
+import re
 from fractions import Fraction
 from unittest import mock
 
@@ -113,6 +114,31 @@ def test_weight_seed_is_negated_boundary_bracket():
         k = IOTA0.first_occurrence(i)
         assert ds.weight_seed(i) == ds.beta_minus(k).scale(-1)
     assert ds.weight_seed(1) == F(2, {1: -1})
+
+
+@pytest.mark.parametrize("lam", [None, weight(1, 0, 2)], ids=["free", "102"])
+def test_descent_keeps_no_state_across_calls(lam):
+    """Every bracket is built on the call that asks for it: no call leaves
+    anything on the system."""
+    ds = DescentSystem(A3.cartan, IOTA0, lam)
+    before = copy.deepcopy(vars(ds))
+    fs = ds.generate(6)
+    for k in range(1, 8):
+        ds.beta_plus(k)
+        ds.beta_minus(k)
+        for form in fs.forms[:5]:
+            ds.s(form, k)
+    if lam is not None:
+        for i in A3.cartan.indices:
+            ds.weight_seed(i)
+    assert vars(ds) == before
+
+
+def test_form_set_lists_each_form_once():
+    f, g = F(1, {2: 1}), F(0, {1: 1, 3: -1})
+    fs = FormSet(forms=(f, f, g), window=3)
+    assert fs.forms == (g, f)  # by coeffs, then const
+    assert f in fs and g in fs and F(0, {2: 1}) not in fs
 
 
 @settings(max_examples=80, deadline=None)
@@ -634,7 +660,9 @@ def test_s_returns_the_form_itself_when_unchanged():
     assert rewritten.coeff(1) == 0 and rewritten != F(0, {1: 1})
 
 
-@pytest.mark.parametrize("value", [Fraction(1, 2), 0.5, "1/2"], ids=["fraction", "float", "str"])
+@pytest.mark.parametrize(
+    "value", [Fraction(1, 2), 0.5, "1/2", "\u0661", "+1", "1_0"],
+    ids=["fraction", "float", "str", "arabic-indic-str", "plus-str", "underscored-str"])
 def test_non_integral_values_are_refused(value):
     form = F(1, {1: 2})
     for build in (
@@ -647,6 +675,25 @@ def test_non_integral_values_are_refused(value):
     ):
         with pytest.raises(ValueError):
             build()
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: LinearForm.from_json_obj(
+        {"const": "0", "coeffs": {"1_0": "2", "1": "1", "01": "5"}}),
+     "a coordinate key must be an ASCII decimal position, got '1_0'"),
+    (lambda: LinearForm.from_json_obj({"const": "0", "coeffs": {"1": "1", "01": "5"}}),
+     "position 1 is given twice"),
+    (lambda: LinearForm.from_json_obj({"const": "0", "coeffs": {"\u0663": "1"}}),
+     "a coordinate key must be an ASCII decimal position, got '\u0663'"),
+    (lambda: LinearForm.from_json_obj({"const": "0", "coeffs": {1: "1"}}),
+     "a coordinate key must be an ASCII decimal position, got 1"),
+    (lambda: LinearForm.make(0, {1.7: 1, True: 2}), "expected an integer, got 1.7"),
+    (lambda: LinearForm.make(0, {True: 2}), "expected an integer, got True"),
+], ids=["underscored-and-repeated", "repeated", "arabic-indic", "int-key", "float-and-bool",
+        "bool"])
+def test_form_positions_are_read_as_vector_positions(build, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()
 
 
 def test_integral_values_are_taken_as_ints():

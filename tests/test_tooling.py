@@ -1,10 +1,15 @@
-"""The suite's own pytest configuration, run on a throwaway test file."""
+"""The suite's own pytest configuration, run on a throwaway test file, and
+the package's imports, read from its source."""
 
+import ast
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+PACKAGE = PYPROJECT.parent / "src" / "crystalpoly"
 
 FAILING_AND_PASSING = '''
 from hypothesis import given, settings, strategies as st
@@ -34,3 +39,33 @@ def test_a_hypothesis_counterexample_fails_only_its_test(tmp_path):
     output = proc.stdout + proc.stderr
     assert "INTERNALERROR" not in output
     assert "1 failed, 1 passed" in output
+
+
+def unused_imports(source: str) -> list[str]:
+    """The names a module imports and never reads: a name counts as read when
+    it appears as a name in the code or as an entry of `__all__`."""
+    tree = ast.parse(source)
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [alias.asname or alias.name.partition(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [alias.asname or alias.name for alias in node.names]
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            read |= {elt.value for elt in node.value.elts}
+    return [name for name in imported if name not in read]
+
+
+def test_unused_imports_are_found():
+    assert unused_imports("import re\nfrom x import a, b as c\nprint(a)\n") == ["re", "c"]
+    assert unused_imports("import os.path\nos.path.join()\n") == []
+    assert unused_imports("from x import a\n__all__ = ['a']\n") == []
+    assert unused_imports("from __future__ import annotations\n") == []
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.name)
+def test_every_package_import_is_used(path):
+    assert unused_imports(path.read_text()) == []

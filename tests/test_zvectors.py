@@ -323,6 +323,16 @@ def test_positions_below_one_are_refused(coords):
         ZVector.from_json_obj(obj)
 
 
+@pytest.mark.parametrize("coords, bad", [
+    ({1.5: 2}, "1.5"), ({True: 1}, "True"), ({2: 0.5}, "0.5"), ({"1": 1}, "'1'"),
+])
+def test_from_dict_reads_positions_and_values_as_exact_ints(coords, bad):
+    with pytest.raises(ValueError, match=rf"^expected an integer, got {bad}$"):
+        ZVector.from_dict(coords)
+    coords = ZVector.from_dict({2.0: 3, 1: 1.0}).coords
+    assert coords == ((1, 1), (2, 3)) and all(type(v) is int for pair in coords for v in pair)
+
+
 @pytest.mark.parametrize("lam", [None, weight(1, 0)])
 def test_crystal_refuses_a_vector_below_position_one(lam):
     crystal = SequenceCrystal(A2.cartan, A2.iota, lam)
