@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass
 
 from .cartan import IndexSequence, exact_int, rank2_cartan
-from .crystals import TensorWord, bump, fold
+from .crystals import Letter, TensorWord, bump, fold
 from .zvectors import ZVector
 
 # letters of each supported (c1, c2): 2, 3, 4, 6 for degree 0, 1, 2, 3
@@ -135,14 +135,12 @@ def _map_window(ctx: BraidContext, pattern, values) -> tuple[int, ...]:
 def phi(ctx: BraidContext, word: TensorWord) -> TensorWord:
     """Map a word shaped (i, j, i, ..) to the mirrored shape (j, i, j, ..).
 
-    The inverse is `phi(ctx.swapped(), word)`.  The output letters carry
-    the indices of the input pattern the word has just matched, so the
-    derived word skips the index check.
+    The inverse is `phi(ctx.swapped(), word)`.
     """
     if word.unit is not None:
         raise ValueError("braid maps act on pure letter words")
     values = _map_window(ctx, word.indices, word.values)
-    return TensorWord._checked(word.cartan, ctx.output_pattern(), values)
+    return TensorWord(word.cartan, map(Letter, ctx.output_pattern(), values))
 
 
 def _window(ctx: BraidContext, positions, n: int | None = None) -> tuple[int, ...]:
@@ -171,8 +169,9 @@ def apply_at(ctx: BraidContext, word: TensorWord, positions) -> TensorWord:
     # letters are stored leftmost first; position p is letter n - p
     lo, hi = n - positions[-1], n - positions[0] + 1
     image = _map_window(ctx, indices[lo:hi], values[lo:hi])
-    return TensorWord._checked(word.cartan, indices[:lo] + ctx.output_pattern() + indices[hi:],
-                               values[:lo] + image + values[hi:], word.unit)
+    letters = map(Letter, indices[:lo] + ctx.output_pattern() + indices[hi:],
+                  values[:lo] + image + values[hi:])
+    return TensorWord(word.cartan, letters, word.unit)
 
 
 def transport(ctx: BraidContext, seq: IndexSequence, x: ZVector, positions) -> ZVector:

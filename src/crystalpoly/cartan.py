@@ -119,6 +119,12 @@ def decimal_int(text, what: str = "expected an ASCII decimal integer") -> int:
     raise ValueError(f"{what}, got {text!r}")
 
 
+def decimal_ints(text: str) -> tuple[int, ...]:
+    """The `decimal_int`s of `text`'s tokens, split at commas and whitespace:
+    a `--lambda`, `--iota` or `--window` list."""
+    return tuple(map(decimal_int, text.replace(",", " ").split()))
+
+
 def cartan_from_matrix(matrix, labels=None) -> CartanData:
     """Validate an integer matrix and wrap it as CartanData."""
     if labels is not None and not (
@@ -268,7 +274,7 @@ class IndexSequence:
     @classmethod
     def from_string(cls, text: str, rank: int) -> "IndexSequence":
         """Parse space or comma separated indices, leftmost token = i_1."""
-        tokens = text.replace(",", " ").split()
-        if not tokens:
+        period = decimal_ints(text)
+        if not period:
             raise CartanError("empty index sequence")
-        return cls(tuple(map(decimal_int, tokens)), rank)
+        return cls(period, rank)

@@ -1,5 +1,9 @@
 """Command-line front end: graphs, inequality systems, verification, braid maps.
 
+One path each: numeric options are read by `cartan.decimal_int` and lists
+by `cartan.decimal_ints`, `main` checks `FLOORS` and reports a `ValueError`
+as a `config error:` line, and every artifact goes out through `_output`.
+
 Exit codes: 0 success, 1 internal inconsistency, 2 configuration error,
 3 generation stopped before saturating, 4 oracle/lattice mismatch,
 5 braid property violation, 141 stdout closed by its reader.
@@ -16,7 +20,8 @@ from functools import cache
 
 from .braid import BraidContext, apply_at, run_property_suite, transport
 from .cartan import (
-    CartanData, IndexSequence, Weight, an_cartan, decimal_int, load_cartan, rank2_cartan,
+    CartanData, IndexSequence, Weight, an_cartan, decimal_int, decimal_ints, load_cartan,
+    rank2_cartan,
 )
 from .closed_forms import an_system, get_builtin, rank2_system
 from .crystals import TensorWord
@@ -24,22 +29,27 @@ from .forms import MAX_FORMS, DescentSystem
 from .zvectors import Labels, SequenceCrystal, ZVector, check_crystal_axioms
 
 BUILTIN_DIR_ENV = "CRYSTALPOLY_BUILTIN_DIR"
+# the least value of each numeric option that has one, checked before any command runs
+FLOORS = {"depth": 0, "max_rounds": 1, "window": 1, "n": 1, "jobs": 1}
 
 
-class ConfigError(Exception):
-    pass
+def _int(text: str) -> int:
+    """A numeric option's text, read by `decimal_int`."""
+    return decimal_int(text)
+
+
+_int.__name__ = "int"  # so argparse still says "invalid int value: 'x'"
 
 
 def _parse_weight(text: str, rank: int) -> Weight:
-    tokens = text.replace(",", " ").split()
     try:
-        coeffs = tuple(map(decimal_int, tokens))
+        coeffs = decimal_ints(text)
     except ValueError as exc:
-        raise ConfigError(f"bad weight {text!r}") from exc
+        raise ValueError(f"bad weight {text!r}") from exc
     if len(coeffs) != rank:
-        raise ConfigError(f"weight needs {rank} coordinates, got {len(coeffs)}")
+        raise ValueError(f"weight needs {rank} coordinates, got {len(coeffs)}")
     if any(c < 0 for c in coeffs):
-        raise ConfigError("weight must be dominant (all coordinates >= 0)")
+        raise ValueError("weight must be dominant (all coordinates >= 0)")
     return Weight(coeffs)
 
 
@@ -47,13 +57,13 @@ def _load_cartan_file(path) -> CartanData:
     try:
         return load_cartan(path)
     except (OSError, ValueError, KeyError) as exc:
-        raise ConfigError(f"cannot load Cartan file: {exc}")
+        raise ValueError(f"cannot load Cartan file: {exc}")
 
 
 def _resolve_cartan(args) -> tuple[CartanData, IndexSequence | None, object]:
     """Cartan datum, default sequence, and the builtin record when named."""
     if args.builtin and args.cartan_file:
-        raise ConfigError("give either --builtin or --cartan-file, not both")
+        raise ValueError("give either --builtin or --cartan-file, not both")
     if args.builtin:
         try:
             builtin = get_builtin(args.builtin)
@@ -64,10 +74,10 @@ def _resolve_cartan(args) -> tuple[CartanData, IndexSequence | None, object]:
                 path = os.path.join(extra, args.builtin + ".json")
                 if os.path.exists(path):
                     return _load_cartan_file(path), None, None
-            raise ConfigError(f"unknown builtin {args.builtin!r}")
+            raise ValueError(f"unknown builtin {args.builtin!r}")
     if args.cartan_file:
         return _load_cartan_file(args.cartan_file), None, None
-    raise ConfigError("a Cartan datum is required (--builtin or --cartan-file)")
+    raise ValueError("a Cartan datum is required (--builtin or --cartan-file)")
 
 
 def _resolve_inputs(args):
@@ -76,20 +86,20 @@ def _resolve_inputs(args):
     if args.iota is not None:
         seq = IndexSequence.from_string(args.iota, cartan.rank)
     elif seq is None:
-        raise ConfigError("--iota is required for file-based Cartan data")
+        raise ValueError("--iota is required for file-based Cartan data")
     if args.binf and args.lam:
-        raise ConfigError("--binf and --lambda are mutually exclusive")
+        raise ValueError("--binf and --lambda are mutually exclusive")
     if args.binf:
         return cartan, seq, None, builtin
     if args.lam is None:
-        raise ConfigError("a highest weight (--lambda) or --binf is required")
+        raise ValueError("a highest weight (--lambda) or --binf is required")
     return cartan, seq, _parse_weight(args.lam, cartan.rank), builtin
 
 
 @contextmanager
 def _output(args):
     """The artifact's stream: the --output file, else stdout; a file that
-    cannot be opened or written is a ConfigError."""
+    cannot be opened or written is a ValueError."""
     if not args.output:
         yield sys.stdout
         return
@@ -97,7 +107,7 @@ def _output(args):
         with open(args.output, "w") as fh:
             yield fh
     except OSError as exc:
-        raise ConfigError(f"cannot write --output: {exc}") from exc
+        raise ValueError(f"cannot write --output: {exc}") from exc
 
 
 def _write(text: str, args):
@@ -108,8 +118,6 @@ def _write(text: str, args):
 
 def cmd_graph(args) -> int:
     cartan, seq, lam, _ = _resolve_inputs(args)
-    if args.depth < 0:
-        raise ConfigError("--depth must be >= 0")
     crystal = SequenceCrystal(cartan, seq, lam)
     graph = crystal.bfs(args.depth)
     bad = check_crystal_axioms(crystal, graph)
@@ -134,35 +142,30 @@ def cmd_graph(args) -> int:
 
 
 def _check_system_options(args, cartan, seq, lam):
-    """Reject a round cap or a window below 1, an option the method does not
-    read, or a closed-form method the datum, sequence and weight do not fit,
-    before any work starts."""
-    if args.max_rounds is not None and args.max_rounds < 1:
-        raise ConfigError("--max-rounds must be >= 1")
-    if args.window is not None and args.window < 1:
-        raise ConfigError("--window must be >= 1")
+    """Reject an option the method does not read, or a closed-form method the
+    datum, sequence and weight do not fit, before any work starts."""
     ignored = [flag for flag, value, method in (
         ("--support-bound", args.support_bound, "generate"),
         ("--max-rounds", args.max_rounds, "generate"),
         ("--window", args.window, "rank2"),
     ) if value is not None and method != args.method]
     if ignored:
-        raise ConfigError(f"--method {args.method} does not take {', '.join(ignored)}")
+        raise ValueError(f"--method {args.method} does not take {', '.join(ignored)}")
     if args.method == "generate":
         return
     if lam is None:
-        raise ConfigError(f"the {args.method} method needs --lambda")
+        raise ValueError(f"the {args.method} method needs --lambda")
     if args.method == "rank2":
         if cartan.rank != 2:
-            raise ConfigError("this method needs a rank-2 Cartan datum")
+            raise ValueError("this method needs a rank-2 Cartan datum")
     elif cartan.matrix != an_cartan(cartan.rank).matrix:
-        raise ConfigError("the an method needs a simply laced chain datum")
+        raise ValueError("the an method needs a simply laced chain datum")
     # both closed forms are for the sequence 1 2 .. n repeated; a period of the
     # same infinite sequence repeats that one, as 1 .. n has distinct entries
     own = tuple(range(1, cartan.rank + 1))
     if seq.period != own * (len(seq) // len(own)):
         iota = " ".join(map(str, own))
-        raise ConfigError(f'the {args.method} method is for --iota "{iota}" only')
+        raise ValueError(f'the {args.method} method is for --iota "{iota}" only')
 
 
 def _build_system(args, descent: DescentSystem, default_bound):
@@ -175,7 +178,7 @@ def _build_system(args, descent: DescentSystem, default_bound):
     if args.method == "generate":
         bound = default_bound if args.support_bound is None else args.support_bound
         if bound is None:
-            raise ConfigError("--support-bound is required here")
+            raise ValueError("--support-bound is required here")
         rounds = {} if args.max_rounds is None else {"max_rounds": args.max_rounds}
         return descent.generate(bound, **rounds)
     if args.method == "rank2":
@@ -236,12 +239,10 @@ def cmd_verify(args) -> int:
     before the sets are compared again.
     """
     cartan, seq, lam, builtin = _resolve_inputs(args)
-    if args.depth < 0:
-        raise ConfigError("--depth must be >= 0")
     _check_system_options(args, cartan, seq, lam)
     floor = max(args.depth, 1)
     if args.method == "generate" and args.support_bound is not None and args.support_bound < floor:
-        raise ConfigError("--support-bound must be at least max(depth, 1)")
+        raise ValueError("--support-bound must be at least max(depth, 1)")
     longest = builtin.longest_len if builtin else None
     descent = DescentSystem(cartan, seq, lam)  # a SequenceCrystal too: it runs the closure
     closure = descent.closure(args.depth)
@@ -253,13 +254,13 @@ def cmd_verify(args) -> int:
             bound += 1
     system = _build_system(args, descent, bound)
     if not system.saturated:  # only generation stops early; closed forms are complete
-        print("generation did not saturate; verification would be unsound")
+        _write("generation did not saturate; verification would be unsound", args)
         return 3
     window = system.window
     # the closure's keys are in BFS order, so the node named does not depend on hashing
     over = next((c for c in closure if c and c[-1][0] > window), None)
     if over is not None:
-        print(f"BFS leaves the window: {Labels()(over)} beyond {window}")
+        _write(f"BFS leaves the window: {Labels()(over)} beyond {window}", args)
         return 4
     points = system.lattice_coords(args.depth)
     if (closure.keys() != points and longest == len(seq)
@@ -267,11 +268,11 @@ def cmd_verify(args) -> int:
             and cartan.is_reduced(seq.period)):
         points = {c for c in points if not c or c[-1][0] <= longest}
     if closure.keys() == points:
-        print(f"equal: {len(points)} elements (depth {args.depth})")
+        _write(f"equal: {len(points)} elements (depth {args.depth})", args)
         return 0
     missing = sorted(map(Labels(), closure.keys() - points))
     extra = sorted(map(Labels(), points - closure.keys()))
-    print(f"MISMATCH: bfs-only={missing} lattice-only={extra}")
+    _write(f"MISMATCH: bfs-only={missing} lattice-only={extra}", args)
     return 4
 
 
@@ -283,18 +284,14 @@ def _fuzz_chunk(payload):
 def cmd_braid(args) -> int:
     if args.fuzz:
         if args.c1 is None or args.c2 is None:
-            raise ConfigError("--fuzz needs --c1 and --c2")
-        # the fuzz reads only --c1/--c2/--n/--seed/--jobs; refuse the rest, even empty
+            raise ValueError("--fuzz needs --c1 and --c2")
+        # the fuzz reads only --c1/--c2/--n/--seed/--jobs/--output; refuse the rest, even empty
         ignored = [flag for flag, value in (
             ("--builtin", args.builtin), ("--cartan-file", args.cartan_file),
             ("--iota", args.iota), ("--map-set", args.map_set),
         ) if value is not None] + (["--window"] if args.window.strip() else [])
         if ignored:
-            raise ConfigError(f"--fuzz does not take {', '.join(ignored)}")
-        if args.n < 1:
-            raise ConfigError("--n must be >= 1")
-        if args.jobs < 1:
-            raise ConfigError("--jobs must be >= 1")
+            raise ValueError(f"--fuzz does not take {', '.join(ignored)}")
         chunk = (args.n + args.jobs - 1) // args.jobs
         payloads = [
             (args.c1, args.c2, min(chunk, args.n - start), args.seed + worker)
@@ -312,37 +309,35 @@ def cmd_braid(args) -> int:
                 reports = list(pool.map(_fuzz_chunk, payloads))
         violations = [v for r in reports for v in r["violations"]]
         total = sum(r["n"] for r in reports)
-        print(
-            f"fuzz c1={args.c1} c2={args.c2} n={total} seed={args.seed} "
-            f"violations={len(violations)}"
-        )
-        for v in violations[:10]:
-            print(f"  {v}")
+        lines = [f"fuzz c1={args.c1} c2={args.c2} n={total} seed={args.seed} "
+                 f"violations={len(violations)}"]
+        lines += [f"  {v}" for v in violations[:10]]
+        _write("\n".join(lines), args)
         return 0 if not violations else 5
 
     if not args.map_set:
-        raise ConfigError("braid needs --fuzz or --map-set")
+        raise ValueError("braid needs --fuzz or --map-set")
     if (args.c1 is None) != (args.c2 is None):
-        raise ConfigError("give both --c1 and --c2, or neither")
+        raise ValueError("give both --c1 and --c2, or neither")
     if args.c1 is not None:
         if args.builtin or args.cartan_file:
-            raise ConfigError("give either --c1/--c2 or --builtin/--cartan-file, not both")
+            raise ValueError("give either --c1/--c2 or --builtin/--cartan-file, not both")
         cartan, seq = rank2_cartan(args.c1, args.c2), None
     else:
         cartan, seq, _ = _resolve_cartan(args)
     if not (1 <= args.i <= cartan.rank and 1 <= args.j <= cartan.rank):
-        raise ConfigError(f"--i and --j must lie in 1..{cartan.rank}")
+        raise ValueError(f"--i and --j must lie in 1..{cartan.rank}")
     ctx = BraidContext.from_cartan(cartan, args.i, args.j)
     if args.iota is not None:
         seq = IndexSequence.from_string(args.iota, cartan.rank)
-    window = tuple(map(decimal_int, args.window.replace(",", " ").split()))
+    window = decimal_ints(args.window)
     if not window:
-        raise ConfigError("--window is required for --map-set")
+        raise ValueError("--window is required for --map-set")
     try:
         with open(args.map_set) as fh:
             data = json.load(fh)
     except (OSError, ValueError) as exc:
-        raise ConfigError(f"cannot read --map-set file: {exc}") from exc
+        raise ValueError(f"cannot read --map-set file: {exc}") from exc
     try:
         elements = [
             ZVector.from_json_obj(obj) if isinstance(obj, dict) and "coords" in obj
@@ -350,9 +345,9 @@ def cmd_braid(args) -> int:
             for obj in (data["elements"] if isinstance(data, dict) else data)
         ]
     except (KeyError, IndexError, TypeError) as exc:
-        raise ConfigError(f"malformed --map-set contents: {exc!r}") from exc
+        raise ValueError(f"malformed --map-set contents: {exc!r}") from exc
     if seq is None and any(isinstance(elem, ZVector) for elem in elements):
-        raise ConfigError("coordinate elements need --iota (or a builtin)")
+        raise ValueError("coordinate elements need --iota (or a builtin)")
     mapped = [
         (apply_at(ctx, elem, window) if isinstance(elem, TensorWord)
          else transport(ctx, seq, elem, window)).to_json_obj()
@@ -378,13 +373,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--binf", action="store_true", help="free mode (no highest weight)")
         p.add_argument("--output", help="write the artifact to this file")
         if need_depth:
-            p.add_argument("--depth", type=int, required=True)
+            p.add_argument("--depth", type=_int, required=True)
 
     def system_options(p):
         p.add_argument("--method", choices=("generate", "rank2", "an"), default="generate")
-        p.add_argument("--support-bound", type=int)
-        p.add_argument("--max-rounds", type=int)
-        p.add_argument("--window", type=int, help="window for the rank2 method")
+        p.add_argument("--support-bound", type=_int)
+        p.add_argument("--max-rounds", type=_int)
+        p.add_argument("--window", type=_int, help="window for the rank2 method")
 
     g = sub.add_parser("graph", help="breadth-first crystal graph")
     common(g, need_depth=True)
@@ -407,13 +402,13 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--cartan-file")
     b.add_argument("--iota", help="sequence for coordinate-encoded elements")
     b.add_argument("--fuzz", action="store_true")
-    b.add_argument("--c1", type=int)
-    b.add_argument("--c2", type=int)
-    b.add_argument("--n", type=int, default=1000)
-    b.add_argument("--seed", type=int, default=20240)
-    b.add_argument("--jobs", type=int, default=1)
-    b.add_argument("--i", type=int, default=1)
-    b.add_argument("--j", type=int, default=2)
+    b.add_argument("--c1", type=_int)
+    b.add_argument("--c2", type=_int)
+    b.add_argument("--n", type=_int, default=1000)
+    b.add_argument("--seed", type=_int, default=20240)
+    b.add_argument("--jobs", type=_int, default=1)
+    b.add_argument("--i", type=_int, default=1)
+    b.add_argument("--j", type=_int, default=2)
     b.add_argument("--window", default="")
     b.add_argument("--map-set", help="JSON file of elements to transport")
     b.add_argument("--output")
@@ -430,8 +425,12 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
+        for dest, least in FLOORS.items():
+            value = getattr(args, dest, None)
+            if type(value) is int and value < least:  # braid's --window is text
+                raise ValueError(f"--{dest.replace('_', '-')} must be >= {least}")
         return args.func(args)
-    except (ConfigError, ValueError) as exc:
+    except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 

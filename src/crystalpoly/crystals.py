@@ -110,21 +110,6 @@ class TensorWord:
         self.cartan = cartan
         self.unit = unit
 
-    @classmethod
-    def _checked(cls, cartan: CartanData, indices, values, unit: Weight | None = None):
-        """A word from index and value tuples whose indices are known to be in range.
-
-        For words derived from a checked word: `_apply` shares the indices
-        of the word it changes, and a braid map's output pattern has the
-        indices of the input pattern it matched.  Nothing is re-checked.
-        """
-        word = cls.__new__(cls)
-        word.cartan = cartan
-        word.indices = indices
-        word.values = values
-        word.unit = unit
-        return word
-
     @property
     def letters(self) -> tuple:
         return tuple(map(Letter, self.indices, self.values))
@@ -168,8 +153,9 @@ class TensorWord:
 
     def _apply(self, i: int, target: int, delta: int):
         values = bump(self.indices, self.values, i, target, delta)
-        return None if values is None else TensorWord._checked(self.cartan, self.indices,
-                                                               values, self.unit)
+        if values is None:
+            return None
+        return TensorWord(self.cartan, map(Letter, self.indices, values), self.unit)
 
     def f(self, i: int):
         """Lowering operator; None is the absorbing element."""

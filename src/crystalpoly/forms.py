@@ -69,7 +69,7 @@ class LinearForm(tuple):
     free of zero values: it equals, hashes and unpacks as that plain tuple.
     `make`, `scale` and `add_scaled` take a value that equals an int, such
     as 2.0, as that int, and refuse one that does not, such as 0.5, with
-    ValueError.
+    ValueError; `make` refuses a position below 1 the same way.
     """
 
     __slots__ = ()
@@ -90,9 +90,12 @@ class LinearForm(tuple):
     def make(cls, const=0, coeffs=None) -> "LinearForm":
         items = []
         for pos, val in (coeffs or {}).items():
+            pos = pos if type(pos) is int else exact_int(pos)
+            if pos < 1:
+                raise ValueError("positions are 1-based")
             v = val if type(val) is int else exact_int(val)
             if v:
-                items.append((pos if type(pos) is int else exact_int(pos), v))
+                items.append((pos, v))
         return cls(const if type(const) is int else exact_int(const), tuple(sorted(items)))
 
     @classmethod

@@ -20,7 +20,7 @@ import random
 
 from crystalpoly import braid
 from crystalpoly.cartan import rank2_cartan
-from crystalpoly.crystals import TensorWord
+from crystalpoly.crystals import Letter, TensorWord
 
 SHAPE_LEN = {0: 2, 1: 3, 2: 4, 3: 6}
 
@@ -88,7 +88,7 @@ def check_strict_morphism(map_fn, sample, indices) -> list[dict]:
 def phi_nested(ctx, word):
     """`phi` through the degree-3 nested-clamp family, read from `braid` at call time."""
     values = braid.map_values_nested(ctx.c1, ctx.c2, word.values)
-    return TensorWord._checked(word.cartan, ctx.output_pattern(), values)
+    return TensorWord(word.cartan, map(Letter, ctx.output_pattern(), values))
 
 
 def run_property_suite(c1, c2, n, seed):
@@ -107,7 +107,7 @@ def run_property_suite(c1, c2, n, seed):
 
     for _ in range(n):
         vals = tuple(rng.randint(braid.SAMPLE_LO, braid.SAMPLE_HI) for _ in range(length))
-        word = TensorWord._checked(cartan, pattern, vals)
+        word = TensorWord(cartan, map(Letter, pattern, vals))
         image = braid.phi(ctx, word)
         found = check_strict_morphism(strict_map, (word,), (1, 2))
         if braid.phi(ctx.swapped(), image) != word:

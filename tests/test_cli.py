@@ -463,7 +463,9 @@ def test_braid_map_set_coordinate_encoding(tmp_path, capsys):
     ("graph", "--builtin", "a2", "--lambda", "1,0", "--depth", "2"),
     ("inequalities", "--builtin", "a2", "--lambda", "1,0"),
     ("braid", "--builtin", "a3", "--window", "4,5,6", "--map-set", "MAP_SET"),
-], ids=["graph", "inequalities", "braid"])
+    ("verify", "--builtin", "a2", "--lambda", "1,0", "--depth", "3"),
+    ("braid", "--fuzz", "--c1", "1", "--c2", "2", "--n", "5"),
+], ids=["graph", "inequalities", "braid", "verify", "braid-fuzz"])
 def test_unwritable_output_is_a_config_error(tmp_path, capsys, argv):
     src = tmp_path / "im.json"
     src.write_text(json.dumps([[[1, 0], [2, 0], [1, 0], [3, 0], [2, 0], [1, 0]]]))
@@ -473,6 +475,33 @@ def test_unwritable_output_is_a_config_error(tmp_path, capsys, argv):
     assert code == 2 and out == ""
     assert err.startswith("config error: cannot write --output: ") and str(dest) in err
     assert not dest.parent.exists()
+
+
+FUZZ = ("braid", "--fuzz", "--c1", "1", "--c2", "2", "--n", "20", "--seed", "3")
+
+
+@pytest.mark.parametrize("argv, violations", [
+    (("verify", "--builtin", "a2", "--lambda", "1,0", "--depth", "3"), 0),
+    (("verify", "--builtin", "a3", "--iota", "1 2 3 2 1 2", "--binf", "--depth", "6"), 0),
+    (("verify", "--builtin", "a1tilde", "--lambda", "1,1", "--depth", "4", "--method", "rank2",
+      "--window", "2"), 0),
+    (("verify", "--builtin", "a3", "--lambda", "1,1,1", "--depth", "4", "--max-rounds", "1"), 0),
+    (FUZZ, 0),
+    (FUZZ, 2),
+], ids=["verify-equal", "verify-mismatch", "verify-window", "verify-unsaturated", "fuzz",
+        "fuzz-violations"])
+def test_output_file_holds_what_stdout_would(tmp_path, capsys, monkeypatch, argv, violations):
+    import crystalpoly.cli as cli
+
+    if violations:  # the fuzz then writes a line per violation after its own
+        monkeypatch.setattr(cli, "_fuzz_chunk", lambda payload: {
+            "n": payload[2], "violations": [{"kind": "wt", "values": (v,) * 3}
+                                            for v in range(violations)]})
+    code, printed, err = run(capsys, *argv)
+    dest = tmp_path / "out.txt"
+    assert run(capsys, *argv, "--output", str(dest)) == (code, "", err)
+    assert code != 2 and printed.count("\n") == 1 + violations
+    assert dest.read_text() == printed
 
 
 def test_braid_map_set_refuses_an_empty_iota(tmp_path, capsys):
@@ -857,6 +886,52 @@ def test_main_reuses_one_parser(capsys):
         ("return", 0), ("return", 0), ("return", 4), ("return", 0), ("exit", 2), ("return", 0),
     ]
     assert "invalid int value: 'x'" in reused[4][2]
+
+
+@pytest.mark.parametrize("text", ["\uff13", "0_2", "+1", " 5"],
+                         ids=["fullwidth", "underscore", "plus", "space"])
+@pytest.mark.parametrize("argv", [
+    ("graph", "--builtin", "a2", "--lambda", "1,0", "--depth"),
+    ("braid", "--fuzz", "--c1", "1", "--c2", "1", "--seed"),
+    ("braid", "--fuzz", "--c1", "1", "--c2", "1", "--n"),
+], ids=["depth", "seed", "n"])
+def test_numeric_options_take_ascii_decimal_text_only(capsys, argv, text):
+    code, out, err = run_catching_exit(capsys, [*argv, text])
+    assert code == ("exit", 2) and out == ""
+    assert err.endswith(f"error: argument {argv[-1]}: invalid int value: {text!r}\n")
+
+
+def test_every_numeric_option_is_read_as_decimal_text():
+    import crystalpoly.cli as cli
+
+    commands = cli.build_parser()._subparsers._group_actions[0].choices.values()
+    typed = [action for command in commands for action in command._actions if action.type]
+    assert len(typed) == 15  # --depth twice, the three system options twice, seven of braid's
+    for action in typed:
+        assert action.type("-12") == -12
+        for text in ("\uff13", "0_2", "+1", " 5"):
+            with pytest.raises(ValueError):
+                action.type(text)
+
+
+def test_braid_map_set_refuses_n_below_one(tmp_path, capsys):
+    # the floors are checked for every command, so the map-set mode, which
+    # reads no --n, refuses one below 1 as the fuzz does
+    src = tmp_path / "im.json"
+    src.write_text(json.dumps([[[1, 0], [2, 0], [1, 0], [3, 0], [2, 0], [1, 0]]]))
+    argv = ("braid", "--builtin", "a3", "--window", "4,5,6", "--map-set", str(src))
+    assert run(capsys, *argv)[0] == 0
+    assert run(capsys, *argv, "--n", "0") == (2, "", "config error: --n must be >= 1\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("graph", "--builtin", "nosuch", "--binf", "--depth", "-1"), "--depth must be >= 0"),
+    (("verify", "--builtin", "a2", "--lambda", "1,-1", "--depth", "3", "--max-rounds", "0"),
+     "--max-rounds must be >= 1"),
+    (("braid", "--fuzz", "--c1", "1", "--n", "0"), "--n must be >= 1"),
+], ids=["graph", "verify", "braid"])
+def test_a_floor_is_named_before_other_faults(capsys, argv, message):
+    assert run(capsys, *argv) == (2, "", f"config error: {message}\n")
 
 
 ENTRY_POINTS = {

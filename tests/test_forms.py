@@ -689,8 +689,17 @@ def test_non_integral_values_are_refused(value):
      "a coordinate key must be an ASCII decimal position, got 1"),
     (lambda: LinearForm.make(0, {1.7: 1, True: 2}), "expected an integer, got 1.7"),
     (lambda: LinearForm.make(0, {True: 2}), "expected an integer, got True"),
+    # below 1, as `ZVector` refuses them; a zero value there is refused too
+    (lambda: LinearForm.from_json_obj({"const": "0", "coeffs": {"-1": "1", "0": "2"}}),
+     "positions are 1-based"),
+    (lambda: LinearForm.from_json_obj({"const": "0", "coeffs": {"0": "0"}}),
+     "positions are 1-based"),
+    (lambda: LinearForm.make(0, {2: 1, 0: 3}), "positions are 1-based"),
+    (lambda: LinearForm.make(0, {-4: 0}), "positions are 1-based"),
+    (lambda: LinearForm.make(0, {0.0: 1}), "positions are 1-based"),
 ], ids=["underscored-and-repeated", "repeated", "arabic-indic", "int-key", "float-and-bool",
-        "bool"])
+        "bool", "json-below-one", "json-zero-value-at-zero", "make-zero",
+        "make-negative-zero-value", "make-float-zero"])
 def test_form_positions_are_read_as_vector_positions(build, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         build()

@@ -1,5 +1,6 @@
-"""The suite's own pytest configuration, run on a throwaway test file, and
-the package's imports, read from its source."""
+"""The suite's own pytest configuration, run on a throwaway test file, the
+package's imports, and the command line's reads and writes, read from its
+source."""
 
 import ast
 import subprocess
@@ -69,3 +70,30 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.name)
 def test_every_package_import_is_used(path):
     assert unused_imports(path.read_text()) == []
+
+
+def boundary_faults(source: str) -> list[tuple[int, str]]:
+    """Where a module reads an option with Python's `int` (`type=int`), or
+    prints anywhere but stderr (a `print` call without `file=sys.stderr`)."""
+    faults = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        keywords = {kw.arg: ast.unparse(kw.value) for kw in node.keywords}
+        if keywords.get("type") == "int":
+            faults.append((node.lineno, "type=int"))
+        if (isinstance(node.func, ast.Name) and node.func.id == "print"
+                and keywords.get("file") != "sys.stderr"):
+            faults.append((node.lineno, "print"))
+    return sorted(faults)
+
+
+def test_boundary_faults_are_found():
+    source = ('p.add_argument("--n", type=int, default=1)\nprint("x")\n'
+              'print("y", file=sys.stderr)\nprint("z", file=out)\n'
+              'p.add_argument("--m", type=_int)\n')
+    assert boundary_faults(source) == [(1, "type=int"), (2, "print"), (4, "print")]
+
+
+def test_the_cli_reads_no_option_with_int_and_prints_only_to_stderr():
+    assert boundary_faults((PACKAGE / "cli.py").read_text()) == []
