@@ -2,7 +2,8 @@
 
 One path each: numeric options are read by `cartan.decimal_int` and lists
 by `cartan.decimal_ints`, `main` checks `FLOORS` and reports a `ValueError`
-as a `config error:` line, and every artifact goes out through `_output`.
+as a `config error:` line, `_refuse` names each given option a mode does
+not read, and every artifact goes out through `_output`.
 
 Exit codes: 0 success, 1 internal inconsistency, 2 configuration error,
 3 generation stopped before saturating, 4 oracle/lattice mismatch,
@@ -28,7 +29,6 @@ from .crystals import TensorWord
 from .forms import MAX_FORMS, DescentSystem
 from .zvectors import Labels, SequenceCrystal, ZVector, check_crystal_axioms
 
-BUILTIN_DIR_ENV = "CRYSTALPOLY_BUILTIN_DIR"
 # the least value of each numeric option that has one, checked before any command runs
 FLOORS = {"depth": 0, "max_rounds": 1, "window": 1, "n": 1, "jobs": 1}
 
@@ -67,17 +67,19 @@ def _resolve_cartan(args) -> tuple[CartanData, IndexSequence | None, object]:
     if args.builtin:
         try:
             builtin = get_builtin(args.builtin)
-            return builtin.cartan, builtin.iota, builtin
         except KeyError:
-            extra = os.environ.get(BUILTIN_DIR_ENV)
-            if extra:
-                path = os.path.join(extra, args.builtin + ".json")
-                if os.path.exists(path):
-                    return _load_cartan_file(path), None, None
             raise ValueError(f"unknown builtin {args.builtin!r}")
+        return builtin.cartan, builtin.iota, builtin
     if args.cartan_file:
         return _load_cartan_file(args.cartan_file), None, None
     raise ValueError("a Cartan datum is required (--builtin or --cartan-file)")
+
+
+def _refuse(args, mode: str, dests):
+    """Refuse each option in `dests` that was given, even empty, to `mode`."""
+    given = [f"--{dest.replace('_', '-')}" for dest in dests if getattr(args, dest) is not None]
+    if given:
+        raise ValueError(f"{mode} does not take {', '.join(given)}")
 
 
 def _resolve_inputs(args):
@@ -111,9 +113,9 @@ def _output(args):
 
 
 def _write(text: str, args):
-    """`text` and a newline; into a file, no newline after one that ends the text."""
+    """`text` and a newline, to stdout or the --output file alike."""
     with _output(args) as out:
-        out.write(text if args.output and text.endswith("\n") else text + "\n")
+        out.write(text + "\n")
 
 
 def cmd_graph(args) -> int:
@@ -144,13 +146,9 @@ def cmd_graph(args) -> int:
 def _check_system_options(args, cartan, seq, lam):
     """Reject an option the method does not read, or a closed-form method the
     datum, sequence and weight do not fit, before any work starts."""
-    ignored = [flag for flag, value, method in (
-        ("--support-bound", args.support_bound, "generate"),
-        ("--max-rounds", args.max_rounds, "generate"),
-        ("--window", args.window, "rank2"),
-    ) if value is not None and method != args.method]
-    if ignored:
-        raise ValueError(f"--method {args.method} does not take {', '.join(ignored)}")
+    _refuse(args, f"--method {args.method}", {
+        "generate": ("window",), "rank2": ("support_bound", "max_rounds"),
+        "an": ("support_bound", "max_rounds", "window")}[args.method])
     if args.method == "generate":
         return
     if lam is None:
@@ -285,17 +283,15 @@ def cmd_braid(args) -> int:
     if args.fuzz:
         if args.c1 is None or args.c2 is None:
             raise ValueError("--fuzz needs --c1 and --c2")
-        # the fuzz reads only --c1/--c2/--n/--seed/--jobs/--output; refuse the rest, even empty
-        ignored = [flag for flag, value in (
-            ("--builtin", args.builtin), ("--cartan-file", args.cartan_file),
-            ("--iota", args.iota), ("--map-set", args.map_set),
-        ) if value is not None] + (["--window"] if args.window.strip() else [])
-        if ignored:
-            raise ValueError(f"--fuzz does not take {', '.join(ignored)}")
-        chunk = (args.n + args.jobs - 1) // args.jobs
+        # the fuzz reads only --c1/--c2/--n/--seed/--jobs/--output
+        _refuse(args, "--fuzz", ("builtin", "cartan_file", "iota", "map_set", "window", "i", "j"))
+        n = 1000 if args.n is None else args.n
+        seed = 20240 if args.seed is None else args.seed
+        jobs = 1 if args.jobs is None else args.jobs
+        chunk = (n + jobs - 1) // jobs
         payloads = [
-            (args.c1, args.c2, min(chunk, args.n - start), args.seed + worker)
-            for worker, start in enumerate(range(0, args.n, chunk))
+            (args.c1, args.c2, min(chunk, n - start), seed + worker)
+            for worker, start in enumerate(range(0, n, chunk))
         ]
         if len(payloads) == 1:
             reports = [_fuzz_chunk(payloads[0])]
@@ -309,7 +305,7 @@ def cmd_braid(args) -> int:
                 reports = list(pool.map(_fuzz_chunk, payloads))
         violations = [v for r in reports for v in r["violations"]]
         total = sum(r["n"] for r in reports)
-        lines = [f"fuzz c1={args.c1} c2={args.c2} n={total} seed={args.seed} "
+        lines = [f"fuzz c1={args.c1} c2={args.c2} n={total} seed={seed} "
                  f"violations={len(violations)}"]
         lines += [f"  {v}" for v in violations[:10]]
         _write("\n".join(lines), args)
@@ -317,6 +313,7 @@ def cmd_braid(args) -> int:
 
     if not args.map_set:
         raise ValueError("braid needs --fuzz or --map-set")
+    _refuse(args, "--map-set", ("n", "seed", "jobs"))
     if (args.c1 is None) != (args.c2 is None):
         raise ValueError("give both --c1 and --c2, or neither")
     if args.c1 is not None:
@@ -325,12 +322,14 @@ def cmd_braid(args) -> int:
         cartan, seq = rank2_cartan(args.c1, args.c2), None
     else:
         cartan, seq, _ = _resolve_cartan(args)
-    if not (1 <= args.i <= cartan.rank and 1 <= args.j <= cartan.rank):
+    i = 1 if args.i is None else args.i
+    j = 2 if args.j is None else args.j
+    if not (1 <= i <= cartan.rank and 1 <= j <= cartan.rank):
         raise ValueError(f"--i and --j must lie in 1..{cartan.rank}")
-    ctx = BraidContext.from_cartan(cartan, args.i, args.j)
+    ctx = BraidContext.from_cartan(cartan, i, j)
     if args.iota is not None:
         seq = IndexSequence.from_string(args.iota, cartan.rank)
-    window = decimal_ints(args.window)
+    window = decimal_ints(args.window or "")
     if not window:
         raise ValueError("--window is required for --map-set")
     try:
@@ -404,12 +403,12 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--fuzz", action="store_true")
     b.add_argument("--c1", type=_int)
     b.add_argument("--c2", type=_int)
-    b.add_argument("--n", type=_int, default=1000)
-    b.add_argument("--seed", type=_int, default=20240)
-    b.add_argument("--jobs", type=_int, default=1)
-    b.add_argument("--i", type=_int, default=1)
-    b.add_argument("--j", type=_int, default=2)
-    b.add_argument("--window", default="")
+    b.add_argument("--n", type=_int, help="fuzz samples (default 1000)")
+    b.add_argument("--seed", type=_int, help="fuzz seed (default 20240)")
+    b.add_argument("--jobs", type=_int, help="fuzz chunks (default 1)")
+    b.add_argument("--i", type=_int, help="map-set index i (default 1)")
+    b.add_argument("--j", type=_int, help="map-set index j (default 2)")
+    b.add_argument("--window", help="map-set window positions")
     b.add_argument("--map-set", help="JSON file of elements to transport")
     b.add_argument("--output")
     b.set_defaults(func=cmd_braid)

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 
 from .cartan import IndexSequence, Weight, decimal_int, exact_int
-from .zvectors import Coords, SequenceCrystal, ZVector, json_positions
+from .zvectors import Coords, SequenceCrystal, ZVector, dict_coords, json_positions
 
 MAX_FORMS = 5000  # admitted forms before generation gives up unsaturated
 
@@ -88,15 +88,7 @@ class LinearForm(tuple):
 
     @classmethod
     def make(cls, const=0, coeffs=None) -> "LinearForm":
-        items = []
-        for pos, val in (coeffs or {}).items():
-            pos = pos if type(pos) is int else exact_int(pos)
-            if pos < 1:
-                raise ValueError("positions are 1-based")
-            v = val if type(val) is int else exact_int(val)
-            if v:
-                items.append((pos, v))
-        return cls(const if type(const) is int else exact_int(const), tuple(sorted(items)))
+        return cls(exact_int(const), dict_coords(coeffs or {}))
 
     @classmethod
     def x(cls, k: int) -> "LinearForm":

@@ -97,11 +97,18 @@ class ZVector(tuple):
 
     @classmethod
     def from_dict(cls, d: dict[int, int], lam: Weight | None = None) -> "ZVector":
-        """The vector of {position: value}, each an int or a number equal to one."""
-        items = sorted((exact_int(k), exact_int(v)) for k, v in d.items())
-        if items and items[0][0] < 1:
-            raise ValueError("positions are 1-based")
-        return cls(tuple(kv for kv in items if kv[1]), lam)
+        """The vector of {position: value}, read by `dict_coords`."""
+        return cls(dict_coords(d), lam)
+
+
+def dict_coords(d: dict) -> Coords:
+    """The coords of {position: value}, each an int or a number equal to one
+    (`exact_int`): zero values drop, and a position below 1 raises
+    ValueError.  Vectors and forms read their positions this one way."""
+    items = sorted((exact_int(k), exact_int(v)) for k, v in d.items())
+    if items and items[0][0] < 1:
+        raise ValueError("positions are 1-based")
+    return tuple(kv for kv in items if kv[1])
 
 
 def json_positions(obj: dict) -> dict:
@@ -162,7 +169,6 @@ class SequenceCrystal:
                    for r in range(m)), lam_i)
             for i, row, next_of, last_of, lam_i
             in zip(cartan.indices, cartan.matrix, seq._next_of, seq._last_of, lams))
-        self._columns = None  # per slot k, the nonzero <h_j, alpha_{i_k}> with their 0-based j
 
     def zero(self) -> ZVector:
         return ZVector((), self.lam)
@@ -258,19 +264,20 @@ class SequenceCrystal:
 
     def weight_pairings(self, x: ZVector) -> tuple[int, ...]:
         """<h_j, wt(x)> for every j, with wt = lambda minus the step roots."""
-        return self._weight_coords(x.coords)
+        return self._weight_coords(x.coords, self._slot_pairings())
 
-    def _weight_coords(self, coords: Coords) -> tuple[int, ...]:
-        """`weight_pairings` of bare coords, as the axiom checker holds them."""
+    def _slot_pairings(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Per period slot k, the nonzero <h_j, alpha_{i_k}> with their 0-based j."""
+        return tuple(
+            tuple((j, row[ik - 1]) for j, row in enumerate(self.cartan.matrix) if row[ik - 1])
+            for ik in self.seq.period)
+
+    def _weight_coords(self, coords: Coords, table) -> tuple[int, ...]:
+        """`weight_pairings` of bare coords, from the `_slot_pairings` table."""
         out = list(self.lam) if self.lam is not None else [0] * self.cartan.rank
-        columns = self._columns
-        if columns is None:  # made on first use: only the axiom checker asks for weights
-            columns = self._columns = tuple(
-                tuple((j, row[ik - 1]) for j, row in enumerate(self.cartan.matrix) if row[ik - 1])
-                for ik in self.seq.period)
-        m = len(columns)
+        m = len(table)
         for pos, val in coords:
-            for j, a in columns[(pos - 1) % m]:
+            for j, a in table[(pos - 1) % m]:
                 out[j] -= a * val
         return tuple(out)
 
@@ -396,11 +403,12 @@ def check_crystal_axioms(crystal: SequenceCrystal, graph: CrystalGraph) -> list[
     _, kept_scans, f_targets = built_by
     nodes = graph.nodes
     scan, gate, weight = crystal._scan_coords, crystal._gate, crystal._weight_coords
+    table = crystal._slot_pairings()  # built once per check; the crystal keeps no copy
     indices = crystal.cartan.indices
     rank = len(indices)
     # column i - 1 holds <h_j, alpha_i> for every j: the weight shift of an i-arrow
     columns = tuple(zip(*crystal.cartan.matrix))
-    weights = [weight(b.coords) for b in nodes]
+    weights = [weight(b.coords, table) for b in nodes]
     # slot rank * k + i - 1 is (node k, index i); its scan is scans[4 * slot : 4 * slot + 4]
     expanded = len(f_targets) // rank
     scans = kept_scans + [v for b in nodes[expanded:] for i in indices for v in scan(b.coords, i)]
@@ -417,7 +425,7 @@ def check_crystal_axioms(crystal: SequenceCrystal, graph: CrystalGraph) -> list[
 
     def weigh(image):
         if (w := outside.get(image)) is None:
-            w = outside[image] = weight(image)
+            w = outside[image] = weight(image, table)
         return w
 
     def bad(kind, b, i, detail=""):

@@ -50,8 +50,8 @@ class Planted(SequenceCrystal):
         scan = super()._scan_coords(coords, i)
         return scan if self.scan_fault is None else self.scan_fault(coords, i, scan)
 
-    def _weight_coords(self, coords):
-        w = super()._weight_coords(coords)
+    def _weight_coords(self, coords, table):
+        w = super()._weight_coords(coords, table)
         return w if self.weight_fault is None else self.weight_fault(coords, w)
 
 
@@ -340,9 +340,9 @@ class Counted(SequenceCrystal):
         self.scans += 1
         return super()._scan_coords(coords, i)
 
-    def _weight_coords(self, coords):
+    def _weight_coords(self, coords, table):
         self.weights += 1
-        return super()._weight_coords(coords)
+        return super()._weight_coords(coords, table)
 
 
 @pytest.mark.parametrize("name, lam, depth, weighed", [
@@ -404,7 +404,8 @@ def test_last_layer_f_images_are_never_nodes(name, depth, mode):
 def test_every_graph_stays_checkable(mode):
     """Deeper, shallower, then deeper again on one crystal, planted and
     clean; each graph holds its own scans and f-targets, so after the last
-    BFS all of them check in reverse order, and no BFS changes its crystal."""
+    BFS all of them check in reverse order, and no BFS, check or weight
+    changes its crystal."""
     faulty = planted("f-wrong-position", MODES[mode])
     crystals = (faulty, SequenceCrystal(A3.cartan, A3.iota, MODES[mode]))
     before = [dict(vars(c)) for c in crystals]
@@ -414,6 +415,8 @@ def test_every_graph_stays_checkable(mode):
         got = check_crystal_axioms(crystal, graph)
         assert got == axiom_oracle.check_crystal_axioms(crystal, graph.nodes)
         assert bool(got) == (crystal is faulty)
+        crystal.weight_pairings(graph.nodes[-1])
+    assert [vars(c) for c in crystals] == before
 
 
 @pytest.mark.parametrize("level, fault, first", [
@@ -431,8 +434,8 @@ def test_graph_exits_1_on_a_faulty_operator_or_weight(capsys, monkeypatch, level
         def faulty(self, coords, i):
             return fault(coords, i, honest(self, coords, i))
     else:
-        def faulty(self, coords):
-            return fault(coords, honest(self, coords))
+        def faulty(self, coords, table):
+            return fault(coords, honest(self, coords, table))
     monkeypatch.setattr(SequenceCrystal, level, faulty)
     code = main(["graph", "--builtin", "a2", "--binf", "--depth", "2"])
     out = capsys.readouterr()

@@ -401,18 +401,31 @@ def test_braid_fuzz_jobs_below_one_is_a_config_error(capsys, jobs):
     (["--cartan-file", ""], "--cartan-file"),
     (["--iota", ""], "--iota"),
     (["--map-set", ""], "--map-set"),
+    (["--window", ""], "--window"),
+    (["--i", "7"], "--i"),
+    (["--j", "9"], "--j"),
+    (["--i", "7", "--j", "9"], "--i, --j"),
 ], ids=["builtin", "cartan-file", "iota", "map-set-window", "window",
-        "empty-builtin", "empty-cartan-file", "empty-iota", "empty-map-set"])
+        "empty-builtin", "empty-cartan-file", "empty-iota", "empty-map-set", "empty-window",
+        "i", "j", "i-j"])
 def test_braid_fuzz_refuses_options_it_would_ignore(capsys, extra, named):
     code, out, err = run(capsys, "braid", "--fuzz", "--c1", "1", "--c2", "2", "--n", "5", *extra)
     assert code == 2 and out == ""
     assert err == f"config error: --fuzz does not take {named}\n"
 
 
-def test_braid_fuzz_takes_an_empty_window(capsys):
-    code, out, _ = run(capsys, "braid", "--fuzz", "--c1", "1", "--c2", "2", "--n", "5",
-                       "--window", "", "--seed", "3")
-    assert code == 0 and "n=5 seed=3 violations=0" in out
+@pytest.mark.parametrize("extra, named", [
+    (["--n", "5"], "--n"),
+    (["--seed", "7"], "--seed"),
+    (["--jobs", "3"], "--jobs"),
+    (["--n", "5", "--seed", "7", "--jobs", "3"], "--n, --seed, --jobs"),
+], ids=["n", "seed", "jobs", "n-seed-jobs"])
+def test_braid_map_set_refuses_options_it_would_ignore(tmp_path, capsys, extra, named):
+    src = tmp_path / "im.json"
+    src.write_text(json.dumps([[[1, 0], [2, 0], [1, 0], [3, 0], [2, 0], [1, 0]]]))
+    argv = ("braid", "--builtin", "a3", "--window", "4,5,6", "--map-set", str(src))
+    assert run(capsys, *argv, *extra) == (
+        2, "", f"config error: --map-set does not take {named}\n")
 
 
 def test_braid_map_set(tmp_path, capsys):
@@ -557,15 +570,17 @@ def test_inequalities_free_mode_positivity(capsys):
     assert code == 0 and "positivity: broken at x2" in out
 
 
-def test_builtin_dir_env(tmp_path, capsys, monkeypatch):
+def test_builtin_names_only_the_package_builtins(tmp_path, capsys, monkeypatch):
+    # a JSON datum is loaded by --cartan-file; no directory in the environment
+    # adds builtins, so the variable that once did is not read
     (tmp_path / "mytype.json").write_text(
         json.dumps({"rank": 2, "matrix": [[2, -1], [-1, 2]]})
     )
     monkeypatch.setenv("CRYSTALPOLY_BUILTIN_DIR", str(tmp_path))
-    code, out, _ = run(
-        capsys, "graph", "--builtin", "mytype", "--iota", "1 2", "--lambda", "1,0",
-        "--depth", "2", "--format", "json",
-    )
+    argv = ("graph", "--iota", "1 2", "--lambda", "1,0", "--depth", "2", "--format", "json")
+    assert run(capsys, *argv, "--builtin", "mytype") == (
+        2, "", "config error: unknown builtin 'mytype'\n")
+    code, out, _ = run(capsys, *argv, "--cartan-file", str(tmp_path / "mytype.json"))
     assert code == 0
     assert len(json.loads(out)["nodes"]) == 3
 
@@ -688,23 +703,16 @@ def test_generate_from_file_needs_support_bound(tmp_path, capsys):
 @pytest.mark.parametrize(
     "content",
     [[1], {"matrix": 5}, {"matrix": [[2, -1.7], [-1, 2]]}, {"matrix": [[2, 1e400], [-1, 2]]},
-     {"rank": 2, "matrix": [[2, False], [False, 2]]}],  # false == 0 would load as a1xa1
-    ids=["top-level-list", "scalar-matrix", "non-integral", "overflowing", "boolean"],
+     {"rank": 2, "matrix": [[2, False], [False, 2]]},  # false == 0 would load as a1xa1
+     {"rank": 2}],
+    ids=["top-level-list", "scalar-matrix", "non-integral", "overflowing", "boolean",
+         "no-matrix"],
 )
 def test_malformed_cartan_file(tmp_path, capsys, content):
     src = tmp_path / "bad.json"
     src.write_text(json.dumps(content))
     code, _, err = run(
         capsys, "graph", "--cartan-file", str(src), "--iota", "1", "--binf", "--depth", "1",
-    )
-    assert code == 2 and err.startswith("config error: cannot load Cartan file:")
-
-
-def test_malformed_builtin_dir_file(tmp_path, capsys, monkeypatch):
-    (tmp_path / "norows.json").write_text(json.dumps({"rank": 2}))
-    monkeypatch.setenv("CRYSTALPOLY_BUILTIN_DIR", str(tmp_path))
-    code, _, err = run(
-        capsys, "graph", "--builtin", "norows", "--iota", "1 2", "--binf", "--depth", "1",
     )
     assert code == 2 and err.startswith("config error: cannot load Cartan file:")
 

@@ -1,6 +1,6 @@
 """The suite's own pytest configuration, run on a throwaway test file, the
-package's imports, and the command line's reads and writes, read from its
-source."""
+package's imports, the command line's reads and writes, and the package's
+reads of the environment (none), read from its source."""
 
 import ast
 import subprocess
@@ -97,3 +97,32 @@ def test_boundary_faults_are_found():
 
 def test_the_cli_reads_no_option_with_int_and_prints_only_to_stderr():
     assert boundary_faults((PACKAGE / "cli.py").read_text()) == []
+
+
+ENVIRONMENT = {"environ", "environb", "getenv"}
+
+
+def environment_reads(source: str) -> list[tuple[int, str]]:
+    """Where a module reads the environment: `os.environ`, `os.environb` or
+    `os.getenv`, as an attribute of `os` or imported from it."""
+    reads = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Attribute) and node.attr in ENVIRONMENT
+                and isinstance(node.value, ast.Name) and node.value.id == "os"):
+            reads.append((node.lineno, f"os.{node.attr}"))
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            reads += [(node.lineno, f"os.{alias.name}") for alias in node.names
+                      if alias.name in ENVIRONMENT]
+    return sorted(reads)
+
+
+def test_environment_reads_are_found():
+    source = ('import os\nx = os.environ.get("A")\nfrom os import getenv, sep\n'
+              'os.environb[b"B"]\nos.path.join("a", "b")\nenviron = {}\n')
+    assert environment_reads(source) == [(2, "os.environ"), (3, "os.getenv"), (4, "os.environb")]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.name)
+def test_the_package_reads_no_environment_variable(path):
+    # what a run does follows from its command line and files alone
+    assert environment_reads(path.read_text()) == []
