@@ -5,8 +5,8 @@ c2 = -<h_j, alpha_i>, products c1*c2 in {0, 1, 2, 3} admit an explicit
 crystal isomorphism from an alternating tensor power starting with i to
 the mirrored one starting with j; its inverse is the same map for the
 swapped pair.  The degree-3 map has two equivalent formula families; the
-branch-free max/min family is the primary one and the nested-clamp family
-is kept as the fuzz's cross-check.  `run_property_suite` is the package's
+max/min family, written as running comparisons, is the primary one and
+the nested-clamp family is kept as the fuzz's cross-check.  `run_property_suite` is the package's
 check that the maps are strict crystal morphisms.
 """
 
@@ -16,16 +16,12 @@ import random
 from dataclasses import dataclass
 
 from .cartan import IndexSequence, exact_int, rank2_cartan
-from .crystals import Letter, TensorWord, bump, fold
+from .crystals import Letter, TensorWord, fold
 from .zvectors import ZVector
 
 # letters of each supported (c1, c2): 2, 3, 4, 6 for degree 0, 1, 2, 3
 _SHAPE_LEN = {(0, 0): 2, (1, 1): 3, (1, 2): 4, (2, 1): 4, (1, 3): 6, (3, 1): 6}
 SAMPLE_LO, SAMPLE_HI = -10, 10  # the fuzz draws every letter value from this range
-
-
-def _pos(x):
-    return x if x > 0 else 0
 
 
 @dataclass(frozen=True)
@@ -77,10 +73,58 @@ def map_values(c1: int, c2: int, vals: tuple[int, ...]) -> tuple[int, ...]:
         x, y, z, u, v, w = vals
         c2x, c2z, c2v = c2 * x, c2 * z, c2 * v
         c1y, c1u, c1w = c1 * y, c1 * u, c1 * w
-        X = max(y - c2x, c2z - 2 * y, 2 * u - c2z, c2v - u, w)
-        Y = max(z - x, x - 2 * c1y + 3 * z, x - 3 * z + 2 * c1u, x - c1u + 3 * v, x + c1w)
-        V = min(c2x + w, 3 * y - c2z + w, 2 * c2z - 3 * u + w, 3 * u - 2 * c2v + w, u - w)
-        W = min(x, c1y - z, 2 * z - c1u, c1u - 2 * v, v - c1w)
+        # X, Y are the max and V, W the min of five pieces each, compared in turn
+        X = y - c2x
+        t = c2z - 2 * y
+        if t > X:
+            X = t
+        t = 2 * u - c2z
+        if t > X:
+            X = t
+        t = c2v - u
+        if t > X:
+            X = t
+        if w > X:
+            X = w
+        Y = z - x
+        t = x - 2 * c1y + 3 * z
+        if t > Y:
+            Y = t
+        t = x - 3 * z + 2 * c1u
+        if t > Y:
+            Y = t
+        t = x - c1u + 3 * v
+        if t > Y:
+            Y = t
+        t = x + c1w
+        if t > Y:
+            Y = t
+        V = c2x + w
+        t = 3 * y - c2z + w
+        if t < V:
+            V = t
+        t = 2 * c2z - 3 * u + w
+        if t < V:
+            V = t
+        t = 3 * u - 2 * c2v + w
+        if t < V:
+            V = t
+        t = u - w
+        if t < V:
+            V = t
+        W = x
+        t = c1y - z
+        if t < W:
+            W = t
+        t = 2 * z - c1u
+        if t < W:
+            W = t
+        t = c1u - 2 * v
+        if t < W:
+            W = t
+        t = v - c1w
+        if t < W:
+            W = t
         return (X, Y, y + u + w - X - V, x + z + v - Y - W, V, W)
     if length == 4:
         x, y, z, w = vals
@@ -114,10 +158,25 @@ def map_values_nested(c1: int, c2: int, vals: tuple[int, ...]) -> tuple[int, ...
     B = -y + c2 * z - u
     C = -z + c1 * u - v
     D = -u + c2 * v - w
-    X = w + _pos(D + _pos(c2 * C + _pos(2 * B + c2 * _pos(A))))
-    Y = x + c1 * w + _pos(c1 * D + _pos(3 * C + _pos(2 * c1 * B + 2 * _pos(A))))
-    V = u - w - _pos(2 * D + _pos(2 * c2 * C + _pos(3 * B + c2 * _pos(A))))
-    W = v - c1 * w - _pos(c1 * D + _pos(2 * C + _pos(c1 * B + _pos(A))))
+    # every clamp max(t, 0) written inline, innermost first; A's is shared
+    if A < 0:
+        A = 0
+    t = 2 * B + c2 * A
+    t = c2 * C + (t if t > 0 else 0)
+    t = D + (t if t > 0 else 0)
+    X = w + (t if t > 0 else 0)
+    t = 2 * c1 * B + 2 * A
+    t = 3 * C + (t if t > 0 else 0)
+    t = c1 * D + (t if t > 0 else 0)
+    Y = x + c1 * w + (t if t > 0 else 0)
+    t = 3 * B + c2 * A
+    t = 2 * c2 * C + (t if t > 0 else 0)
+    t = 2 * D + (t if t > 0 else 0)
+    V = u - w - (t if t > 0 else 0)
+    t = c1 * B + A
+    t = 2 * C + (t if t > 0 else 0)
+    t = c1 * D + (t if t > 0 else 0)
+    W = v - c1 * w - (t if t > 0 else 0)
     Z = y + u + w - X - V
     U = x + z + v - Y - W
     return (X, Y, Z, U, V, W)
@@ -190,11 +249,11 @@ def transport(ctx: BraidContext, seq: IndexSequence, x: ZVector, positions) -> Z
 def run_property_suite(c1: int, c2: int, n: int, seed: int) -> dict:
     """Seeded fuzz of the isomorphism contract for one pairing profile.
 
-    Each sample is checked on its value tuple through the `fold` and `bump`
-    of its tensor word and of the image's: the weight, then per index eps,
-    phi and commutation with e and f; then the exact involution, and in
-    degree 3 the two formula families agreeing.  `tests/fuzz_oracle.py`
-    makes the same checks on `TensorWord`s.
+    Each sample is checked on its value tuple through the `fold` of its
+    tensor word and of the image's: the weight, then per index eps, phi and
+    commutation with e and f, whose letter changes follow `bump`'s rule;
+    then the exact involution, and in degree 3 the two formula families
+    agreeing.  `tests/fuzz_oracle.py` makes the same checks on `TensorWord`s.
     At most 25 violations are kept.  Letters are drawn as
     `random.Random(seed).randint(SAMPLE_LO, SAMPLE_HI)` draws them, by
     rejection on `getrandbits`, so the samples are that stream's values.
@@ -217,6 +276,7 @@ def run_property_suite(c1: int, c2: int, n: int, seed: int) -> dict:
             draws.append(SAMPLE_LO + r)
         vals = tuple(draws)
         image = maps(c1, c2, vals)
+        out = list(image)
         b1, m1 = fold(row1, src, vals, None, 1), fold(row1, dst, image, None, 1)
         b2, m2 = fold(row2, src, vals, None, 2), fold(row2, dst, image, None, 2)
         found = [("wt", None)] if b1[2] != m1[2] or b2[2] != m2[2] else []
@@ -225,15 +285,29 @@ def run_property_suite(c1: int, c2: int, n: int, seed: int) -> dict:
                 found.append(("eps", i))
             if bp != mp:
                 found.append(("phi", i))
-            moved = bump(src, vals, i, bet, +1)
-            if moved is not None:
-                moved = maps(c1, c2, moved)
-            if moved != bump(dst, image, i, met, +1):
+            # e, then f, added in place to the sample's and the image's lists by
+            # `bump`'s rule: with no unit letter, only an other-index target kills
+            moved = shifted = None
+            if src[bet] == i:
+                draws[bet] += 1
+                moved = maps(c1, c2, tuple(draws))
+                draws[bet] -= 1
+            if dst[met] == i:
+                out[met] += 1
+                shifted = tuple(out)
+                out[met] -= 1
+            if moved != shifted:
                 found.append(("e-commute", i))
-            moved = bump(src, vals, i, bft, -1)
-            if moved is not None:
-                moved = maps(c1, c2, moved)
-            if moved != bump(dst, image, i, mft, -1):
+            moved = shifted = None
+            if src[bft] == i:
+                draws[bft] -= 1
+                moved = maps(c1, c2, tuple(draws))
+                draws[bft] += 1
+            if dst[mft] == i:
+                out[mft] -= 1
+                shifted = tuple(out)
+                out[mft] += 1
+            if moved != shifted:
                 found.append(("f-commute", i))
         if maps(c2, c1, image) != vals:
             found.append(("involution", None))

@@ -113,13 +113,11 @@ def dict_coords(d: dict) -> Coords:
 
 def json_positions(obj: dict) -> dict:
     """{position: value} of a JSON object keyed by positions, as `to_json_obj`
-    writes them; a key that is not ASCII decimal (`decimal_int`), is below 1,
-    or names a position another key named ("1" and "01"), raises ValueError."""
+    writes them; a key that is not ASCII decimal (`decimal_int`) or repeats a
+    position ("1" and "01") raises ValueError.  `dict_coords` refuses one below 1."""
     out = {}
     for k, v in obj.items():
         pos = decimal_int(k, "a coordinate key must be an ASCII decimal position")
-        if pos < 1:
-            raise ValueError("positions are 1-based")
         if pos in out:
             raise ValueError(f"position {pos} is given twice")
         out[pos] = v

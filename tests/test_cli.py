@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import time
+from collections import Counter
 from itertools import product
 from pathlib import Path
 
@@ -324,6 +325,44 @@ def test_verify_on_every_reduced_a3_longest_word_agrees_with_the_report(capsys, 
         assert code == 0 or out.endswith(" lattice-only=[]\n"), (word, out)
         equal += code == 0
     assert equal == (14 if lam is None else 12 if lam[1] else 16)
+
+
+def _reduced_a4_word(rng, cartan):
+    """A reduced word of the a4 longest element, grown one drawn letter at a
+    time; a letter `is_reduced` refuses is drawn again."""
+    word = ()
+    while len(word) < 10:
+        step = word + (rng.randint(1, 4),)
+        if cartan.is_reduced(step):
+            word = step
+    return word
+
+
+def test_verify_on_a_seeded_sample_of_reduced_a4_longest_words(capsys):
+    """At depth 5 `verify` exits 3 exactly when `inequalities` reports an
+    unsaturated generation; otherwise it reads equal exactly when the
+    positivity (free) or ampleness (at omega_2) report is clean."""
+    cartan = get_builtin("a4").cartan
+    rng = random.Random(12)
+    words = list(dict.fromkeys(_reduced_a4_word(rng, cartan) for _ in range(24)))
+    assert len(words) == 24 and all(weyl_length(cartan, w) == 10 for w in words)
+    outcomes = []
+    for mode in (["--binf"], ["--lambda", "0,1,0,0"]):
+        tally = Counter()
+        for w in words:
+            word = " ".join(map(str, w))
+            code, out, _ = run(capsys, "verify", "--builtin", "a4", "--iota", word, *mode,
+                               "--depth", "5")
+            _, report, _ = run(capsys, "inequalities", "--builtin", "a4", "--iota", word, *mode)
+            assert (code == 3) == ("saturated: False" in report), (word, out)
+            if code != 3:
+                clean = {"positivity: ok", "report: ample"} & set(report.splitlines())
+                assert (code == 0) == bool(clean), (word, out, report.splitlines()[:3])
+                assert code == 0 or out.startswith("MISMATCH: "), (word, out)
+            tally[code] += 1
+        outcomes.append(dict(tally))
+    # exit 0 equal, 3 unsaturated, 4 MISMATCH: free, then at omega_2
+    assert outcomes == [{0: 17, 3: 1, 4: 6}, {0: 15, 3: 1, 4: 8}]
 
 
 def test_braid_fuzz(capsys):

@@ -6,8 +6,10 @@ says why.
 """
 
 import hashlib
+import importlib.util
 import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -111,3 +113,29 @@ def test_braid_map_set_is_pinned(tmp_path, capsys, name):
     got = main(["braid", *argv, "--map-set", str(src)])
     out = capsys.readouterr().out
     assert (got, hashlib.sha256(out.encode()).hexdigest()) == (0, digest)
+
+
+# sha256 per benchmark workload that `scripts/grid_digest.py` prints: every
+# grid argv's exit code, stdout and stderr, braid fuzz seeds fixed to 1.  A
+# declared change to a benchmark grid or to its recorded answers re-records it.
+GRID_DIGESTS = {
+    "braid-fuzz": "3e4e0064734a1d0ef8f43eae116df42d4095b1037db3f2fa7b516c7e517b1ec6",
+    "closure": "d46b8e6f3fbadfd1c008acec025b83ba1e08251f94bfcee41d10e82e13302fcc",
+    "verify": "b9855380e058967e175409074272f05d9355790c62805725be9e609ec4820fac",
+}
+
+
+def _grid_digest():
+    path = Path(__file__).resolve().parent.parent / "scripts" / "grid_digest.py"
+    spec = importlib.util.spec_from_file_location("grid_digest", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("workload", sorted(GRID_DIGESTS))
+def test_benchmark_grids_answer_byte_for_byte_as_recorded(workload):
+    total = hashlib.sha256()
+    for _, digest in _grid_digest().workload_digests(workload):
+        total.update(f"{digest}\n".encode())
+    assert total.hexdigest() == GRID_DIGESTS[workload]

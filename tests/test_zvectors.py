@@ -14,7 +14,7 @@ from crystalpoly import (
     transport,
     weight,
 )
-from crystalpoly.zvectors import json_positions
+from crystalpoly.zvectors import dict_coords, json_positions
 from tensor_oracle import bfs_graph, from_tensor_word, to_tensor_word
 
 SL2 = get_builtin("a1")
@@ -322,9 +322,11 @@ def test_positions_below_one_are_refused(coords):
     obj = {"coords": {str(k): v for k, v in coords.items()}, "mode": "binf"}
     with pytest.raises(ValueError, match="1-based"):
         ZVector.from_json_obj(obj)
-    # the key reader both JSON readers share refuses them itself
+    # the key reader both JSON readers share passes them through: the
+    # refusal is `dict_coords`' alone
+    assert json_positions(obj["coords"]) == coords
     with pytest.raises(ValueError, match="^positions are 1-based$"):
-        json_positions(obj["coords"])
+        dict_coords(coords)
 
 
 @pytest.mark.parametrize("coords, bad", [
