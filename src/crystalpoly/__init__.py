@@ -12,7 +12,6 @@ from .braid import (
 )
 from .cartan import (
     CartanData,
-    CartanError,
     IndexSequence,
     Weight,
     cartan_from_matrix,
@@ -26,7 +25,7 @@ from .closed_forms import (
     l_max,
     rank2_system,
 )
-from .crystals import NEG_INF, Letter, TensorWord
+from .crystals import NEG_INF, TensorWord
 from .forms import DescentSystem, FormSet, LinearForm
 from .zvectors import MSet, SequenceCrystal, ZVector, check_crystal_axioms
 
@@ -35,11 +34,9 @@ __version__ = "0.1.0"
 __all__ = [
     "BraidContext",
     "CartanData",
-    "CartanError",
     "DescentSystem",
     "FormSet",
     "IndexSequence",
-    "Letter",
     "LinearForm",
     "MSet",
     "NEG_INF",

@@ -4,10 +4,13 @@ For two indices i, j with negated pairings c1 = -<h_i, alpha_j> and
 c2 = -<h_j, alpha_i>, products c1*c2 in {0, 1, 2, 3} admit an explicit
 crystal isomorphism from an alternating tensor power starting with i to
 the mirrored one starting with j; its inverse is the same map for the
-swapped pair.  The degree-3 map has two equivalent formula families; the
-max/min family, written as running comparisons, is the primary one and
-the nested-clamp family is kept as the fuzz's cross-check.  `run_property_suite` is the package's
-check that the maps are strict crystal morphisms.
+swapped pair.  The maps act on letter values (`map_values`); `phi` and
+`apply_at` carry a `TensorWord`'s index and value tuples across a window,
+and `transport` a vector's coordinates.  The degree-3 map has two
+equivalent formula families; the max/min family, written as running
+comparisons, is the primary one and the nested-clamp family is kept as the
+fuzz's cross-check.  `run_property_suite` is the package's check that the
+maps are strict crystal morphisms.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import random
 from dataclasses import dataclass
 
 from .cartan import IndexSequence, exact_int, rank2_cartan
-from .crystals import Letter, TensorWord, fold
+from .crystals import TensorWord, fold
 from .zvectors import ZVector
 
 # letters of each supported (c1, c2): 2, 3, 4, 6 for degree 0, 1, 2, 3
@@ -199,7 +202,7 @@ def phi(ctx: BraidContext, word: TensorWord) -> TensorWord:
     if word.unit is not None:
         raise ValueError("braid maps act on pure letter words")
     values = _map_window(ctx, word.indices, word.values)
-    return TensorWord(word.cartan, map(Letter, ctx.output_pattern(), values))
+    return TensorWord(word.cartan, ctx.output_pattern(), values)
 
 
 def _window(ctx: BraidContext, positions, n: int | None = None) -> tuple[int, ...]:
@@ -228,9 +231,8 @@ def apply_at(ctx: BraidContext, word: TensorWord, positions) -> TensorWord:
     # letters are stored leftmost first; position p is letter n - p
     lo, hi = n - positions[-1], n - positions[0] + 1
     image = _map_window(ctx, indices[lo:hi], values[lo:hi])
-    letters = map(Letter, indices[:lo] + ctx.output_pattern() + indices[hi:],
-                  values[:lo] + image + values[hi:])
-    return TensorWord(word.cartan, letters, word.unit)
+    return TensorWord(word.cartan, indices[:lo] + ctx.output_pattern() + indices[hi:],
+                      values[:lo] + image + values[hi:], word.unit)
 
 
 def transport(ctx: BraidContext, seq: IndexSequence, x: ZVector, positions) -> ZVector:
@@ -251,7 +253,7 @@ def run_property_suite(c1: int, c2: int, n: int, seed: int) -> dict:
 
     Each sample is checked on its value tuple through the `fold` of its
     tensor word and of the image's: the weight, then per index eps, phi and
-    commutation with e and f, whose letter changes follow `bump`'s rule;
+    commutation with e and f, each a +1 or -1 at the target `fold` gives;
     then the exact involution, and in degree 3 the two formula families
     agreeing.  `tests/fuzz_oracle.py` makes the same checks on `TensorWord`s.
     At most 25 violations are kept.  Letters are drawn as
@@ -285,30 +287,24 @@ def run_property_suite(c1: int, c2: int, n: int, seed: int) -> dict:
                 found.append(("eps", i))
             if bp != mp:
                 found.append(("phi", i))
-            # e, then f, added in place to the sample's and the image's lists by
-            # `bump`'s rule: with no unit letter, only an other-index target kills
-            moved = shifted = None
-            if src[bet] == i:
-                draws[bet] += 1
-                moved = maps(c1, c2, tuple(draws))
-                draws[bet] -= 1
-            if dst[met] == i:
-                out[met] += 1
-                shifted = tuple(out)
-                out[met] -= 1
-            if moved != shifted:
+            # e, then f, added in place to the sample's and the image's lists.
+            # Both patterns hold both indices, so `fold` puts each target on a
+            # letter of index i, and with no unit letter no target is the
+            # unit: neither operator kills a sample or an image here
+            draws[bet] += 1
+            moved = maps(c1, c2, tuple(draws))
+            draws[bet] -= 1
+            out[met] += 1
+            if moved != tuple(out):
                 found.append(("e-commute", i))
-            moved = shifted = None
-            if src[bft] == i:
-                draws[bft] -= 1
-                moved = maps(c1, c2, tuple(draws))
-                draws[bft] += 1
-            if dst[mft] == i:
-                out[mft] -= 1
-                shifted = tuple(out)
-                out[mft] += 1
-            if moved != shifted:
+            out[met] -= 1
+            draws[bft] -= 1
+            moved = maps(c1, c2, tuple(draws))
+            draws[bft] += 1
+            out[mft] -= 1
+            if moved != tuple(out):
                 found.append(("f-commute", i))
+            out[mft] += 1
         if maps(c2, c1, image) != vals:
             found.append(("involution", None))
         if nested is not None and nested(c1, c2, vals) != image:

@@ -13,10 +13,6 @@ import re
 from dataclasses import dataclass, field
 
 
-class CartanError(ValueError):
-    pass
-
-
 @dataclass(frozen=True)
 class CartanData:
     """A generalized Cartan matrix over the index set {1, .., rank}."""
@@ -27,24 +23,24 @@ class CartanData:
 
     def __post_init__(self):
         if self.rank < 1:
-            raise CartanError("rank must be a positive integer")
+            raise ValueError("rank must be a positive integer")
         if len(self.matrix) != self.rank:
-            raise CartanError("matrix must have one row per index")
+            raise ValueError("matrix must have one row per index")
         for row in self.matrix:
             if len(row) != self.rank:
-                raise CartanError("matrix must be square")
+                raise ValueError("matrix must be square")
             if any(not isinstance(v, int) for v in row):
-                raise CartanError("matrix entries must be integers")
+                raise ValueError("matrix entries must be integers")
         for i in range(self.rank):
             if self.matrix[i][i] != 2:
-                raise CartanError("diagonal entries must equal 2")
+                raise ValueError("diagonal entries must equal 2")
             for j in range(self.rank):
                 if i != j and self.matrix[i][j] > 0:
-                    raise CartanError("off-diagonal entries must be <= 0")
+                    raise ValueError("off-diagonal entries must be <= 0")
                 if (self.matrix[i][j] == 0) != (self.matrix[j][i] == 0):
-                    raise CartanError("zero pattern must be symmetric")
+                    raise ValueError("zero pattern must be symmetric")
         if self.labels is not None and len(self.labels) != self.rank:
-            raise CartanError("labels must have one entry per index")
+            raise ValueError("labels must have one entry per index")
 
     def a(self, i: int, j: int) -> int:
         """Pairing <h_i, alpha_j>, 1-based."""
@@ -67,7 +63,7 @@ class CartanData:
         columns = [[int(r == j) for r in range(n)] for j in range(n)]
         for i in word:
             if not 1 <= i <= n:
-                raise CartanError(f"word entries must lie in 1..{n}")
+                raise ValueError(f"word entries must lie in 1..{n}")
             image = columns[i - 1]
             if next(c for c in image if c) < 0:
                 return False
@@ -85,23 +81,24 @@ class CartanData:
     @classmethod
     def from_json_dict(cls, obj: dict) -> "CartanData":
         if not isinstance(obj, dict):
-            raise CartanError("Cartan JSON must be an object")
+            raise ValueError("Cartan JSON must be an object")
         matrix = obj["matrix"]
         labels = obj.get("labels")
         datum = cartan_from_matrix(matrix, labels=labels)
         if "rank" in obj and obj["rank"] != datum.rank:
-            raise CartanError("declared rank does not match matrix size")
+            raise ValueError("declared rank does not match matrix size")
         return datum
 
 
 def exact_int(value) -> int:
-    """`value` as an int, refusing a bool or one that int() would change (1.5, "2", inf)."""
+    """`value` as an int, refusing a bool, one that int() would change (1.5,
+    "2", inf) and one it refuses ("x", nan, None, [1])."""
     if isinstance(value, bool):
         raise ValueError(f"expected an integer, got {value!r}")
     try:
         if int(value) == value:
             return int(value)
-    except OverflowError:
+    except (TypeError, ValueError, OverflowError):
         pass
     raise ValueError(f"expected an integer, got {value!r}")
 
@@ -129,13 +126,13 @@ def cartan_from_matrix(matrix, labels=None) -> CartanData:
     """Validate an integer matrix and wrap it as CartanData."""
     if labels is not None and not (
             isinstance(labels, (list, tuple)) and all(isinstance(x, str) for x in labels)):
-        raise CartanError("labels must be a list of strings")
+        raise ValueError("labels must be a list of strings")
     try:
         rows = tuple(tuple(exact_int(v) for v in row) for row in matrix)
     except TypeError as exc:
-        raise CartanError("matrix must be a list of integer rows") from exc
+        raise ValueError("matrix must be a list of integer rows") from exc
     except ValueError as exc:
-        raise CartanError("matrix entries must be integers") from exc
+        raise ValueError("matrix entries must be integers") from exc
     lab = None if labels is None else tuple(labels)
     return CartanData(rank=len(rows), matrix=rows, labels=lab)
 
@@ -200,12 +197,12 @@ class IndexSequence:
 
     def __post_init__(self):
         if not self.period:
-            raise CartanError("period must be nonempty")
+            raise ValueError("period must be nonempty")
         if any(i < 1 or i > self.rank for i in self.period):
-            raise CartanError("period entries must lie in 1..rank")
+            raise ValueError("period entries must lie in 1..rank")
         missing = set(range(1, self.rank + 1)) - set(self.period)
         if missing:
-            raise CartanError(f"period must mention every index, missing {sorted(missing)}")
+            raise ValueError(f"period must mention every index, missing {sorted(missing)}")
         m = len(self.period)
         # _next_of[i - 1][r]: distance from a position p with p % m == r to
         # the first position beyond p carrying index i (1..m)
@@ -235,20 +232,20 @@ class IndexSequence:
     def index_at(self, k: int) -> int:
         """The index i_k, for any position k >= 1."""
         if k < 1:
-            raise CartanError("positions are 1-based")
+            raise ValueError("positions are 1-based")
         return self.period[(k - 1) % len(self.period)]
 
     def next_occurrence(self, k: int) -> int:
         """Smallest position l > k with i_l = i_k."""
         if k < 1:
-            raise CartanError("positions are 1-based")
+            raise ValueError("positions are 1-based")
         m = len(self.period)
         return k + self._next_of[self.period[(k - 1) % m] - 1][k % m]
 
     def prev_occurrence(self, k: int) -> int:
         """Largest position l < k with i_l = i_k, or 0 when there is none."""
         if k < 1:
-            raise CartanError("positions are 1-based")
+            raise ValueError("positions are 1-based")
         s = (k - 1) % len(self.period)
         l = k - 1 - self._last_of[self.period[s] - 1][s]
         return l if l > 0 else 0
@@ -256,15 +253,15 @@ class IndexSequence:
     def first_occurrence(self, i: int) -> int:
         """The unique position k with i_k = i and no earlier occurrence."""
         if i not in self.period:
-            raise CartanError(f"index {i} does not occur")
+            raise ValueError(f"index {i} does not occur")
         return self.period.index(i) + 1
 
     def next_position_of(self, i: int, after: int) -> int:
         """First position strictly beyond `after` carrying index i."""
         if after < 0:
-            raise CartanError("positions are 1-based")
+            raise ValueError("positions are 1-based")
         if not 1 <= i <= self.rank:
-            raise CartanError(f"index {i} does not occur")
+            raise ValueError(f"index {i} does not occur")
         return after + self._next_of[i - 1][after % len(self.period)]
 
     def positions_of(self, i: int, stop: int) -> list[int]:
@@ -276,5 +273,5 @@ class IndexSequence:
         """Parse space or comma separated indices, leftmost token = i_1."""
         period = decimal_ints(text)
         if not period:
-            raise CartanError("empty index sequence")
+            raise ValueError("empty index sequence")
         return cls(period, rank)

@@ -65,10 +65,7 @@ def _resolve_cartan(args) -> tuple[CartanData, IndexSequence | None, object]:
     if args.builtin and args.cartan_file:
         raise ValueError("give either --builtin or --cartan-file, not both")
     if args.builtin:
-        try:
-            builtin = get_builtin(args.builtin)
-        except KeyError:
-            raise ValueError(f"unknown builtin {args.builtin!r}")
+        builtin = get_builtin(args.builtin)
         return builtin.cartan, builtin.iota, builtin
     if args.cartan_file:
         return _load_cartan_file(args.cartan_file), None, None

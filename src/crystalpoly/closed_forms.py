@@ -15,7 +15,7 @@ import re
 from dataclasses import dataclass
 from functools import cache
 
-from .cartan import CartanData, CartanError, IndexSequence, Weight, an_cartan, rank2_cartan
+from .cartan import CartanData, IndexSequence, Weight, an_cartan, rank2_cartan
 from .forms import MAX_FORMS, FormSet, LinearForm
 
 
@@ -171,11 +171,11 @@ def get_builtin(name: str) -> Builtin:
         digits = match.group(1).lstrip("0") or "0"
         # length first: int() refuses strings past a few thousand digits
         if len(digits) > len(str(MAX_CHAIN_RANK)) or int(digits) > MAX_CHAIN_RANK:
-            raise CartanError(f"chain builtins go up to a{MAX_CHAIN_RANK}, got {name!r}")
+            raise ValueError(f"chain builtins go up to a{MAX_CHAIN_RANK}, got {name!r}")
         n = int(digits)
         if n >= 1:
             return _builtin(f"a{n}")
-    raise KeyError(name)
+    raise ValueError(f"unknown builtin {name!r}")
 
 
 @cache

@@ -5,26 +5,16 @@ A tensor word is a finite ordered product of integer-labelled letters
 one-element crystal of a highest weight, stored as that `Weight`.  The
 raising/lowering operators, the string statistics epsilon/phi, and
 weights are computed by folding the two-factor tensor rules left to
-right, in `fold` and `bump` on plain index and value tuples, which the
-braid fuzz also calls; the absorbing element 0 is represented by None.
+right, in `fold` on plain index and value tuples, which the braid fuzz
+also calls; the absorbing element 0 is represented by None.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .cartan import CartanData, Weight, exact_int
 
 
 NEG_INF = float("-inf")  # eps and phi of a word with no letter of the index
-
-
-@dataclass(frozen=True)
-class Letter:
-    """The element (value)_index of the elementary crystal for one index."""
-
-    index: int
-    value: int
 
 
 def fold(row, indices, values, unit, i: int):
@@ -34,8 +24,8 @@ def fold(row, indices, values, unit, i: int):
     targets share the phi of the factors before each factor m: f acts on
     the last m whose eps is >= it, e on the last m whose eps is > it
     (factor 0 by default).  A letter of another index has eps = phi = -inf
-    and only moves the weight; a target on it makes `bump` return None, as
-    does the default target when no factor has index i.  None is -inf
+    and only moves the weight; `TensorWord._apply` gives None for a target
+    on it, as for the default target when no factor has index i.  None is -inf
     inside the loop and NEG_INF is returned.
     """
     eps = phi = None
@@ -78,26 +68,17 @@ def fold(row, indices, values, unit, i: int):
     return eps, phi, wtp, f_target, e_target
 
 
-def bump(indices, values, i: int, target: int, delta: int):
-    """`values` with `delta` added at `target`, or None when the target is the
-    unit letter or a letter of another index: the operators kill those."""
-    if target == len(values) or indices[target] != i:
-        return None
-    bumped = list(values)
-    bumped[target] += delta
-    return tuple(bumped)
-
-
 class TensorWord:
     """A finite tensor product of letters, leftmost factor first, kept as
-    two int tuples; the `Letter` tuple `letters` is built on demand."""
+    two int tuples: letter m is (values[m])_{indices[m]}."""
 
     __slots__ = ("cartan", "indices", "values", "unit")
 
-    def __init__(self, cartan: CartanData, letters, unit: Weight | None = None):
-        letters = tuple(letters)
-        self.indices = tuple(letter.index for letter in letters)
-        self.values = tuple(letter.value for letter in letters)
+    def __init__(self, cartan: CartanData, indices, values, unit: Weight | None = None):
+        self.indices = tuple(indices)
+        self.values = tuple(values)
+        if len(self.indices) != len(self.values):
+            raise ValueError("a word needs one value per letter index")
         # plain ints only: a float or a bool would pass the range check and
         # then flow through the folds as a non-integer letter
         if not all(type(v) is int for v in self.indices + self.values):
@@ -109,10 +90,6 @@ class TensorWord:
             raise ValueError("unit weight rank mismatch")
         self.cartan = cartan
         self.unit = unit
-
-    @property
-    def letters(self) -> tuple:
-        return tuple(map(Letter, self.indices, self.values))
 
     def __eq__(self, other):
         return (isinstance(other, TensorWord) and self.values == other.values
@@ -152,10 +129,14 @@ class TensorWord:
         return tuple(self._fold(j)[2] for j in self.cartan.indices)
 
     def _apply(self, i: int, target: int, delta: int):
-        values = bump(self.indices, self.values, i, target, delta)
-        if values is None:
+        """This word with `delta` added to the value at `target`, or None when
+        the target is the unit letter or a letter of another index: the
+        operators kill those."""
+        if target == len(self.values) or self.indices[target] != i:
             return None
-        return TensorWord(self.cartan, map(Letter, self.indices, values), self.unit)
+        values = list(self.values)
+        values[target] += delta
+        return TensorWord(self.cartan, self.indices, values, self.unit)
 
     def f(self, i: int):
         """Lowering operator; None is the absorbing element."""
@@ -175,7 +156,7 @@ class TensorWord:
     def from_json_obj(cls, cartan: CartanData, obj) -> "TensorWord":
         """The word of `to_json_obj`'s list: [index, value] letters, then at
         most one ["r", pairings] unit letter, which must come last."""
-        letters = []
+        indices, values = [], []
         unit = None
         for entry in obj:
             if unit is not None:
@@ -183,8 +164,9 @@ class TensorWord:
             if entry[0] == "r":
                 unit = Weight(entry[1])
             else:
-                letters.append(Letter(exact_int(entry[0]), exact_int(entry[1])))
-        return cls(cartan, letters, unit)
+                indices.append(exact_int(entry[0]))
+                values.append(exact_int(entry[1]))
+        return cls(cartan, indices, values, unit)
 
 
 class CrystalGraph:

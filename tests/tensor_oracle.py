@@ -17,7 +17,7 @@ with `apply_at`, and read the coordinates back.  They are the oracle for
 from collections import deque
 
 from crystalpoly import NEG_INF, SequenceCrystal, ZVector, apply_at
-from crystalpoly.crystals import CrystalGraph, Letter, TensorWord
+from crystalpoly.crystals import CrystalGraph, TensorWord
 
 
 def factor_data(word, m, i):
@@ -117,20 +117,21 @@ def to_tensor_word(crystal, x, length):
         raise ValueError("positions are 1-based")
     if x.max_pos > length:
         raise ValueError("truncation length does not cover the support")
-    letters = [Letter(crystal.seq.index_at(k), -x.get(k)) for k in range(length, 0, -1)]
-    return TensorWord(crystal.cartan, letters, crystal.lam)
+    positions = range(length, 0, -1)
+    return TensorWord(crystal.cartan, map(crystal.seq.index_at, positions),
+                      (-x.get(k) for k in positions), crystal.lam)
 
 
 def from_tensor_word(crystal, word):
     """Inverse of to_tensor_word for words shaped like the crystal's sequence."""
-    n = len(word.letters)
+    n = len(word.values)
     coords = {}
-    for offset, letter in enumerate(word.letters):
+    for offset, (index, value) in enumerate(zip(word.indices, word.values)):
         pos = n - offset
-        if letter.index != crystal.seq.index_at(pos):
+        if index != crystal.seq.index_at(pos):
             raise ValueError("letter indices do not follow the sequence")
-        if letter.value:
-            coords[pos] = -letter.value
+        if value:
+            coords[pos] = -value
     return ZVector.from_dict(coords, crystal.lam)
 
 
@@ -143,6 +144,6 @@ def tensor_transport(ctx, cartan, seq, x, positions):
     crystal = SequenceCrystal(cartan, seq, x.lam)
     word = to_tensor_word(crystal, x, max(max(positions), x.max_pos))
     image = apply_at(ctx, word, positions)
-    n = len(image.letters)
-    coords = {n - off: -l.value for off, l in enumerate(image.letters) if l.value}
+    n = len(image.values)
+    coords = {n - off: -v for off, v in enumerate(image.values) if v}
     return ZVector.from_dict(coords, x.lam)

@@ -312,7 +312,7 @@ def test_criterion_10_axioms_on_every_graph():
         # tensor associativity: left and right bracketings agree on samples
         import random
 
-        from crystalpoly import Letter, TensorWord, rank2_cartan
+        from crystalpoly import TensorWord, rank2_cartan
         from tensor_oracle import factor_data
 
         rng = random.Random(77)
@@ -320,10 +320,10 @@ def test_criterion_10_axioms_on_every_graph():
             cartan = rank2_cartan(c1, c2)
             for _ in range(300):
                 letters = [
-                    Letter(rng.randint(1, 2), rng.randint(-5, 5))
+                    (rng.randint(1, 2), rng.randint(-5, 5))
                     for _ in range(rng.randint(2, 5))
                 ]
-                w = TensorWord(cartan, letters)
+                w = TensorWord(cartan, *zip(*letters))
                 for i in (1, 2):
                     le, lp, lw = w.eps_phi_wt(i)
                     data = [factor_data(w, m, i) for m in range(len(w))]

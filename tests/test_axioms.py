@@ -16,7 +16,6 @@ import pytest
 
 from crystalpoly import (
     NEG_INF,
-    Letter,
     SequenceCrystal,
     TensorWord,
     cartan_from_matrix,
@@ -203,7 +202,7 @@ A2 = cartan_from_matrix([[2, -1], [-1, 2]])
 def test_tensor_words_match_oracle(lam):
     """The oracle, the one checker of tensor words, on a word component."""
     unit = None if lam is None else weight(*lam)
-    seed = TensorWord(A2, [Letter(i, 0) for i in (1, 2, 1, 2)], unit)
+    seed = TensorWord(A2, (1, 2, 1, 2), (0, 0, 0, 0), unit)
     nodes = list(connected_component(seed, 4).nodes)
     words = SimpleNamespace(
         cartan=A2, epsilon=TensorWord.epsilon, phi=TensorWord.phi,

@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from crystalpoly import (
     BraidContext,
     IndexSequence,
-    Letter,
     SequenceCrystal,
     TensorWord,
     Weight,
@@ -36,8 +35,7 @@ PAIRS = [(0, 0), (1, 1), (1, 2), (2, 1), (1, 3), (3, 1)]
 def make_word(c1, c2, vals):
     ctx = BraidContext(1, 2, c1, c2)
     cartan = rank2_cartan(c1, c2)
-    letters = [Letter(i, v) for i, v in zip(ctx.input_pattern(), vals)]
-    return ctx, TensorWord(cartan, letters)
+    return ctx, TensorWord(cartan, ctx.input_pattern(), vals)
 
 
 def test_context_validation():
@@ -55,7 +53,7 @@ def test_context_validation():
 def test_degree0_swap():
     ctx, w = make_word(0, 0, (-2, 3))
     out = phi(ctx, w)
-    assert [(l.index, l.value) for l in out.letters] == [(2, 3), (1, -2)]
+    assert (out.indices, out.values) == ((2, 1), (3, -2))
     assert phi(ctx.swapped(), out) == w
 
 
@@ -88,15 +86,14 @@ def test_degree3_example_and_families_agree():
 def test_shape_mismatch_rejected():
     ctx = BraidContext(1, 2, 1, 1)
     cartan = rank2_cartan(1, 1)
-    bad = TensorWord(cartan, [Letter(2, 0), Letter(1, 0), Letter(2, 0)])
+    bad = TensorWord(cartan, (2, 1, 2), (0, 0, 0))
     with pytest.raises(ValueError):
         phi(ctx, bad)
-    short = TensorWord(cartan, [Letter(1, 0), Letter(2, 0)])
+    short = TensorWord(cartan, (1, 2), (0, 0))
     with pytest.raises(ValueError):
         phi(ctx, short)
-    letters = [Letter(1, 0), Letter(2, 0), Letter(1, 0)]
     with pytest.raises(ValueError, match="pure letter"):
-        phi(ctx, TensorWord(cartan, letters, weight(1, 0)))
+        phi(ctx, TensorWord(cartan, (1, 2, 1), (0, 0, 0), weight(1, 0)))
 
 
 def test_involution_fuzz():
@@ -121,6 +118,24 @@ def test_map_values_matches_the_reference_formulas(pair):
     grid += [tuple(rng.randint(-11, 11) for _ in range(length)) for _ in range(5000)]
     for vals in grid:
         assert map_values(*pair, vals) == fuzz_oracle.map_values(*pair, vals), vals
+
+
+@pytest.mark.parametrize("i", (1, 2))
+@pytest.mark.parametrize("side", ("input", "output"))
+@pytest.mark.parametrize("pair", PAIRS, ids=[f"{c1}-{c2}" for c1, c2 in PAIRS])
+def test_fold_targets_a_letter_of_its_index(pair, side, i):
+    """On an alternating pattern `fold` puts the f and e targets of index i on
+    letters of index i, so no e or f in `run_property_suite` kills a sample
+    or an image; a `fold` that let one through would fail here first."""
+    ctx = BraidContext(1, 2, *pair)
+    pattern = getattr(ctx, f"{side}_pattern")()
+    row = rank2_cartan(*pair).matrix[i - 1]
+    rng = random.Random(f"{pair} {side} {i}")
+    grid = list(itertools.product(EDGE_VALUES, repeat=len(pattern)))
+    grid += [tuple(rng.randint(-11, 11) for _ in pattern) for _ in range(5000)]
+    for vals in grid:
+        f_target, e_target = fold(row, pattern, vals, None, i)[3:]
+        assert pattern[f_target] == pattern[e_target] == i, vals
 
 
 @pytest.mark.parametrize(
@@ -170,7 +185,7 @@ def test_braid_map_is_strict_morphism():
             return None if b is None else phi(ctx, b)
 
         sample = [
-            TensorWord(cartan, [Letter(i, rng.randint(-6, 6)) for i in pattern])
+            TensorWord(cartan, pattern, [rng.randint(-6, 6) for _ in pattern])
             for _ in range(150)
         ]
         assert check_strict_morphism(mapped, sample, (1, 2)) == []
@@ -294,26 +309,20 @@ def test_property_suite_draws_the_randint_stream(monkeypatch, pair, seed):
 def test_apply_at_swap_window():
     cartan = rank2_cartan(0, 0)
     ctx = BraidContext(1, 2, 0, 0)
-    w = TensorWord(cartan, [Letter(2, 5), Letter(1, -1), Letter(2, 4), Letter(1, 9)])
+    w = TensorWord(cartan, (2, 1, 2, 1), (5, -1, 4, 9))
     # positions count from the right: window (2, 3) is the middle pair
     out = apply_at(ctx, w, (2, 3))
-    assert [(l.index, l.value) for l in out.letters] == [
-        (2, 5),
-        (2, 4),
-        (1, -1),
-        (1, 9),
-    ]
+    assert (out.indices, out.values) == ((2, 2, 1, 1), (5, 4, -1, 9))
 
 
 def test_apply_at_roundtrip_and_unit_preserved():
     a3 = __import__("crystalpoly").get_builtin("a3")
     ctx = BraidContext.from_cartan(a3.cartan, 1, 2)
     lam = weight(1, 0, 1)
-    letters = [Letter(i, v) for i, v in zip((1, 2, 1, 3, 2, 1), (0, -1, 0, -2, 0, -1))]
-    w = TensorWord(a3.cartan, letters, lam)
+    w = TensorWord(a3.cartan, (1, 2, 1, 3, 2, 1), (0, -1, 0, -2, 0, -1), lam)
     out = apply_at(ctx, w, (4, 5, 6))
     assert out.unit == w.unit
-    assert [l.index for l in out.letters] == [2, 1, 2, 3, 2, 1]
+    assert out.indices == (2, 1, 2, 3, 2, 1)
     back = apply_at(ctx.swapped(), out, (4, 5, 6))
     assert back == w
 
@@ -321,7 +330,7 @@ def test_apply_at_roundtrip_and_unit_preserved():
 def test_apply_at_validates_window():
     cartan = rank2_cartan(1, 1)
     ctx = BraidContext(1, 2, 1, 1)
-    w = TensorWord(cartan, [Letter(1, 0), Letter(2, 0), Letter(1, 0)])
+    w = TensorWord(cartan, (1, 2, 1), (0, 0, 0))
     with pytest.raises(ValueError):
         apply_at(ctx, w, (1, 3, 2))
     with pytest.raises(ValueError):
@@ -401,7 +410,7 @@ def test_transport_refuses_a_window(window, message):
     with pytest.raises(ValueError, match=message):
         transport(ctx, A3_IOTA1, ZVector.from_dict({4: 1}), window)
     if "pattern" not in message:  # the same check guards the tensor route
-        word = TensorWord(A3, [Letter(1, 0), Letter(2, 0), Letter(1, 0), Letter(3, 0)])
+        word = TensorWord(A3, (1, 2, 1, 3), (0, 0, 0, 0))
         with pytest.raises(ValueError, match=message):
             apply_at(ctx, word, window)
 
@@ -417,13 +426,12 @@ def test_transport_refuses_a_weight_of_another_rank():
 
 def rebuilt(word):
     """The same word through the public, checking constructor."""
-    pairs = [(l.index, l.value) for l in word.letters]
-    return TensorWord(word.cartan, [Letter(i, v) for i, v in pairs], word.unit)
+    return TensorWord(word.cartan, list(word.indices), list(word.values), word.unit)
 
 
 def assert_like_public(word):
     ref = rebuilt(word)
-    assert type(word.letters) is tuple and all(type(l) is Letter for l in word.letters)
+    assert type(word.indices) is tuple and type(word.values) is tuple
     assert word == ref and ref == word and hash(word) == hash(ref)
     for i in (1, 2):
         assert word._fold(i) == ref._fold(i)
@@ -443,7 +451,7 @@ def test_fast_word_paths_match_public_constructor(pair, data):
     derived = [image, phi(ctx.swapped(), image)]
     if ctx.degree == 3:
         derived.append(fuzz_oracle.phi_nested(ctx, w))
-    with_unit = TensorWord(w.cartan, w.letters, weight(*lam))
+    with_unit = TensorWord(w.cartan, w.indices, w.values, weight(*lam))
     for word in (w, image, with_unit):
         for i in (1, 2):
             derived += [word.f(i), word.e(i)]
@@ -457,21 +465,7 @@ def test_public_constructor_checks_letter_indices():
     cartan = rank2_cartan(1, 1)
     for index in (0, 3):
         with pytest.raises(ValueError, match="out of range"):
-            TensorWord(cartan, [Letter(1, 0), Letter(index, 0)])
-
-
-def test_letters_stay_immutable_values():
-    ctx, w = make_word(1, 2, (0, -1, 2, 1))
-    shared = phi(ctx, w).letters[0]  # a letter of a derived word
-    for letter in (Letter(1, 2), shared):
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            letter.value = 5
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            letter.index = 1
-    assert Letter(1, 2) != (1, 2) and (1, 2) != Letter(1, 2)
-    twin = Letter(shared.index, shared.value)
-    assert twin == shared and hash(twin) == hash(shared) and twin != (shared.index, shared.value)
-    assert repr(Letter(1, 2)) == "Letter(index=1, value=2)"
+            TensorWord(cartan, (1, index), (0, 0))
 
 
 def test_context_patterns_are_built_once():
@@ -494,9 +488,10 @@ def random_braid_word(rng, cartan, contexts):
             indices += rng.choice(contexts).input_pattern()
         else:
             indices.append(rng.randint(1, cartan.rank))
-    letters = [Letter(i, rng.randint(-5, 5)) for i in indices[: rng.randint(2, 9)]]
+    indices = indices[: rng.randint(2, 9)]
+    values = [rng.randint(-5, 5) for _ in indices]
     lam = rng.choice([None, tuple(rng.randint(0, 2) for _ in cartan.indices)])
-    return TensorWord(cartan, letters, None if lam is None else Weight(lam))
+    return TensorWord(cartan, indices, values, None if lam is None else Weight(lam))
 
 
 @pytest.mark.parametrize("datum", ["a3", *(f"rank2-{c1}-{c2}" for c1, c2 in PAIRS)])
@@ -513,24 +508,25 @@ def test_apply_at_every_window_matches_public_splice(datum):
     applied = refused = 0
     for _ in range(60):
         w = random_braid_word(rng, cartan, contexts)
-        n = len(w.letters)
+        n = len(w.values)
         for ctx in contexts:
             length = len(ctx.input_pattern())
             for start in range(1, n - length + 2):
                 window = tuple(range(start, start + length))
                 lo, hi = n - window[-1], n - window[0] + 1
-                sub = TensorWord(cartan, w.letters[lo:hi])
+                sub = TensorWord(cartan, w.indices[lo:hi], w.values[lo:hi])
                 if sub.indices != ctx.input_pattern():
                     with pytest.raises(ValueError, match="does not match"):
                         apply_at(ctx, w, window)
                     refused += 1
                     continue
                 image = phi(ctx, sub)
-                spliced = w.letters[:lo] + image.letters + w.letters[hi:]
-                expected = TensorWord(cartan, spliced, w.unit)
+                expected = TensorWord(cartan, w.indices[:lo] + image.indices + w.indices[hi:],
+                                      w.values[:lo] + image.values + w.values[hi:], w.unit)
                 out = apply_at(ctx, w, window)
                 assert out == expected and hash(out) == hash(expected)
-                assert out.letters == expected.letters and out.unit is w.unit
+                assert out.indices == expected.indices and out.values == expected.values
+                assert out.unit is w.unit
                 if cartan.rank == 2:
                     assert_like_public(out)
                 assert apply_at(ctx.swapped(), out, window) == w
@@ -552,7 +548,7 @@ def test_derived_words_survive_json(pair):
             if word is None:
                 continue
             obj = word.to_json_obj()
-            assert obj == [[l.index, l.value] for l in word.letters]
+            assert obj == [[i, v] for i, v in zip(word.indices, word.values)]
             back = TensorWord.from_json_obj(word.cartan, obj)
             assert back == word and hash(back) == hash(word) and back.label() == word.label()
             assert back.indices == word.indices and back.values == word.values

@@ -780,6 +780,7 @@ def test_braid_map_set_malformed(tmp_path, capsys, content):
     "element, message",
     [
         ({"coords": {"1": 1.5}}, "expected an integer, got 1.5"),
+        ({"coords": {"1": "x"}}, "expected an integer, got 'x'"),
         ([[1, 0], [2, 2.9], [1, 0]], "expected an integer, got 2.9"),
         ({"coords": {"1": 1}, "mode": {"lambda": [1]}}, "weight rank must match the Cartan datum"),
         ([["r", [1, 0]], [1, 1], [2, 0], [1, -2]],
@@ -790,8 +791,8 @@ def test_braid_map_set_malformed(tmp_path, capsys, content):
          "a coordinate key must be an ASCII decimal position, got '\u0663'"),
         ({"coords": {"1": 1, "01": 2}}, "position 1 is given twice"),
     ],
-    ids=["fractional-coordinate", "fractional-letter", "short-weight", "unit-first",
-         "underscored-key", "spaced-key", "arabic-indic-key", "repeated-position"],
+    ids=["fractional-coordinate", "text-coordinate", "fractional-letter", "short-weight",
+         "unit-first", "underscored-key", "spaced-key", "arabic-indic-key", "repeated-position"],
 )
 def test_braid_map_set_refuses_a_value(tmp_path, capsys, element, message):
     src = tmp_path / "im.json"

@@ -197,7 +197,7 @@ def test_builtin_registry():
     assert a5.cartan.rank == 5 and a5.longest_len == 15
     assert a5.iota.period == (1, 2, 3, 4, 5)
     assert get_builtin("a2").longest_word == (1, 2, 1)
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError, match="^unknown builtin 'e8'$"):
         get_builtin("e8")
 
 
@@ -220,7 +220,7 @@ def test_builtins_are_resolved_once_and_frozen():
     # spellings of one chain datum share one entry under the normalised name
     assert get_builtin("a3") is get_builtin("A03") is get_builtin("a0003")
     for bad in ("a0", "a00", "e8", "a-1", "a1x"):
-        with pytest.raises(KeyError):
+        with pytest.raises(ValueError, match=f"^unknown builtin '{bad}'$"):
             get_builtin(bad)
     assert _builtin.cache_info().currsize == len(names) == 69
     b = get_builtin("g2")

@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 
 from crystalpoly import (
     NEG_INF,
-    Letter,
     TensorWord,
     cartan_from_matrix,
     weight,
@@ -21,7 +20,7 @@ A2 = cartan_from_matrix([[2, -1], [-1, 2]])
 
 
 def word(cartan, *letters, lam=None):
-    return TensorWord(cartan, [Letter(i, x) for i, x in letters], lam)
+    return TensorWord(cartan, [i for i, _ in letters], [x for _, x in letters], lam)
 
 
 def rightassoc_eps_phi(w, i):
@@ -55,7 +54,7 @@ def test_two_letter_fold_sl2():
 def test_single_letters():
     assert word(A2, (1, 0)).eps_phi_wt(1) == (0, 0, 0)
     assert word(A2, (1, 3)).epsilon(2) == NEG_INF
-    r = TensorWord(SL2, [], weight(2))
+    r = TensorWord(SL2, [], [], weight(2))
     assert r.eps_phi_wt(1) == (-2, 0, 2)
 
 
@@ -79,7 +78,7 @@ def test_raising_elementary():
     assert word(A2, (1, 0)).e(2) is None
     assert word(SL2, (1, 0), lam=weight(0)).f(1) is None
     # the zero-letter string: a bare unit letter is killed by every operator
-    top = TensorWord(SL2, [], weight(2))
+    top = TensorWord(SL2, [], [], weight(2))
     assert top.e(1) is None and top.f(1) is None
 
 
@@ -129,11 +128,25 @@ def test_json_unit_letter_only_last(obj):
         TensorWord.from_json_obj(A2, obj)
 
 
-@pytest.mark.parametrize("letter", [Letter(1, 0.5), Letter(2, True), Letter(True, 0), Letter(1.0, 0)],
+@pytest.mark.parametrize("letter", [(1, 0.5), (2, True), (True, 0), (1.0, 0)],
                          ids=["fractional-value", "bool-value", "bool-index", "float-index"])
 def test_constructor_letters_must_be_integers(letter):
     with pytest.raises(ValueError, match="must be integers"):
-        TensorWord(A2, [Letter(1, 0), letter])
+        TensorWord(A2, [1, letter[0]], [0, letter[1]])
+
+
+@pytest.mark.parametrize("indices, values", [((1, 2), (0,)), ((1,), (0, 0)), ((), (0,))],
+                         ids=["value-missing", "index-missing", "no-index"])
+def test_constructor_needs_one_value_per_index(indices, values):
+    with pytest.raises(ValueError, match="one value per letter index"):
+        TensorWord(A2, indices, values)
+
+
+def test_constructor_keeps_any_iterables_as_tuples():
+    w = TensorWord(A2, iter([1, 2]), (v for v in (3, -1)), weight(1, 0))
+    assert (w.indices, w.values) == ((1, 2), (3, -1))
+    assert w == TensorWord(A2, [1, 2], [3, -1], weight(1, 0))
+    assert w == word(A2, (1, 3), (2, -1), lam=weight(1, 0))
 
 
 def test_identity_is_strict():
@@ -146,8 +159,7 @@ def test_letter_swap_is_not_strict():
     def swap(b):
         if b is None:
             return None
-        x, y = b.letters
-        return TensorWord(A2, [Letter(y.index, y.value), Letter(x.index, x.value)])
+        return TensorWord(A2, b.indices[::-1], b.values[::-1])
 
     sample = [word(A2, (1, a), (2, b)) for a in range(-2, 3) for b in range(-2, 3)]
     assert check_strict_morphism(swap, sample, A2.indices)
@@ -192,20 +204,20 @@ def pairwise_action(w, i, lowering):
     if len(w) == 1:
         return w._apply(i, 0, delta)
     if w.unit is not None:
-        prefix = TensorWord(w.cartan, w.letters, None)
+        prefix = TensorWord(w.cartan, w.indices, w.values)
         last_eps = -w.unit.pairing(i)
     else:
-        prefix = TensorWord(w.cartan, w.letters[:-1], None)
-        last = w.letters[-1]
-        last_eps = -last.value if last.index == i else NEG_INF
+        prefix = TensorWord(w.cartan, w.indices[:-1], w.values[:-1])
+        last_eps = -w.values[-1] if w.indices[-1] == i else NEG_INF
     goes_right = prefix.phi(i) <= last_eps if lowering else prefix.phi(i) < last_eps
     if goes_right:
         return w._apply(i, len(w) - 1, delta)
     sub = pairwise_action(prefix, i, lowering)
     if sub is None:
         return None
-    tail = (w.letters[-1],) if w.unit is None else ()
-    return TensorWord(w.cartan, tuple(sub.letters) + tail, w.unit)
+    if w.unit is not None:
+        return TensorWord(w.cartan, sub.indices, sub.values, w.unit)
+    return TensorWord(w.cartan, w.indices, sub.values + w.values[-1:])
 
 
 @settings(max_examples=120, deadline=None)
@@ -281,46 +293,45 @@ def test_fold_matches_per_factor_oracle(w, data):
         }[op]
         assert getattr(w, op)(i) == expected
     for i in w.cartan.indices:
-        if w.unit is None and all(l.index != i for l in w.letters):
+        if w.unit is None and i not in w.indices:
             assert w.epsilon(i) == NEG_INF and w.phi(i) == NEG_INF
 
 
 # -- the index and value tuples at their edges --------------------------------
 
-def assert_tuples_match_letters(w):
+def assert_two_tuples(w):
     assert type(w.indices) is tuple and type(w.values) is tuple
     assert len(w.indices) == len(w.values) == len(w) - (w.unit is not None)
-    assert type(w.letters) is tuple and all(type(l) is Letter for l in w.letters)
-    assert w.letters == tuple(map(Letter, w.indices, w.values))
+    assert all(type(v) is int for v in w.indices + w.values)
 
 
 def test_empty_word():
-    w = TensorWord(A2, [])
-    assert w.indices == w.values == w.letters == () and len(w) == 0
+    w = TensorWord(A2, [], [])
+    assert w.indices == w.values == () and len(w) == 0
     assert w.label() == "()" and w.to_json_obj() == [] and repr(w) == "TensorWord(())"
-    assert w == TensorWord(A2, iter(())) and hash(w) == hash(TensorWord(A2, ()))
-    assert w != TensorWord(A2, [], weight(0, 0))
+    assert w == TensorWord(A2, iter(()), iter(())) and hash(w) == hash(TensorWord(A2, (), ()))
+    assert w != TensorWord(A2, [], [], weight(0, 0))
     for i in A2.indices:
         assert w.eps_phi_wt(i) == (NEG_INF, NEG_INF, 0) == tensor_oracle.eps_phi_wt(w, i)
         assert w.f(i) is None and w.e(i) is None
     assert w.weight_pairings() == (0, 0)
     assert TensorWord.from_json_obj(A2, w.to_json_obj()) == w
-    assert_tuples_match_letters(w)
+    assert_two_tuples(w)
 
 
 def test_unit_only_word():
-    w = TensorWord(A2, [], weight(2, 1))
-    assert w.indices == w.values == w.letters == () and len(w) == 1
+    w = TensorWord(A2, [], [], weight(2, 1))
+    assert w.indices == w.values == () and len(w) == 1
     assert w.label() == "r2,1" and w.to_json_obj() == [["r", [2, 1]]]
-    assert w == TensorWord(A2, (), weight(2, 1))
-    assert hash(w) == hash(TensorWord(A2, (), weight(2, 1)))
-    assert w != TensorWord(A2, [], weight(1, 2)) and w != TensorWord(A2, [])
+    assert w == TensorWord(A2, (), (), weight(2, 1))
+    assert hash(w) == hash(TensorWord(A2, (), (), weight(2, 1)))
+    assert w != TensorWord(A2, [], [], weight(1, 2)) and w != TensorWord(A2, [], [])
     assert w.eps_phi_wt(1) == (-2, 0, 2) and w.eps_phi_wt(2) == (-1, 0, 1)
     for i in A2.indices:
         assert w.eps_phi_wt(i) == tensor_oracle.eps_phi_wt(w, i)
         assert w.f(i) is None and w.e(i) is None  # the operators kill the unit letter
     assert TensorWord.from_json_obj(A2, w.to_json_obj()) == w
-    assert_tuples_match_letters(w)
+    assert_two_tuples(w)
 
 
 @pytest.mark.parametrize("lam", [(0, 0), (1, 0), (0, 2), (3, 1)])
@@ -337,20 +348,20 @@ def test_trailing_unit_letter(lam):
                 # one value changes; the indices and the unit are the parent's
                 assert out.indices == w.indices and out.unit == w.unit
                 assert sum(a != b for a, b in zip(out.values, w.values)) == 1
-                assert_tuples_match_letters(out)
+                assert_two_tuples(out)
                 seen.append(out)
     assert seen  # at least one operator acts on a letter here
-    assert_tuples_match_letters(w)
+    assert_two_tuples(w)
 
 
 @settings(max_examples=150, deadline=None)
 @given(oracle_words())
 def test_letters_are_built_from_the_tuples(w):
-    assert_tuples_match_letters(w)
-    assert w == TensorWord(w.cartan, w.letters, w.unit)
-    assert hash(w) == hash(TensorWord(w.cartan, w.letters, w.unit))
+    assert_two_tuples(w)
+    assert w == TensorWord(w.cartan, w.indices, w.values, w.unit)
+    assert hash(w) == hash(TensorWord(w.cartan, w.indices, w.values, w.unit))
     for i in w.cartan.indices:
         for out in (w.f(i), w.e(i)):
             if out is not None:
-                assert_tuples_match_letters(out)
+                assert_two_tuples(out)
                 assert out == TensorWord.from_json_obj(w.cartan, out.to_json_obj())

@@ -1,8 +1,10 @@
 """The suite's own pytest configuration, run on a throwaway test file, the
-package's imports, the command line's reads and writes, and the package's
-reads of the environment (none), read from its source."""
+package's imports, the command line's reads and writes, the package's
+reads of the environment (none) and its exception classes, read from its
+source."""
 
 import ast
+import builtins
 import subprocess
 import sys
 from pathlib import Path
@@ -126,3 +128,35 @@ def test_environment_reads_are_found():
 def test_the_package_reads_no_environment_variable(path):
     # what a run does follows from its command line and files alone
     assert environment_reads(path.read_text()) == []
+
+
+def exception_classes(source: str) -> list[str]:
+    """The classes a module defines on a builtin exception, on a base named
+    like one (`...Error`, `...Exception`) or on a class found before them."""
+    names = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for base in node.bases:
+            name = base.attr if isinstance(base, ast.Attribute) else getattr(base, "id", "")
+            builtin = getattr(builtins, name, None)
+            if (name in names or name.endswith(("Error", "Exception"))
+                    or isinstance(builtin, type) and issubclass(builtin, BaseException)):
+                names.append(node.name)
+                break
+    return names
+
+
+def test_exception_classes_are_found():
+    source = ("class A(ValueError):\n    pass\nclass B(A): pass\nclass C(object): pass\n"
+              "class D(KeyboardInterrupt): pass\nclass E(x.FooError): pass\n"
+              "class F(dict): pass\n")
+    assert exception_classes(source) == ["A", "B", "D", "E"]
+
+
+def test_bad_input_has_one_error_class():
+    # bad input raises ValueError everywhere; the one exception class of the
+    # package's own marks an internal invariant of descent generation
+    found = {f"{path.stem}.{name}" for path in sorted(PACKAGE.glob("*.py"))
+             for name in exception_classes(path.read_text())}
+    assert found == {"forms.GenerationError"}
