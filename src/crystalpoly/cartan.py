@@ -8,7 +8,6 @@ throughout the public interface.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass, field
 
@@ -80,12 +79,13 @@ class CartanData:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "CartanData":
+        """The datum of `to_json_dict`'s object; "matrix" is required."""
         if not isinstance(obj, dict):
             raise ValueError("Cartan JSON must be an object")
-        matrix = obj["matrix"]
-        labels = obj.get("labels")
-        datum = cartan_from_matrix(matrix, labels=labels)
-        if "rank" in obj and obj["rank"] != datum.rank:
+        if "matrix" not in obj:
+            raise ValueError('Cartan JSON needs a "matrix" key')
+        datum = cartan_from_matrix(obj["matrix"], labels=obj.get("labels"))
+        if "rank" in obj and exact_int(obj["rank"]) != datum.rank:
             raise ValueError("declared rank does not match matrix size")
         return datum
 
@@ -149,11 +149,6 @@ def an_cartan(n: int) -> CartanData:
     )
 
 
-def load_cartan(path) -> CartanData:
-    with open(path) as fh:
-        return CartanData.from_json_dict(json.load(fh))
-
-
 class Weight(tuple):
     """Integral weight as the tuple of its pairings (<h_1,.>, .., <h_n,.>);
     it equals and hashes as that plain tuple, each entry through `exact_int`."""
@@ -161,6 +156,8 @@ class Weight(tuple):
     __slots__ = ()
 
     def __new__(cls, pairings):
+        if not hasattr(pairings, "__iter__"):
+            raise ValueError(f"a weight is a list of integers, got {pairings!r}")
         return tuple.__new__(cls, map(exact_int, pairings))
 
     def pairing(self, i: int) -> int:

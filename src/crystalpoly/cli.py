@@ -1,9 +1,11 @@
 """Command-line front end: graphs, inequality systems, verification, braid maps.
 
 One path each: numeric options are read by `cartan.decimal_int` and lists
-by `cartan.decimal_ints`, `main` checks `FLOORS` and reports a `ValueError`
-as a `config error:` line, `_refuse` names each given option a mode does
-not read, and every artifact goes out through `_output`.
+by `cartan.decimal_ints`, a datum is `--builtin` or `--cartan-file`, each
+input file is parsed by `_read_json` and read by the package's `from_json_*`,
+`main` checks `FLOORS` and reports a `ValueError` as a `config error:` line,
+`_refuse` names each given option a mode does not read (given: not None,
+even if empty), and every artifact goes out through `_output`.
 
 Exit codes: 0 success, 1 internal inconsistency, 2 configuration error,
 3 generation stopped before saturating, 4 oracle/lattice mismatch,
@@ -20,10 +22,7 @@ from contextlib import contextmanager
 from functools import cache
 
 from .braid import BraidContext, apply_at, run_property_suite, transport
-from .cartan import (
-    CartanData, IndexSequence, Weight, an_cartan, decimal_int, decimal_ints, load_cartan,
-    rank2_cartan,
-)
+from .cartan import CartanData, IndexSequence, Weight, an_cartan, decimal_int, decimal_ints
 from .closed_forms import an_system, get_builtin, rank2_system
 from .crystals import TensorWord
 from .forms import MAX_FORMS, DescentSystem
@@ -53,22 +52,25 @@ def _parse_weight(text: str, rank: int) -> Weight:
     return Weight(coeffs)
 
 
-def _load_cartan_file(path) -> CartanData:
+def _read_json(path: str, option: str):
+    """The JSON document in the file `option` names; a file that cannot be
+    opened or parsed is a ValueError "cannot read <option>: ..."."""
     try:
-        return load_cartan(path)
-    except (OSError, ValueError, KeyError) as exc:
-        raise ValueError(f"cannot load Cartan file: {exc}")
+        with open(path) as fh:
+            return json.load(fh)
+    except (OSError, ValueError, RecursionError) as exc:  # RecursionError: JSON nested ~1000 deep
+        raise ValueError(f"cannot read {option}: {exc}") from exc
 
 
 def _resolve_cartan(args) -> tuple[CartanData, IndexSequence | None, object]:
     """Cartan datum, default sequence, and the builtin record when named."""
-    if args.builtin and args.cartan_file:
+    if args.builtin is not None and args.cartan_file is not None:
         raise ValueError("give either --builtin or --cartan-file, not both")
-    if args.builtin:
+    if args.builtin is not None:
         builtin = get_builtin(args.builtin)
         return builtin.cartan, builtin.iota, builtin
-    if args.cartan_file:
-        return _load_cartan_file(args.cartan_file), None, None
+    if args.cartan_file is not None:
+        return CartanData.from_json_dict(_read_json(args.cartan_file, "--cartan-file")), None, None
     raise ValueError("a Cartan datum is required (--builtin or --cartan-file)")
 
 
@@ -86,7 +88,7 @@ def _resolve_inputs(args):
         seq = IndexSequence.from_string(args.iota, cartan.rank)
     elif seq is None:
         raise ValueError("--iota is required for file-based Cartan data")
-    if args.binf and args.lam:
+    if args.binf and args.lam is not None:
         raise ValueError("--binf and --lambda are mutually exclusive")
     if args.binf:
         return cartan, seq, None, builtin
@@ -99,7 +101,7 @@ def _resolve_inputs(args):
 def _output(args):
     """The artifact's stream: the --output file, else stdout; a file that
     cannot be opened or written is a ValueError."""
-    if not args.output:
+    if args.output is None:
         yield sys.stdout
         return
     try:
@@ -308,17 +310,11 @@ def cmd_braid(args) -> int:
         _write("\n".join(lines), args)
         return 0 if not violations else 5
 
-    if not args.map_set:
+    if args.map_set is None:
         raise ValueError("braid needs --fuzz or --map-set")
-    _refuse(args, "--map-set", ("n", "seed", "jobs"))
-    if (args.c1 is None) != (args.c2 is None):
-        raise ValueError("give both --c1 and --c2, or neither")
-    if args.c1 is not None:
-        if args.builtin or args.cartan_file:
-            raise ValueError("give either --c1/--c2 or --builtin/--cartan-file, not both")
-        cartan, seq = rank2_cartan(args.c1, args.c2), None
-    else:
-        cartan, seq, _ = _resolve_cartan(args)
+    # the map-set reads only the datum, --iota, --i/--j, --window, --map-set and --output
+    _refuse(args, "--map-set", ("c1", "c2", "n", "seed", "jobs"))
+    cartan, seq, _ = _resolve_cartan(args)
     i = 1 if args.i is None else args.i
     j = 2 if args.j is None else args.j
     if not (1 <= i <= cartan.rank and 1 <= j <= cartan.rank):
@@ -326,22 +322,17 @@ def cmd_braid(args) -> int:
     ctx = BraidContext.from_cartan(cartan, i, j)
     if args.iota is not None:
         seq = IndexSequence.from_string(args.iota, cartan.rank)
-    window = decimal_ints(args.window or "")
+    window = () if args.window is None else decimal_ints(args.window)
     if not window:
         raise ValueError("--window is required for --map-set")
-    try:
-        with open(args.map_set) as fh:
-            data = json.load(fh)
-    except (OSError, ValueError) as exc:
-        raise ValueError(f"cannot read --map-set file: {exc}") from exc
-    try:
-        elements = [
-            ZVector.from_json_obj(obj) if isinstance(obj, dict) and "coords" in obj
-            else TensorWord.from_json_obj(cartan, obj)
-            for obj in (data["elements"] if isinstance(data, dict) else data)
-        ]
-    except (KeyError, IndexError, TypeError) as exc:
-        raise ValueError(f"malformed --map-set contents: {exc!r}") from exc
+    data = _read_json(args.map_set, "--map-set")
+    if not isinstance(data, list):
+        raise ValueError("a --map-set file is a JSON list of elements")
+    elements = [
+        ZVector.from_json_obj(obj) if isinstance(obj, dict)
+        else TensorWord.from_json_obj(cartan, obj)
+        for obj in data
+    ]
     if seq is None and any(isinstance(elem, ZVector) for elem in elements):
         raise ValueError("coordinate elements need --iota (or a builtin)")
     mapped = [
@@ -361,13 +352,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, need_depth=False):
+    def common(p, need_depth=False, weight=True):
         p.add_argument("--builtin", help="named Cartan datum (a2, b2, c2, g2, a1tilde, aN)")
         p.add_argument("--cartan-file", help="JSON Cartan file")
         p.add_argument("--iota", help="index sequence period, leftmost token = i_1")
-        p.add_argument("--lambda", dest="lam", help="dominant weight, e.g. 1,0")
-        p.add_argument("--binf", action="store_true", help="free mode (no highest weight)")
         p.add_argument("--output", help="write the artifact to this file")
+        if weight:
+            p.add_argument("--lambda", dest="lam", help="dominant weight, e.g. 1,0")
+            p.add_argument("--binf", action="store_true", help="free mode (no highest weight)")
         if need_depth:
             p.add_argument("--depth", type=_int, required=True)
 
@@ -394,20 +386,17 @@ def build_parser() -> argparse.ArgumentParser:
     v.set_defaults(func=cmd_verify)
 
     b = sub.add_parser("braid", help="apply or fuzz the braid maps")
-    b.add_argument("--builtin")
-    b.add_argument("--cartan-file")
-    b.add_argument("--iota", help="sequence for coordinate-encoded elements")
+    common(b, weight=False)
     b.add_argument("--fuzz", action="store_true")
-    b.add_argument("--c1", type=_int)
-    b.add_argument("--c2", type=_int)
+    b.add_argument("--c1", type=_int, help="fuzz pairing -<h_1, alpha_2>")
+    b.add_argument("--c2", type=_int, help="fuzz pairing -<h_2, alpha_1>")
     b.add_argument("--n", type=_int, help="fuzz samples (default 1000)")
     b.add_argument("--seed", type=_int, help="fuzz seed (default 20240)")
     b.add_argument("--jobs", type=_int, help="fuzz chunks (default 1)")
     b.add_argument("--i", type=_int, help="map-set index i (default 1)")
     b.add_argument("--j", type=_int, help="map-set index j (default 2)")
     b.add_argument("--window", help="map-set window positions")
-    b.add_argument("--map-set", help="JSON file of elements to transport")
-    b.add_argument("--output")
+    b.add_argument("--map-set", help="JSON list of elements to transport")
     b.set_defaults(func=cmd_braid)
     return parser
 

@@ -156,11 +156,15 @@ class TensorWord:
     def from_json_obj(cls, cartan: CartanData, obj) -> "TensorWord":
         """The word of `to_json_obj`'s list: [index, value] letters, then at
         most one ["r", pairings] unit letter, which must come last."""
+        if not isinstance(obj, list):
+            raise ValueError(f"a tensor word is a list of letters, got {obj!r}")
         indices, values = [], []
         unit = None
         for entry in obj:
             if unit is not None:
                 raise ValueError('a unit letter ["r", ...] must be the last entry')
+            if not (isinstance(entry, list) and len(entry) == 2):
+                raise ValueError(f'a letter is [index, value] or ["r", pairings], got {entry!r}')
             if entry[0] == "r":
                 unit = Weight(entry[1])
             else:

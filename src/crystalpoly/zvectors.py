@@ -87,12 +87,15 @@ class ZVector(tuple):
         return {"coords": {str(pos): val for pos, val in self.coords}, "mode": mode}
 
     @classmethod
-    def from_json_obj(cls, obj) -> "ZVector":
+    def from_json_obj(cls, obj: dict) -> "ZVector":
+        """The vector of `to_json_obj`'s object; an absent "mode" is "binf"."""
         mode = obj.get("mode", "binf")
+        if mode != "binf" and not (isinstance(mode, dict) and mode.keys() == {"lambda"}):
+            raise ValueError(f'a mode is "binf" or {{"lambda": [...]}}, got {mode!r}')
         lam = None if mode == "binf" else Weight(mode["lambda"])
-        coords = obj["coords"]
+        coords = obj.get("coords")
         if not isinstance(coords, dict):
-            raise TypeError("coords must map positions to values")
+            raise ValueError("coords must map positions to values")
         return cls.from_dict(json_positions(coords), lam)
 
     @classmethod

@@ -48,6 +48,12 @@ def test_weight_dominance():
     assert weight(2).pairing(1) == 2
 
 
+@pytest.mark.parametrize("pairings", [5, None, 1.5], ids=["int", "null", "float"])
+def test_weight_refuses_a_non_iterable(pairings):
+    with pytest.raises(ValueError, match=f"^a weight is a list of integers, got {pairings!r}$"):
+        Weight(pairings)
+
+
 def test_weight_value_contract():
     w = weight(2, 0, -1)
     assert not hasattr(w, "__dict__")
@@ -191,6 +197,8 @@ def test_shared_builders():
         {"matrix": [[2, -1], [-1, 2]], "labels": "ab"},  # str() of each character
         {"matrix": [[2, -1], [-1, 2]], "labels": {"x": 1, "y": 2}},  # str() of each key
         {"matrix": [[2, -1], [-1, 2]], "labels": ["a", 2]},
+        {"matrix": [[2]], "rank": True},  # true == 1 would pass as the declared rank
+        {"rank": 2},
     ],
 )
 def test_malformed_json_is_cartan_error(obj):

@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import random
@@ -6,10 +7,12 @@ import subprocess
 import sys
 import time
 from collections import Counter
+from contextlib import redirect_stderr, redirect_stdout
 from itertools import product
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from crystalpoly import crystals, get_builtin, weight, zvectors
 from crystalpoly.cli import console, main
@@ -529,6 +532,46 @@ def test_unwritable_output_is_a_config_error(tmp_path, capsys, argv):
     assert not dest.parent.exists()
 
 
+NO_FILE = "[Errno 2] No such file or directory: ''"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("graph", "--builtin", "a2", "--binf", "--lambda", "", "--depth", "1"),
+     "--binf and --lambda are mutually exclusive"),
+    (("graph", "--builtin", "", "--cartan-file", "MAP_SET", "--binf", "--depth", "1"),
+     "give either --builtin or --cartan-file, not both"),
+    (("graph", "--builtin", "a2", "--cartan-file", "", "--binf", "--depth", "1"),
+     "give either --builtin or --cartan-file, not both"),
+    (("graph", "--builtin", "", "--binf", "--depth", "1"), "unknown builtin ''"),
+    (("graph", "--cartan-file", "", "--iota", "1 2", "--binf", "--depth", "1"),
+     f"cannot read --cartan-file: {NO_FILE}"),
+    (("graph", "--builtin", "a2", "--binf", "--depth", "1", "--output", ""),
+     f"cannot write --output: {NO_FILE}"),
+    (("inequalities", "--builtin", "a2", "--lambda", "1,0", "--output", ""),
+     f"cannot write --output: {NO_FILE}"),
+    (("verify", "--builtin", "a2", "--lambda", "1,0", "--depth", "2", "--output", ""),
+     f"cannot write --output: {NO_FILE}"),
+    (("braid", "--fuzz", "--c1", "1", "--c2", "2", "--n", "5", "--output", ""),
+     f"cannot write --output: {NO_FILE}"),
+    (("braid", "--builtin", "a3", "--window", "4,5,6", "--map-set", "MAP_SET", "--output", ""),
+     f"cannot write --output: {NO_FILE}"),
+    (("braid", "--builtin", "a3", "--window", "4,5,6", "--map-set", ""),
+     f"cannot read --map-set: {NO_FILE}"),
+    (("braid", "--builtin", "a3", "--window", "", "--map-set", "MAP_SET"),
+     "--window is required for --map-set"),
+], ids=["empty-lambda", "empty-builtin-and-file", "builtin-and-empty-file", "empty-builtin",
+        "empty-cartan-file", "graph-empty-output", "inequalities-empty-output",
+        "verify-empty-output", "fuzz-empty-output", "map-set-empty-output", "empty-map-set",
+        "map-set-empty-window"])
+def test_an_option_given_empty_counts(tmp_path, capsys, argv, message):
+    # an option is given when it is on the command line, whatever its value:
+    # an empty one is neither dropped nor read as its default
+    src = tmp_path / "im.json"
+    src.write_text(json.dumps([[[1, 0], [2, 0], [1, 0], [3, 0], [2, 0], [1, 0]]]))
+    argv = [str(src) if a == "MAP_SET" else a for a in argv]
+    assert run(capsys, *argv) == (2, "", f"config error: {message}\n")
+
+
 FUZZ = ("braid", "--fuzz", "--c1", "1", "--c2", "2", "--n", "20", "--seed", "3")
 
 
@@ -740,40 +783,91 @@ def test_generate_from_file_needs_support_bound(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "content",
-    [[1], {"matrix": 5}, {"matrix": [[2, -1.7], [-1, 2]]}, {"matrix": [[2, 1e400], [-1, 2]]},
-     {"rank": 2, "matrix": [[2, False], [False, 2]]},  # false == 0 would load as a1xa1
-     {"rank": 2}],
+    "content, message",
+    [([1], "Cartan JSON must be an object"),
+     ({"matrix": 5}, "matrix must be a list of integer rows"),
+     ({"matrix": [[2, -1.7], [-1, 2]]}, "matrix entries must be integers"),
+     ({"matrix": [[2, 1e400], [-1, 2]]}, "matrix entries must be integers"),
+     # false == 0 would load as a1xa1
+     ({"rank": 2, "matrix": [[2, False], [False, 2]]}, "matrix entries must be integers"),
+     ({"rank": 2}, 'Cartan JSON needs a "matrix" key')],
     ids=["top-level-list", "scalar-matrix", "non-integral", "overflowing", "boolean",
          "no-matrix"],
 )
-def test_malformed_cartan_file(tmp_path, capsys, content):
+def test_malformed_cartan_file(tmp_path, capsys, content, message):
     src = tmp_path / "bad.json"
     src.write_text(json.dumps(content))
-    code, _, err = run(
+    code, out, err = run(
         capsys, "graph", "--cartan-file", str(src), "--iota", "1", "--binf", "--depth", "1",
     )
-    assert code == 2 and err.startswith("config error: cannot load Cartan file:")
+    assert (code, out, err) == (2, "", f"config error: {message}\n")
+
+
+@pytest.mark.parametrize("text", ["", "{", "[1, 2,", "\xff", "[" * 100_000 + "]" * 100_000],
+                         ids=["empty", "open", "cut", "latin-1", "deep"])
+@pytest.mark.parametrize("option", ["--cartan-file", "--map-set"])
+def test_an_unreadable_file_names_its_option(tmp_path, capsys, option, text):
+    src = tmp_path / "bad.json"
+    src.write_bytes(text.encode("latin-1"))
+    argv = {"--cartan-file": ("graph", "--iota", "1 2", "--binf", "--depth", "1"),
+            "--map-set": ("braid", "--builtin", "a2", "--window", "1,2,3")}[option]
+    code, out, err = run(capsys, *argv, option, str(src))
+    assert (code, out) == (2, "") and err.startswith(f"config error: cannot read {option}: ")
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize(
-    "content",
+    "content, message",
     [
-        {"x": 1},
-        {"elements": [[[1]]]},
-        [{"coords": {"1": 1}, "mode": {"lam": [1, 1]}}],
-        [{"coords": [1, 2]}],
-        [{"coords": None}],
+        ({"x": 1}, "a --map-set file is a JSON list of elements"),
+        ({"elements": [[[1]]]}, "a --map-set file is a JSON list of elements"),
+        ([{"coords": {"1": 1}, "mode": {"lam": [1, 1]}}],
+         'a mode is "binf" or {"lambda": [...]}, got {\'lam\': [1, 1]}'),
+        ([{"coords": [1, 2]}], "coords must map positions to values"),
+        ([{"coords": None}], "coords must map positions to values"),
     ],
     ids=["no-elements", "short-letter", "bad-mode", "coords-list", "coords-null"],
 )
-def test_braid_map_set_malformed(tmp_path, capsys, content):
+def test_braid_map_set_malformed(tmp_path, capsys, content, message):
+    # a map-set file is the JSON list that --map-set itself prints, and
+    # nothing else: an {"elements": [...]} object is refused like any object
     src = tmp_path / "im.json"
     src.write_text(json.dumps(content))
-    code, _, err = run(
+    code, out, err = run(
         capsys, "braid", "--builtin", "a2", "--window", "1,2,3", "--map-set", str(src),
     )
-    assert code == 2 and err.startswith("config error: malformed --map-set contents:")
+    assert (code, out, err) == (2, "", f"config error: {message}\n")
+
+
+# JSON documents over the keys and values both input files use, shaped at random
+JSON_KEYS = ("coords", "mode", "lambda", "r", "matrix", "rank", "labels", "elements", "1", "2")
+JSON_DOCS = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-3, 3), st.sampled_from([1.5, 2.0, 1e400]),
+              st.sampled_from(JSON_KEYS + ("binf", "x", ""))),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(
+        st.sampled_from(JSON_KEYS), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(doc=JSON_DOCS)
+def test_any_json_input_exits_0_or_2_with_one_plain_line(tmp_path_factory, doc):
+    # no document ends in a traceback, or in a line that shows an exception's repr
+    src = tmp_path_factory.getbasetemp() / "doc.json"
+    src.write_text(json.dumps(doc))
+    for argv in (
+        ("braid", "--builtin", "a2", "--iota", "1 2", "--window", "1,2,3", "--map-set", str(src)),
+        ("graph", "--cartan-file", str(src), "--iota", "1 2", "--binf", "--depth", "1"),
+    ):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(list(argv))
+        assert code in (0, 2)
+        if code == 2:
+            line = err.getvalue()
+            assert out.getvalue() == "" and line.startswith("config error: ")
+            assert line.count("\n") == 1 and "Error(" not in line
 
 
 @pytest.mark.parametrize(
@@ -790,9 +884,21 @@ def test_braid_map_set_malformed(tmp_path, capsys, content):
         ({"coords": {"\u0663": 1}},
          "a coordinate key must be an ASCII decimal position, got '\u0663'"),
         ({"coords": {"1": 1, "01": 2}}, "position 1 is given twice"),
+        ([[1, 0], [2, 0], [1, 0, 7]],
+         'a letter is [index, value] or ["r", pairings], got [1, 0, 7]'),
+        ([[1, 0], ["r", [0, 0], "junk"]],
+         'a letter is [index, value] or ["r", pairings], got [\'r\', [0, 0], \'junk\']'),
+        ([[1]], 'a letter is [index, value] or ["r", pairings], got [1]'),
+        ([[1, 0], 5], 'a letter is [index, value] or ["r", pairings], got 5'),
+        (5, "a tensor word is a list of letters, got 5"),
+        ({"coords": {"1": 1}, "mode": {"lambda": 5}}, "a weight is a list of integers, got 5"),
+        ([[1, 0], ["r", None]], "a weight is a list of integers, got None"),
+        ({"mode": "binf"}, "coords must map positions to values"),
     ],
     ids=["fractional-coordinate", "text-coordinate", "fractional-letter", "short-weight",
-         "unit-first", "underscored-key", "spaced-key", "arabic-indic-key", "repeated-position"],
+         "unit-first", "underscored-key", "spaced-key", "arabic-indic-key", "repeated-position",
+         "long-letter", "unit-with-junk", "short-letter", "bare-letter", "bare-word",
+         "scalar-weight", "null-unit", "no-coords"],
 )
 def test_braid_map_set_refuses_a_value(tmp_path, capsys, element, message):
     src = tmp_path / "im.json"
@@ -804,48 +910,43 @@ def test_braid_map_set_refuses_a_value(tmp_path, capsys, element, message):
     assert (code, out, err.strip()) == (2, "", f"config error: {message}")
 
 
-def test_braid_map_set_c1_c2_names_the_datum(tmp_path, capsys):
-    # --c1/--c2 pick rank2_cartan(c1, c2); --i/--j then read it as a builtin does
+def test_braid_map_set_cartan_file_names_the_datum(tmp_path, capsys):
+    # a Cartan file is read as a builtin is: --i/--j then pick the pairing from it
     rng = random.Random(7)
     words = [[[k, rng.randint(-4, 4)] for k in (2, 1, 2, 1, 2, 1)] for _ in range(16)]
     src = tmp_path / "words.json"
     src.write_text(json.dumps(words))
+    g2 = tmp_path / "g2.json"
+    g2.write_text(json.dumps({"matrix": [[2, -1], [-3, 2]]}))
     window = ("--i", "2", "--j", "1", "--window", "1,2,3,4,5,6", "--map-set", str(src))
-    code, by_pairing, _ = run(capsys, "braid", "--c1", "1", "--c2", "3", *window)
+    code, by_file, _ = run(capsys, "braid", "--cartan-file", str(g2), *window)
     assert code == 0
     code, by_name, _ = run(capsys, "braid", "--builtin", "g2", *window)
-    assert code == 0 and by_pairing == by_name
+    assert code == 0 and by_file == by_name
 
 
 @pytest.mark.parametrize(
     "datum, message",
     [
-        (("--builtin", "a2", "--c1", "1", "--c2", "3"),
-         "give either --c1/--c2 or --builtin/--cartan-file, not both"),
+        (("--builtin", "a2", "--c1", "1", "--c2", "3"), "--map-set does not take --c1, --c2"),
         (("--cartan-file", "a2.json", "--c1", "1", "--c2", "3"),
-         "give either --c1/--c2 or --builtin/--cartan-file, not both"),
-        (("--c1", "1"), "give both --c1 and --c2, or neither"),
-        (("--c2", "3"), "give both --c1 and --c2, or neither"),
-        (("--builtin", "g2", "--c2", "3"), "give both --c1 and --c2, or neither"),
+         "--map-set does not take --c1, --c2"),
+        (("--c1", "1"), "--map-set does not take --c1"),
+        (("--c2", "3"), "--map-set does not take --c2"),
+        (("--builtin", "g2", "--c2", "3"), "--map-set does not take --c2"),
+        (("--c1", "1", "--c2", "3"), "--map-set does not take --c1, --c2"),
     ],
-    ids=["builtin-and-pairing", "file-and-pairing", "c1-alone", "c2-alone", "builtin-and-c2"],
+    ids=["builtin-and-pairing", "file-and-pairing", "c1-alone", "c2-alone", "builtin-and-c2",
+         "pairing-alone"],
 )
 def test_braid_map_set_one_datum(tmp_path, capsys, datum, message):
-    # a named datum is never silently replaced, and a lone pairing never silently dropped
+    # --c1/--c2 are the fuzz's pairing: the map-set's datum is --builtin or --cartan-file
     src = tmp_path / "words.json"
     src.write_text(json.dumps([[[2, 1], [1, 0], [2, 0]]]))
     code, out, err = run(
         capsys, "braid", *datum, "--window", "1,2,3", "--map-set", str(src),
     )
     assert (code, out, err.strip()) == (2, "", f"config error: {message}")
-
-
-def test_braid_c1_c2_index_out_of_range(capsys):
-    code, _, err = run(
-        capsys, "braid", "--c1", "1", "--c2", "1", "--i", "3", "--j", "1", "--map-set", "f",
-        "--window", "1,2,3",
-    )
-    assert code == 2 and err.strip() == "config error: --i and --j must lie in 1..2"
 
 
 def test_braid_map_set_position_zero_is_a_config_error(tmp_path, capsys):

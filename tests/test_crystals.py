@@ -1,3 +1,4 @@
+import re
 from types import SimpleNamespace
 
 import pytest
@@ -125,6 +126,23 @@ def test_json_letters_must_be_integers(obj):
     ids=["unit-first", "second-unit"])
 def test_json_unit_letter_only_last(obj):
     with pytest.raises(ValueError, match="must be the last entry"):
+        TensorWord.from_json_obj(A2, obj)
+
+
+@pytest.mark.parametrize("entry", [[1, 0, 7], ["r", [0, 0], "junk"], [1], [], 5, (1, 0), {"1": 0}],
+                         ids=["long", "long-unit", "short", "empty", "scalar", "tuple", "object"])
+def test_json_letter_is_exactly_a_pair(entry):
+    # a letter's extra items were dropped, and a short one raised IndexError
+    message = f'a letter is [index, value] or ["r", pairings], got {entry!r}'
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        TensorWord.from_json_obj(A2, [[1, 0], entry])
+
+
+@pytest.mark.parametrize("obj", [5, None, "12", {"1": 0}, ((1, 0),)],
+                         ids=["int", "null", "str", "object", "tuple"])
+def test_json_word_is_a_list(obj):
+    message = f"a tensor word is a list of letters, got {obj!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         TensorWord.from_json_obj(A2, obj)
 
 

@@ -83,8 +83,8 @@ def _a3_nodes(lam):
     return [node.to_json_obj() for node in crystal.bfs(4).nodes]
 
 
-def _g2_words():
-    rng = random.Random(20240)
+def _rank2_words(seed=20240):
+    rng = random.Random(seed)
     return [[[k, rng.randint(-4, 4)] for k in (1, 2, 1, 2, 1, 2)] for _ in range(24)]
 
 
@@ -92,16 +92,22 @@ A3_MAP = ("--builtin", "a3", "--iota", "1 2 3 1 2 1", "--i", "1", "--j", "2",
           "--window", "4,5,6")
 G2_MAP = ("--i", "1", "--j", "2", "--window", "1,2,3,4,5,6")
 
-# (elements, argv before --map-set, sha256 of stdout); every run exits 0
+# (elements, argv before --map-set, sha256 of stdout); every run exits 0.  A
+# dict in the argv is a Cartan file's JSON, passed as the path of that file
 MAP_SET_GOLDEN = {
     "a3-free": (lambda: _a3_nodes(None), A3_MAP,
                 "333fd070a5a28d68e436f65ada914c01d90fda38450bf8442b6c57a950f898c6"),
     "a3-lambda-101": (lambda: _a3_nodes(weight(1, 0, 1)), A3_MAP,
                       "e4c3d28bb0abca64dc6be41c67916bc64a6abdfcf3c2355eaf4c14f65bea4a9e"),
-    "g2-builtin": (_g2_words, ("--builtin", "g2", *G2_MAP),
+    "g2-builtin": (_rank2_words, ("--builtin", "g2", *G2_MAP),
                    "1589c40667085ef29d1ae1f6d476ebb6056c43a0852cbfda52faacf927bf0f99"),
-    "g2-c1-c2": (_g2_words, ("--c1", "1", "--c2", "3", *G2_MAP),
-                 "1589c40667085ef29d1ae1f6d476ebb6056c43a0852cbfda52faacf927bf0f99"),
+    # the pairing profiles (1, 3) and (3, 1) from a file; each digest is that
+    # of the same words under the former spelling --c1 C1 --c2 C2
+    "g2-cartan-file": (_rank2_words, ("--cartan-file", {"matrix": [[2, -1], [-3, 2]]}, *G2_MAP),
+                       "1589c40667085ef29d1ae1f6d476ebb6056c43a0852cbfda52faacf927bf0f99"),
+    "31-cartan-file": (lambda: _rank2_words(31),
+                       ("--cartan-file", {"matrix": [[2, -3], [-1, 2]]}, *G2_MAP),
+                       "4d4d7032e0f16f33d4ce044973da2a2f01647e585cae21e334c64c6952d0b7a8"),
 }
 
 
@@ -110,6 +116,11 @@ def test_braid_map_set_is_pinned(tmp_path, capsys, name):
     elements, argv, digest = MAP_SET_GOLDEN[name]
     src = tmp_path / "elements.json"
     src.write_text(json.dumps(elements()))
+    datum = tmp_path / "cartan.json"
+    for arg in argv:
+        if isinstance(arg, dict):
+            datum.write_text(json.dumps(arg))
+    argv = [str(datum) if isinstance(arg, dict) else arg for arg in argv]
     got = main(["braid", *argv, "--map-set", str(src)])
     out = capsys.readouterr().out
     assert (got, hashlib.sha256(out.encode()).hexdigest()) == (0, digest)

@@ -1,7 +1,7 @@
 """The suite's own pytest configuration, run on a throwaway test file, the
-package's imports, the command line's reads and writes, the package's
-reads of the environment (none) and its exception classes, read from its
-source."""
+package's imports, the command line's reads and writes and its tests of
+whether an option was given, the package's reads of the environment (none)
+and its exception classes, read from its source."""
 
 import ast
 import builtins
@@ -99,6 +99,43 @@ def test_boundary_faults_are_found():
 
 def test_the_cli_reads_no_option_with_int_and_prints_only_to_stderr():
     assert boundary_faults((PACKAGE / "cli.py").read_text()) == []
+
+
+FLAGS = {"binf", "fuzz"}  # the store_true options, whose value is their truth
+
+
+def truthy_option_tests(source: str) -> list[tuple[int, str]]:
+    """Where a module tests an option's value (`args.X`, not a flag) for
+    truth: as the test of an `if` or a conditional expression, the operand
+    of `not`, or an operand of `and`/`or`.  Such a test reads an option
+    given empty as one not given."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.If, ast.IfExp)):
+            tested = [node.test]
+        elif isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.Not):
+            tested = [node.operand]
+        elif isinstance(node, ast.BoolOp):
+            tested = node.values
+        else:
+            continue
+        found |= {(t.lineno, f"args.{t.attr}") for t in tested
+                  if isinstance(t, ast.Attribute) and isinstance(t.value, ast.Name)
+                  and t.value.id == "args" and t.attr not in FLAGS}
+    return sorted(found)
+
+
+def test_truthy_option_tests_are_found():
+    source = ("if args.a and args.binf:\n    pass\nif not args.b:\n    pass\n"
+              "x = args.c or ''\ny = 1 if args.d else 2\nif args.e is None:\n    pass\n"
+              "if args.fuzz or args.f is not None:\n    pass\nz = [args.g, not opts.h]\n")
+    assert truthy_option_tests(source) == [
+        (1, "args.a"), (3, "args.b"), (5, "args.c"), (6, "args.d")]
+
+
+def test_the_cli_tests_options_only_against_none():
+    # an option is given when it is not None, even when its value is empty
+    assert truthy_option_tests((PACKAGE / "cli.py").read_text()) == []
 
 
 ENVIRONMENT = {"environ", "environb", "getenv"}

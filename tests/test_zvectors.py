@@ -1,5 +1,6 @@
 import copy
 import pickle
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -311,8 +312,22 @@ def test_json_refuses_a_repeated_position(coords, pos):
 
 @pytest.mark.parametrize("coords", [[1, 2], None, 3])
 def test_json_coords_must_be_an_object(coords):
-    with pytest.raises(TypeError, match="coords must map positions to values"):
+    with pytest.raises(ValueError, match="^coords must map positions to values$"):
         ZVector.from_json_obj({"coords": coords})
+
+
+def test_json_needs_coords():
+    with pytest.raises(ValueError, match="^coords must map positions to values$"):
+        ZVector.from_json_obj({"mode": "binf"})
+
+
+@pytest.mark.parametrize("mode", ["free", None, 5, ["binf"], {"lam": [1]},
+                                  {"lambda": [1], "x": 1}],
+                         ids=["text", "null", "int", "list", "lam", "extra-key"])
+def test_json_mode_is_binf_or_lambda(mode):
+    message = f'a mode is "binf" or {{"lambda": [...]}}, got {mode!r}'
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        ZVector.from_json_obj({"coords": {"1": 1}, "mode": mode})
 
 
 @pytest.mark.parametrize("coords", [{0: 5, 2: 1}, {-3: 1}, {0: 0, 1: 2}])
